@@ -4,8 +4,8 @@ Modules group by concern: `tensor` (dense kernels), `tt` (tensor-train
 matrices), `fusion` (low-rank multimodal fusion), `attention` (text
 encoder), `model` (the assembled network and its gradients), `train`
 (synthetic data + Adam + F1), `photonic` (mesh decomposition, layer
-mapping, optical simulation), `cost` (power/energy/efficiency reports),
-`cli` (the `tomfn` command).
+mapping, realizing compiled plans as weights), `cost`
+(power/energy/efficiency reports), `cli` (the `tomfn` command).
 """
 
 __version__ = "0.1.0"

@@ -2,6 +2,9 @@
 
 A `Var` records its value and, for non-leaf nodes, a vector-Jacobian
 callback that maps the upstream gradient to gradients for its parents.
+An op node needs a gradient exactly when one of its parents does; a node
+that needs none keeps no parents or callback, so a graph built only from
+constants records no tape and frees each intermediate once it is used.
 `backward` walks the tape in reverse topological order and accumulates
 into `.grad`.  Only the handful of operations the network needs exist
 here; every one of them is checked against central finite differences
@@ -21,9 +24,11 @@ class Var:
     def __init__(self, value, parents=(), vjp=None, requires_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.parents = parents
-        self.vjp = vjp
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        if parents:
+            requires_grad = any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad
+        self.parents = parents if requires_grad else ()
+        self.vjp = vjp if requires_grad else None
 
     @property
     def shape(self):

@@ -98,7 +98,7 @@ def _load_weights_into(config, path: str) -> model_mod.TOMFNModel:
                     f"{w.nrows}x{w.ncols} cannot cover {out_dim}x{in_dim}",
                 )
         else:
-            want = (in_dim, out_dim) if name.startswith(("text.", "head.")) else (out_dim, in_dim)
+            want = (in_dim, out_dim) if name.startswith(model_mod.ROW_APPLIED) else (out_dim, in_dim)
             if w.shape != want:
                 raise CliError(
                     EXIT_COMPILE,
@@ -136,21 +136,21 @@ def _parse_synthetic(spec_string: str, config, fallback_seed: int) -> train_mod.
 
 
 def _load_dataset(args, config, seed) -> train_mod.Dataset:
+    """The --synthetic or --data samples, with every shape checked against `config`."""
     if args.synthetic is not None:
-        spec = _parse_synthetic(args.synthetic, config, seed)
-        if spec.seq_len != config.text.seq_len:
-            raise CliError(
-                EXIT_DATA,
-                f"synthetic L={spec.seq_len} but config text.seq_len={config.text.seq_len}",
-            )
-        return train_mod.gen_synthetic(spec, config)
-    if args.data is not None:
+        ds = train_mod.gen_synthetic(_parse_synthetic(args.synthetic, config, seed), config)
+    elif args.data is not None:
         try:
             ds = train_mod.load_jsonl(args.data)
         except DataError as exc:
             raise CliError(EXIT_DATA, str(exc)) from exc
-        return ds
-    raise CliError(EXIT_DATA, "provide --synthetic or --data")
+    else:
+        raise CliError(EXIT_DATA, "provide --synthetic or --data")
+    try:
+        model_mod.check_batch(config, ds.visual, ds.audio, ds.text, ds.labels)
+    except ShapeError as exc:
+        raise CliError(EXIT_DATA, f"samples do not fit the config: {exc}") from exc
+    return ds
 
 
 def _emit(obj: dict, out_path: str | None):
@@ -237,10 +237,7 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_COMPILE, "eval requires --weights")
     model = _load_weights_into(config, args.weights)
     dataset = _load_dataset(args, config, seed)
-    try:
-        metrics = train_mod.evaluate(model, dataset)
-    except ShapeError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from exc
+    metrics = train_mod.evaluate(model, dataset)
     doc = {"manifest": _manifest(args, "eval", seed), **metrics}
     _emit(doc, args.out)
     return 0
@@ -297,25 +294,24 @@ def cmd_simulate(args) -> int:
     except DataError as exc:
         raise CliError(EXIT_DATA, str(exc)) from exc
 
+    # Each trial draws one static set of phase errors, realizes the
+    # perturbed plans as weights, and runs the digital forward on them.
     try:
-        ideal = [photonic.simulate_forward(bundle, dataset.sample(i))
-                 for i in range(len(dataset))]
+        ideal = train_mod.probabilities(photonic.realize(bundle), dataset)
     except ShapeError as exc:
-        raise CliError(EXIT_SIMULATE, f"sample does not fit the compiled model: {exc}") from exc
+        raise CliError(EXIT_SIMULATE, f"samples do not fit the compiled model: {exc}") from exc
     errors = []
     for trial in range(args.trials):
         plans = photonic.perturb_bundle(bundle, args.phase_sigma, args.bits, seed + trial)
-        for i in range(len(dataset)):
-            noisy = photonic.simulate_forward(bundle, dataset.sample(i), plans=plans)
-            errors.append(np.abs(noisy - ideal[i]))
-    errors = np.asarray(errors) if errors else np.zeros((0,))
+        errors.append(np.abs(train_mod.probabilities(photonic.realize(bundle, plans), dataset) - ideal))
+    errors = np.asarray(errors)
     doc = {
         "manifest": _manifest(args, "simulate", seed),
         "n_samples": len(dataset),
         "trials": args.trials,
         "phase_sigma": args.phase_sigma,
         "bits": args.bits,
-        "ideal": [out.tolist() for out in ideal],
+        "ideal": ideal.tolist(),
         "mean_abs_error": float(errors.mean()) if errors.size else 0.0,
         "max_abs_error": float(errors.max()) if errors.size else 0.0,
     }

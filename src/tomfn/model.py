@@ -29,6 +29,10 @@ from .attention import AttentionHead, TextEncoder
 
 EMOTIONS = ("happy", "sad", "angry", "neutral")
 
+# Dense weights under these name prefixes are stored (in, out) and applied
+# to a row as x @ W; every other dense weight is an (out, in) operator.
+ROW_APPLIED = ("text.", "head.")
+
 
 # --- configuration ------------------------------------------------------------
 
@@ -232,21 +236,13 @@ def build(config: ModelConfig) -> TOMFNModel:
         w[f"head.{j}"] = _glorot(rng, 2, config.fusion.d_h, (config.fusion.d_h, 2))
 
     tt_cfg = config.tt
-    if tt_cfg.visual or tt_cfg.audio:
-        for stack, flag in (("visual", tt_cfg.visual), ("audio", tt_cfg.audio)):
-            if not flag:
-                continue
-            for name in [k for k in w if k.startswith(f"{stack}.fc")]:
-                w[name] = _to_tt_operator(w[name], tt_cfg)
-    if tt_cfg.text:
-        for name in [k for k in w if k.startswith("text.")]:
-            w[name] = _to_tt_operator(w[name].T, tt_cfg)  # operators act on rows
-    if tt_cfg.fusion:
-        for name in [k for k in w if k.startswith("fusion.")]:
-            w[name] = _to_tt_operator(w[name], tt_cfg)
-    if tt_cfg.class_heads:
-        for name in [k for k in w if k.startswith("head.")]:
-            w[name] = _to_tt_operator(w[name].T, tt_cfg)
+    flags = {"visual": tt_cfg.visual, "audio": tt_cfg.audio, "text": tt_cfg.text,
+             "fusion": tt_cfg.fusion, "head": tt_cfg.class_heads}
+    for name in w:
+        if flags[name.split(".")[0]]:
+            # TT weights are always (out, in) operators.
+            op = w[name].T if name.startswith(ROW_APPLIED) else w[name]
+            w[name] = _to_tt_operator(op, tt_cfg)
     return TOMFNModel(config, w)
 
 
@@ -281,35 +277,34 @@ def _tt_apply_rows(tt_var_cores: list, tt_w: tt_mod.TTMatrix, x: ad.Var, out_dim
 
 
 class _Graph:
-    """One forward/loss graph over a batch, with weight leaves kept by name."""
+    """One forward/loss graph over a batch, with weight leaves kept by name.
 
-    def __init__(self, model: TOMFNModel):
+    With requires_grad=False the weights are constants, so the graph keeps
+    no tape (inference only).
+    """
+
+    def __init__(self, model: TOMFNModel, requires_grad: bool = True):
         self.model = model
         self.vars: dict[str, object] = {}
         for name, w in model.weights.items():
             if isinstance(w, tt_mod.TTMatrix):
-                self.vars[name] = [ad.leaf(c) for c in w.cores]
+                self.vars[name] = [ad.leaf(c, requires_grad) for c in w.cores]
             else:
-                self.vars[name] = ad.leaf(w)
+                self.vars[name] = ad.leaf(w, requires_grad)
 
-    def _apply_operator(self, name: str, x: ad.Var, out_dim: int) -> ad.Var:
-        """y = W x per row of x for an (out, in) operator stored under `name`."""
+    def _apply(self, name: str, x: ad.Var, out_dim: int) -> ad.Var:
+        """The layer `name` applied to every row of x: (B, in) -> (B, out_dim)."""
         w = self.model.weights[name]
         if isinstance(w, tt_mod.TTMatrix):
             return _tt_apply_rows(self.vars[name], w, x, out_dim)
+        if name.startswith(ROW_APPLIED):
+            return ad.matmul(x, self.vars[name])
         return ad.matmul(x, ad.transpose(self.vars[name], (1, 0)))
-
-    def _apply_row_weight(self, name: str, x: ad.Var, out_dim: int) -> ad.Var:
-        """y = x W for a (in, out) dense weight; TT weights are operators."""
-        w = self.model.weights[name]
-        if isinstance(w, tt_mod.TTMatrix):
-            return _tt_apply_rows(self.vars[name], w, x, out_dim)
-        return ad.matmul(x, self.vars[name])
 
     def _fc_stack(self, stack: str, dims: list[int], x: ad.Var) -> ad.Var:
         h = x
         for k in range(len(dims) - 1):
-            h = self._apply_operator(f"{stack}.fc{k}", h, dims[k + 1])
+            h = self._apply(f"{stack}.fc{k}", h, dims[k + 1])
             if k < len(dims) - 2:
                 h = ad.relu(h)
         return h
@@ -320,15 +315,15 @@ class _Graph:
         flat = ad.reshape(x3, (b * length, cfg.d_model))
         outs = []
         for h in range(cfg.heads):
-            q = ad.reshape(self._apply_row_weight(f"text.head{h}.q", flat, cfg.d_head), (b, length, cfg.d_head))
-            k = ad.reshape(self._apply_row_weight(f"text.head{h}.k", flat, cfg.d_head), (b, length, cfg.d_head))
-            v = ad.reshape(self._apply_row_weight(f"text.head{h}.v", flat, cfg.d_head), (b, length, cfg.d_head))
+            q = ad.reshape(self._apply(f"text.head{h}.q", flat, cfg.d_head), (b, length, cfg.d_head))
+            k = ad.reshape(self._apply(f"text.head{h}.k", flat, cfg.d_head), (b, length, cfg.d_head))
+            v = ad.reshape(self._apply(f"text.head{h}.v", flat, cfg.d_head), (b, length, cfg.d_head))
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(cfg.d_head))
             outs.append(ad.matmul(ad.softmax_last(scores), v))
         concat = ad.concat(outs, axis=2)
         feats = ad.relu(
             ad.reshape(
-                self._apply_row_weight("text.ff", ad.reshape(concat, (b * length, cfg.d_model)), cfg.d_out),
+                self._apply("text.ff", ad.reshape(concat, (b * length, cfg.d_model)), cfg.d_out),
                 (b, length, cfg.d_out),
             )
         )
@@ -349,7 +344,7 @@ class _Graph:
         for i in range(cfg.rank):
             term = None
             for m in ("v", "a", "t"):
-                p = self._apply_operator(f"fusion.{m}.{i}", aug[m], cfg.d_h)
+                p = self._apply(f"fusion.{m}.{i}", aug[m], cfg.d_h)
                 term = p if term is None else ad.mul(term, p)
             h = term if h is None else ad.add(h, term)
         return h
@@ -364,7 +359,7 @@ class _Graph:
         h = self._fuse(z_v, z_a, z_t)
         probs, ces = [], []
         for j in range(cfg.heads):
-            logits = self._apply_row_weight(f"head.{j}", h, 2)
+            logits = self._apply(f"head.{j}", h, 2)
             probs.append(ad.reshape(ad.softmax_last(logits), (b, 1, 2)))
             if labels is not None:
                 picked = ad.gather_last(logits, labels[:, j])
@@ -374,24 +369,26 @@ class _Graph:
         return prob, loss
 
 
-def _check_batch(config: ModelConfig, visual, audio, text):
+def check_batch(config: ModelConfig, visual, audio, text, labels=None):
+    """Raise ShapeError unless the batch arrays (and labels, if given) fit `config`."""
     b = visual.shape[0]
-    want_v = (b, config.visual_dims[0])
-    want_a = (b, config.audio_dims[0])
-    want_t = (b, config.text.seq_len, config.text.d_model)
-    if visual.shape != want_v:
-        raise ShapeError(f"visual batch has shape {visual.shape}, expected {want_v}")
-    if audio.shape != want_a:
-        raise ShapeError(f"audio batch has shape {audio.shape}, expected {want_a}")
-    if text.shape != want_t:
-        raise ShapeError(f"text batch has shape {text.shape}, expected {want_t}")
+    wants = {
+        "visual": (visual, (b, config.visual_dims[0])),
+        "audio": (audio, (b, config.audio_dims[0])),
+        "text": (text, (b, config.text.seq_len, config.text.d_model)),
+    }
+    if labels is not None:
+        wants["labels"] = (labels, (b, config.heads))
+    for name, (array, want) in wants.items():
+        if array.shape != want:
+            raise ShapeError(f"{name} batch has shape {array.shape}, expected {want}")
 
 
 def forward_batch(model: TOMFNModel, visual, audio, text) -> np.ndarray:
     """Per-head class probabilities for a batch, shape (B, heads, 2)."""
     visual, audio, text = (np.asarray(a, dtype=np.float64) for a in (visual, audio, text))
-    _check_batch(model.config, visual, audio, text)
-    prob, _ = _Graph(model).outputs(visual, audio, text)
+    check_batch(model.config, visual, audio, text)
+    prob, _ = _Graph(model, requires_grad=False).outputs(visual, audio, text)
     return prob.value
 
 
@@ -409,9 +406,7 @@ def loss_and_grad(model: TOMFNModel, visual, audio, text, labels):
     """Mean cross-entropy over heads and samples, plus gradients per leaf key."""
     visual, audio, text = (np.asarray(a, dtype=np.float64) for a in (visual, audio, text))
     labels = np.asarray(labels, dtype=np.int64)
-    _check_batch(model.config, visual, audio, text)
-    if labels.shape != (visual.shape[0], model.config.heads):
-        raise ShapeError(f"labels must have shape (B, {model.config.heads})")
+    check_batch(model.config, visual, audio, text, labels)
     graph = _Graph(model)
     _, loss = graph.outputs(visual, audio, text, labels)
     ad.backward(loss)
@@ -441,7 +436,7 @@ def batch_loss(model: TOMFNModel, visual, audio, text, labels) -> float:
     """Loss only; used by finite-difference checks."""
     visual, audio, text = (np.asarray(a, dtype=np.float64) for a in (visual, audio, text))
     labels = np.asarray(labels, dtype=np.int64)
-    _, loss = _Graph(model).outputs(visual, audio, text, labels)
+    _, loss = _Graph(model, requires_grad=False).outputs(visual, audio, text, labels)
     return float(loss.value)
 
 

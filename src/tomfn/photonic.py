@@ -1,4 +1,4 @@
-"""Compile weight matrices into MZI-mesh netlists and simulate them.
+"""Compile weight matrices into MZI-mesh netlists, and read them back.
 
 Everything here is real-valued.  One MZI on waveguide pair (r, r+1)
 applies R(theta) * diag(cos(phi), 1): a Givens rotation preceded by a
@@ -26,6 +26,16 @@ amplitude stays in [0, 1].  A TT layer maps core by core: fixing both
 bond indices of core k yields r_{k-1} * r_k small m_k x n_k operators,
 each realized as its own SVD triple, with bond channels carried on WDM
 wavelengths and summed digitally after detection.
+
+Simulation does not re-implement the network.  For fixed phases a
+compiled plan is a linear map, so `realize_plan` reads each (possibly
+perturbed) plan back into the TT core or dense weight it computes, and
+`realize` assembles those into a model that the one batched forward pass
+(`model.forward_batch`) runs.  Phase errors from `perturb` are therefore
+static per trial: one draw per noisy copy of the bundle.  Per-shot
+detector noise, if ever added, varies from one input to the next and must
+be injected at the detection points inside the forward pass, not folded
+into the realized weights.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
 from . import tt as tt_mod
+from .model import ROW_APPLIED, ModelConfig, TOMFNModel, block_dims
 from .errors import DecompositionError, MappingError, ShapeError
 
 CORE_SIZE_CAP = 8
@@ -352,39 +362,6 @@ def map_tt_layer(tt: tt_mod.TTMatrix, cap: int = CORE_SIZE_CAP,
     )
 
 
-def plan_apply(plan: LayerPlan, x: np.ndarray) -> np.ndarray:
-    """Simulate the plan on a logical input vector.
-
-    Same sweep as `tt.tt_matvec`, but each bond-slice operator runs through
-    its meshes; the sums over bond indices (and the global rescale) happen
-    digitally after detection.
-    """
-    if x.shape != (plan.logical_in,):
-        raise ShapeError(f"input has shape {x.shape}, plan expects ({plan.logical_in},)")
-    full = np.zeros(plan.in_dim)
-    full[: plan.logical_in] = x
-    tmp = full  # axes [r_{k-1}, n_k..n_d, m_1..m_{k-1}], flattened
-    for core in plan.cores:
-        r_in = len(core.triples)
-        r_out = len(core.triples[0])
-        rest = tmp.size // (r_in * core.n)
-        blocks = tmp.reshape(r_in, core.n, rest)
-        new = np.zeros((core.m, r_out, rest))
-        for b in range(r_out):
-            acc = np.zeros((core.m, rest))
-            for a in range(r_in):
-                acc += svd_apply(core.triples[a][b], blocks[a])
-            new[:, b, :] = acc
-        tmp = np.moveaxis(new, 0, -1)
-    return tmp.reshape(plan.out_dim)[: plan.logical_out]
-
-
-def plan_matrix(plan: LayerPlan) -> np.ndarray:
-    """Dense matrix realized by the plan (columns simulated one by one)."""
-    cols = [plan_apply(plan, e) for e in np.eye(plan.logical_in)]
-    return np.stack(cols, axis=1)
-
-
 def mzi_count(plan: LayerPlan) -> int:
     """Two meshes plus min(m, n) attenuator MZIs per sub-matrix."""
     total = 0
@@ -443,14 +420,14 @@ def perturb_plan(plan: LayerPlan, phase_sigma: float, bits: int, seed: int) -> L
     )
 
 
-# --- whole-model compilation and optical simulation --------------------------------
+# --- whole-model compilation and realization -------------------------------------
 
 
 @dataclass
 class ModelBundle:
     """Every weight of a model mapped to a LayerPlan, in dataflow order."""
 
-    config: "object"  # ModelConfig; typed loosely to avoid an import cycle
+    config: ModelConfig
     plans: dict[str, LayerPlan]
 
     def mzi_total(self) -> int:
@@ -498,8 +475,6 @@ def compile_model(model, cap: int = CORE_SIZE_CAP) -> ModelBundle:
     class heads) are transposed first so each plan realizes the operator
     that multiplies a column vector.
     """
-    from .model import block_dims  # late import; model does not know photonics
-
     dims = block_dims(model.config)
     plans = {}
     for name, w in model.weights.items():
@@ -507,62 +482,40 @@ def compile_model(model, cap: int = CORE_SIZE_CAP) -> ModelBundle:
         if isinstance(w, tt_mod.TTMatrix):
             plans[name] = map_tt_layer(w, cap=cap, logical_out=out_dim, logical_in=in_dim)
         else:
-            op = w.T if name.startswith(("text.", "head.")) else w
+            op = w.T if name.startswith(ROW_APPLIED) else w
             plans[name] = map_dense_layer(np.asarray(op), cap=cap)
     return ModelBundle(config=model.config, plans=plans)
 
 
-def _simulate_chain(bundle, stack, dims, x):
-    z = x
-    for k in range(len(dims) - 1):
-        z = plan_apply(bundle.plans[f"{stack}.fc{k}"], z)
-        if k < len(dims) - 2:
-            z = tensor.relu(z)
-    return z
+def realize_plan(plan: LayerPlan):
+    """The operator a (possibly perturbed) plan computes, read back from its meshes.
+
+    A dense plan gives its (m, n) matrix.  A TT plan gives a TTMatrix whose
+    core k holds, at bond pair (a, b), the matrix of triple [a][b]: the
+    digital sum over bond channels after detection is exactly the TT sweep.
+    """
+    if plan.kind == "dense":
+        return svd_matrix(plan.cores[0].triples[0][0])
+    cores = [
+        np.stack([np.stack([svd_matrix(t) for t in row], axis=-1) for row in core.triples])
+        for core in plan.cores
+    ]
+    return tt_mod.TTMatrix(plan.row_modes, plan.col_modes, plan.ranks, cores)
 
 
-def simulate_forward(bundle: ModelBundle, sample: dict, plans: dict | None = None) -> np.ndarray:
-    """Optical forward pass for one sample; matvecs run through the meshes,
-    softmax/relu/pooling and the fusion products are detection-side math."""
-    plans = plans if plans is not None else bundle.plans
-    cfg = bundle.config
-    visual = np.asarray(sample["visual"], dtype=np.float64)
-    audio = np.asarray(sample["audio"], dtype=np.float64)
-    text = np.asarray(sample["text"], dtype=np.float64)
-    if visual.shape != (cfg.visual_dims[0],) or audio.shape != (cfg.audio_dims[0],):
-        raise ShapeError("sample dims do not match the compiled config")
-    if text.ndim != 2 or text.shape[1] != cfg.text.d_model:
-        raise ShapeError("text sample must be L x d_model")
+def realize(bundle: ModelBundle, plans: dict | None = None) -> TOMFNModel:
+    """A model whose weights are the operators the bundle's plans realize.
 
-    local = ModelBundle(config=cfg, plans=plans)
-    z_v = _simulate_chain(local, "visual", cfg.visual_dims, visual)
-    z_a = _simulate_chain(local, "audio", cfg.audio_dims, audio)
-
-    head_outs = []
-    for h in range(cfg.text.heads):
-        q = np.stack([plan_apply(plans[f"text.head{h}.q"], row) for row in text])
-        k = np.stack([plan_apply(plans[f"text.head{h}.k"], row) for row in text])
-        v = np.stack([plan_apply(plans[f"text.head{h}.v"], row) for row in text])
-        scores = (q @ k.T) / np.sqrt(cfg.text.d_head)
-        head_outs.append(tensor.row_softmax(scores) @ v)
-    concat = np.concatenate(head_outs, axis=1)
-    feats = tensor.relu(np.stack([plan_apply(plans["text.ff"], row) for row in concat]))
-    z_t = feats.mean(axis=0) if cfg.text.pooling == "mean" else feats[-1]
-
-    aug = {
-        "v": np.concatenate([z_v, [1.0]]),
-        "a": np.concatenate([z_a, [1.0]]),
-        "t": np.concatenate([z_t, [1.0]]),
-    }
-    h_vec = np.zeros(cfg.fusion.d_h)
-    for i in range(cfg.fusion.rank):
-        term = np.ones(cfg.fusion.d_h)
-        for m in ("v", "a", "t"):
-            term = term * plan_apply(plans[f"fusion.{m}.{i}"], aug[m])
-        h_vec += term
-    return np.stack(
-        [tensor.softmax(plan_apply(plans[f"head.{j}"], h_vec)) for j in range(cfg.heads)]
-    )
+    `plans` (default: the bundle's own) may be perturbed copies from
+    `perturb_bundle`.  Row-applied dense weights are transposed back to
+    their stored (in, out) orientation, undoing `compile_model`.
+    """
+    plans = bundle.plans if plans is None else plans
+    weights = {}
+    for name, plan in plans.items():
+        w = realize_plan(plan)
+        weights[name] = w.T if plan.kind == "dense" and name.startswith(ROW_APPLIED) else w
+    return TOMFNModel(bundle.config, weights)
 
 
 def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int) -> dict:
@@ -669,8 +622,6 @@ def bundle_to_obj(bundle: ModelBundle) -> dict:
 
 
 def bundle_from_obj(obj: dict) -> ModelBundle:
-    from .model import ModelConfig
-
     return ModelBundle(
         config=ModelConfig.from_dict(obj["config"]),
         plans={name: plan_from_obj(p) for name, p in obj["plans"].items()},

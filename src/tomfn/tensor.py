@@ -38,30 +38,6 @@ def reshape(t: np.ndarray, new_shape) -> np.ndarray:
     return t.reshape(new_shape)
 
 
-def matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = W @ x for a 2-way W and 1-way x."""
-    if w.ndim != 2 or x.ndim != 1:
-        raise ShapeError(f"matvec needs a matrix and a vector, got {w.ndim}-way and {x.ndim}-way")
-    if w.shape[1] != x.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {w.shape[1]} vs {x.shape[0]}")
-    return w @ x
-
-
-def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hadamard product; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def outer3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Three-way outer product T[p,q,s] = a[p] b[q] c[s]."""
-    for v in (a, b, c):
-        if v.ndim != 1:
-            raise ShapeError("outer3 takes three 1-way tensors")
-    return np.einsum("p,q,s->pqs", a, b, c)
-
-
 def softmax(v: np.ndarray) -> np.ndarray:
     """Max-shifted softmax of a 1-way tensor; output sums to 1."""
     if v.ndim != 1 or v.size < 1:

@@ -163,6 +163,9 @@ def load_jsonl(path: str) -> Dataset:
         raise DataError(f"{path}: inconsistent sample shapes ({exc})") from exc
     if not set(np.unique(ds.labels)) <= {0, 1}:
         raise DataError(f"{path}: labels must be binary flags")
+    for name in ("visual", "audio", "text"):
+        if not np.all(np.isfinite(getattr(ds, name))):
+            raise DataError(f"{path}: {name} features must be finite")
     return ds
 
 
@@ -241,13 +244,17 @@ def f1_score(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom > 0 else 0.0
 
 
+def probabilities(model: TOMFNModel, ds: Dataset, batch_size: int = 64) -> np.ndarray:
+    """Per-head class probabilities for every sample, (n, heads, 2), a batch at a time."""
+    return np.concatenate([
+        model_mod.forward_batch(model, ds.visual[s : s + batch_size], ds.audio[s : s + batch_size],
+                                ds.text[s : s + batch_size])
+        for s in range(0, len(ds), batch_size)
+    ])
+
+
 def predictions(model: TOMFNModel, ds: Dataset, batch_size: int = 64) -> np.ndarray:
-    preds = []
-    for start in range(0, len(ds), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(ds)))
-        probs = model_mod.forward_batch(model, ds.visual[idx], ds.audio[idx], ds.text[idx])
-        preds.append(np.argmax(probs, axis=2))
-    return np.concatenate(preds, axis=0)
+    return np.argmax(probabilities(model, ds, batch_size), axis=2)
 
 
 def evaluate(model: TOMFNModel, ds: Dataset) -> dict:

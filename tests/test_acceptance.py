@@ -160,7 +160,7 @@ def test_criterion_7_end_to_end_optical_equivalence():
                 "audio": rng.normal(size=6),
                 "text": rng.normal(size=(3, 8)),
             }
-            optical = P.simulate_forward(bundle, sample)
+            optical = M.forward(P.realize(bundle), sample)
             digital = M.forward(model, sample)
             assert np.max(np.abs(optical - digital)) < 1e-8
 

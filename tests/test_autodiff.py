@@ -132,6 +132,10 @@ def test_constants_get_no_grad():
     c = ad.constant(np.ones(3))
     ad.backward(ad.sum_all(ad.mul(x, c)))
     assert c.grad is None
+    # An op on constants only needs no gradient and keeps no tape.
+    y = ad.relu(ad.mul(c, ad.constant(np.full(3, 2.0))))
+    assert not y.requires_grad
+    assert y.parents == () and y.vjp is None
     assert np.allclose(x.grad, np.ones(3), atol=0)
 
 

@@ -230,17 +230,42 @@ def test_simulate_dim_mismatch_exits_5(tmp_path, tiny_config):
     weights = make_trained(tmp_path, tiny_config)
     bundle = tmp_path / "bundle.json"
     run(["compile", "--config", tiny_config, "--weights", weights, "--out", str(bundle)])
-    other = M.ModelConfig(
-        visual_dims=[5, 4], audio_dims=[6, 4],
-        text=M.TextConfig(d_model=8, heads=2, d_head=4, d_out=4, seq_len=3),
-        fusion=M.FusionConfig(rank=2, d_h=4), heads=4,
-        tt=M.TTConfig(visual=False, audio=False, text=False, fusion=False, class_heads=False),
-        seed=0,
-    )
-    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), other)
+    # A wrong visual width, then samples of L=4 tokens where text.seq_len is 3.
+    for visual_dims, seq_len in (([5, 4], 3), ([8, 4], 4)):
+        other = M.ModelConfig(
+            visual_dims=visual_dims, audio_dims=[6, 4],
+            text=M.TextConfig(d_model=8, heads=2, d_head=4, d_out=4, seq_len=seq_len),
+            fusion=M.FusionConfig(rank=2, d_h=4), heads=4,
+            tt=M.TTConfig(visual=False, audio=False, text=False, fusion=False, class_heads=False),
+            seed=0,
+        )
+        ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=seq_len, seed=1), other)
+        data = tmp_path / "bad.jsonl"
+        T.save_jsonl(ds, str(data))
+        assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 5
+
+
+@pytest.mark.parametrize("command, defect", [
+    ("train", "visual_width"), ("eval", "visual_width"), ("train", "label_count"),
+    ("train", "nan_feature"), ("simulate", "nan_feature"),
+])
+def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect):
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
+    if defect == "visual_width":
+        ds.visual = ds.visual[:, :5]
+    elif defect == "label_count":
+        ds.labels = ds.labels[:, :3]
+    else:
+        ds.visual[1, 2] = np.nan
     data = tmp_path / "bad.jsonl"
     T.save_jsonl(ds, str(data))
-    assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 5
+    argv = [command, "--config", tiny_config, "--data", str(data)]
+    if command != "train":
+        argv += ["--weights", make_trained(tmp_path, tiny_config)]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
 
 
 # --- seeds and entry point ----------------------------------------------------------

@@ -6,7 +6,7 @@ from tomfn import tt as tt_mod
 from tomfn.attention import encode_text
 from tomfn.errors import ConfigError, ShapeError
 from tomfn.fusion import lmf_forward
-from tomfn.tensor import matvec, relu, softmax
+from tomfn.tensor import relu, softmax
 
 
 def mini_config(seed=0, **tt_flags):
@@ -130,13 +130,13 @@ def test_forward_matches_module_composition():
 
     z = v[0]
     for k in range(len(cfg.visual_dims) - 1):
-        z = matvec(m.weights[f"visual.fc{k}"], z)
+        z = m.weights[f"visual.fc{k}"] @ z
         if k < len(cfg.visual_dims) - 2:
             z = relu(z)
     z_v = z
     z = a[0]
     for k in range(len(cfg.audio_dims) - 1):
-        z = matvec(m.weights[f"audio.fc{k}"], z)
+        z = m.weights[f"audio.fc{k}"] @ z
         if k < len(cfg.audio_dims) - 2:
             z = relu(z)
     z_a = z

@@ -199,7 +199,7 @@ def test_map_identity_tt():
     assert [len(c.triples) * len(c.triples[0]) for c in plan.cores] == [1, 1]
     assert P.core_histogram([plan]) == {"2x2": 2}
     x = np.array([0.5, -1.0, 2.0, 3.0])
-    assert np.allclose(P.plan_apply(plan, x), x, atol=1e-10)
+    assert np.allclose(tt_mod.tt_matvec(P.realize_plan(plan), x), x, atol=1e-10)
 
 
 def test_map_32x32_rank2():
@@ -214,14 +214,15 @@ def test_map_32x32_rank2():
     assert P.core_histogram([plan]) == {"4x4": 2, "8x8": 2}
 
 
-def test_plan_apply_matches_tt_matvec():
+def test_realize_plan_matches_tt_matvec():
     rng = np.random.default_rng(11)
     for _ in range(10):
         w = rng.normal(size=(12, 8))
         t = tt_mod.tt_from_dense(w, [3, 4], [2, 4], max_rank=8, tol=0.0)
-        plan = P.map_tt_layer(t)
+        realized = P.realize_plan(P.map_tt_layer(t))
+        assert realized.ranks == t.ranks
         x = rng.normal(size=8)
-        assert np.max(np.abs(P.plan_apply(plan, x) - tt_mod.tt_matvec(t, x))) < 1e-8
+        assert np.max(np.abs(tt_mod.tt_matvec(realized, x) - tt_mod.tt_matvec(t, x))) < 1e-8
 
 
 def test_mode_cap_enforced():
@@ -265,8 +266,10 @@ def test_padded_plan_respects_logical_dims():
     w = rng.normal(size=(5, 3))
     t = tt_mod.tt_from_dense(w, [5, 1], [3, 1], max_rank=16, tol=0.0)
     plan = P.map_tt_layer(t, logical_out=5, logical_in=3)
+    realized = P.realize_plan(plan)
+    assert (realized.nrows, realized.ncols) == (plan.logical_out, plan.logical_in)
     x = rng.normal(size=3)
-    assert np.allclose(P.plan_apply(plan, x), w @ x, atol=1e-9)
+    assert np.allclose(tt_mod.tt_matvec(realized, x), w @ x, atol=1e-9)
 
 
 def test_plan_serialization_roundtrip():
@@ -275,8 +278,8 @@ def test_plan_serialization_roundtrip():
     t = tt_mod.tt_from_dense(w, [2, 4], [2, 3], max_rank=4, tol=0.0)
     plan = P.map_tt_layer(t)
     back = P.plan_from_obj(P.plan_to_obj(plan))
-    x = rng.normal(size=6)
-    assert np.allclose(P.plan_apply(back, x), P.plan_apply(plan, x), atol=0)
+    for got, want in zip(P.realize_plan(back).cores, P.realize_plan(plan).cores):
+        assert np.array_equal(got, want)
 
 
 def test_netlist_serialization_roundtrip():
@@ -293,10 +296,10 @@ def test_mesh_apply_length_check():
         P.mesh_apply(net, np.zeros(4))
 
 
-# --- whole-model compile + simulate ------------------------------------------------
+# --- whole-model compile + realize -------------------------------------------------
 
 
-def tiny_config(**tt_flags):
+def tiny_config(visual_dims=(8, 4), pooling="mean", **tt_flags):
     from tomfn import model as M
 
     tt = M.TTConfig(visual=False, audio=False, text=False, fusion=False,
@@ -304,9 +307,9 @@ def tiny_config(**tt_flags):
     for k, v in tt_flags.items():
         setattr(tt, k, v)
     return M.ModelConfig(
-        visual_dims=[8, 4],
+        visual_dims=list(visual_dims),
         audio_dims=[6, 4],
-        text=M.TextConfig(d_model=8, heads=2, d_head=4, d_out=4, seq_len=3),
+        text=M.TextConfig(d_model=8, heads=2, d_head=4, d_out=4, seq_len=3, pooling=pooling),
         fusion=M.FusionConfig(rank=2, d_h=4),
         heads=4,
         tt=tt,
@@ -326,12 +329,19 @@ def test_compiled_tiny_model_matches_forward():
     from tomfn import model as M
 
     rng = np.random.default_rng(20)
-    for cfg in (tiny_config(), tiny_config(visual=True, text=True, fusion=True)):
+    configs = (
+        tiny_config(),
+        tiny_config(visual=True, text=True, fusion=True),
+        tiny_config(pooling="last"),
+        # 11 is not 8-smooth: the TT operator is zero-padded to 12 columns.
+        tiny_config(visual_dims=(11, 4), visual=True, text=True, class_heads=True),
+    )
+    for cfg in configs:
         m = M.build(cfg)
         bundle = P.compile_model(m)
         for _ in range(5):
             sample = random_sample(rng, cfg)
-            optical = P.simulate_forward(bundle, sample)
+            optical = M.forward(P.realize(bundle), sample)
             digital = M.forward(m, sample)
             assert np.max(np.abs(optical - digital)) < 1e-8
 
@@ -374,9 +384,7 @@ def test_bundle_serialization_roundtrip():
     bundle = P.compile_model(m)
     back = P.bundle_from_obj(P.bundle_to_obj(bundle))
     sample = random_sample(rng, cfg)
-    assert np.allclose(
-        P.simulate_forward(back, sample), P.simulate_forward(bundle, sample), atol=0
-    )
+    assert np.array_equal(M.forward(P.realize(back), sample), M.forward(P.realize(bundle), sample))
 
 
 def test_perturbed_bundle_deterministic():
@@ -389,8 +397,8 @@ def test_perturbed_bundle_deterministic():
     sample = random_sample(rng, cfg)
     p1 = P.perturb_bundle(bundle, 0.01, 8, seed=7)
     p2 = P.perturb_bundle(bundle, 0.01, 8, seed=7)
-    y1 = P.simulate_forward(bundle, sample, plans=p1)
-    y2 = P.simulate_forward(bundle, sample, plans=p2)
+    y1 = M.forward(P.realize(bundle, p1), sample)
+    y2 = M.forward(P.realize(bundle, p2), sample)
     assert np.array_equal(y1, y2)
-    ideal = P.simulate_forward(bundle, sample)
+    ideal = M.forward(P.realize(bundle), sample)
     assert not np.array_equal(y1, ideal)

@@ -23,78 +23,6 @@ def test_reshape_count_mismatch():
         tensor.reshape(tensor.as_tensor([1.0, 2, 3, 4]), [3])
 
 
-def test_matvec_identity():
-    x = tensor.as_tensor([1.5, -2.0, 0.25])
-    assert np.array_equal(tensor.matvec(np.eye(3), x), x)
-
-
-def test_matvec_hand_example():
-    w = tensor.as_tensor([[1, 2], [3, 4]])
-    y = tensor.matvec(w, tensor.as_tensor([1, 1]))
-    assert np.array_equal(y, [3.0, 7.0])
-
-
-def test_matvec_against_double_loop_oracle():
-    rng = np.random.default_rng(7)
-    w = rng.normal(size=(5, 4))
-    x = rng.normal(size=4)
-    # Independent oracle: explicit double loop.
-    expect = np.zeros(5)
-    for i in range(5):
-        for j in range(4):
-            expect[i] += w[i, j] * x[j]
-    assert np.allclose(tensor.matvec(w, x), expect, rtol=0, atol=1e-14)
-
-
-def test_matvec_dim_mismatch():
-    with pytest.raises(ShapeError):
-        tensor.matvec(np.eye(3), np.zeros(4))
-
-
-def test_matvec_identity_random_sizes():
-    rng = np.random.default_rng(1)
-    for n in range(1, 17):
-        x = rng.normal(size=n)
-        assert np.array_equal(tensor.matvec(np.eye(n), x), x)
-
-
-def test_matvec_distributes():
-    rng = np.random.default_rng(2)
-    w = rng.normal(size=(6, 5))
-    x, y = rng.normal(size=5), rng.normal(size=5)
-    lhs = tensor.matvec(w, x + y)
-    rhs = tensor.matvec(w, x) + tensor.matvec(w, y)
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_elementwise_mul():
-    a = tensor.as_tensor([1, 2, 3])
-    assert np.array_equal(tensor.elementwise_mul(a, np.ones(3)), a)
-    assert np.array_equal(tensor.elementwise_mul(a, np.zeros(3)), np.zeros(3))
-    assert np.array_equal(
-        tensor.elementwise_mul(a, tensor.as_tensor([4, 5, 6])), [4.0, 10.0, 18.0]
-    )
-    with pytest.raises(ShapeError):
-        tensor.elementwise_mul(a, np.ones(4))
-
-
-def test_elementwise_mul_commutes():
-    rng = np.random.default_rng(3)
-    a, b = rng.normal(size=(2, 9))
-    assert np.array_equal(tensor.elementwise_mul(a, b), tensor.elementwise_mul(b, a))
-
-
-def test_outer3():
-    ones = np.ones(2)
-    assert np.array_equal(tensor.outer3(ones, ones, ones), np.ones((2, 2, 2)))
-    t = tensor.outer3(tensor.as_tensor([1, 0]), np.ones(3), np.ones(4))
-    assert np.all(t[1] == 0)
-    t = tensor.outer3(
-        tensor.as_tensor([1, 2]), tensor.as_tensor([3]), tensor.as_tensor([4, 5])
-    )
-    assert np.array_equal(t, [[[12, 15]], [[24, 30]]])
-
-
 def test_softmax_values():
     assert np.allclose(tensor.softmax(np.zeros(2)), [0.5, 0.5], atol=1e-15)
     p = tensor.softmax(tensor.as_tensor([0.0, np.log(3.0)]))
