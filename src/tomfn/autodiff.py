@@ -73,9 +73,12 @@ def backward(root: Var, seed=None):
         for parent, contribution in zip(node.parents, node.vjp(node.grad)):
             if not parent.requires_grad or contribution is None:
                 continue
+            # Assign the first contribution; later ones add out of place, so a
+            # contribution shared with another node is never written to.
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad = parent.grad + contribution
+                parent.grad = contribution
+            else:
+                parent.grad = parent.grad + contribution
 
 
 def matmul(a: Var, b: Var) -> Var:

@@ -11,8 +11,10 @@ serializer, and the photonic compiler all see the same inventory:
     head.{j}                     (d_h, 2) per-emotion softmax head
 
 Forward and gradients are computed on one reverse-mode graph (see
-`autodiff`), batched over samples; dimensions that are not 8-smooth get
-zero-padded only inside TT operators, invisibly to callers.
+`autodiff`), batched over samples.  Dimensions that are not 8-smooth are
+zero-padded only inside TT operators; the graph rebuilds each TT operator
+densely from its cores and slices it back to the logical (out, in)
+block, so callers never see the padding.
 """
 
 from __future__ import annotations
@@ -249,35 +251,8 @@ def build(config: ModelConfig) -> TOMFNModel:
 # --- forward / loss graph ---------------------------------------------------------
 
 
-def _tt_apply_rows(tt_var_cores: list, tt_w: tt_mod.TTMatrix, x: ad.Var, out_dim: int) -> ad.Var:
-    """Apply a TT operator to every row of x (B, n_in) -> (B, out_dim).
-
-    Same sweep as `tt.tt_matvec` with the batch carried as a trailing axis;
-    the running state is (r_k, rest, B) flattened row-major.
-    """
-    b, n_in = x.value.shape
-    if tt_w.ncols != n_in:
-        pad = tt_w.ncols - n_in
-        if pad < 0:
-            raise ShapeError("input wider than TT operator")
-        if pad:
-            x = ad.concat([x, ad.constant(np.zeros((b, pad)))], axis=1)
-    tmp = ad.transpose(x, (1, 0))  # (N, B), axes [n_1..n_d, B]
-    for core_var, core in zip(tt_var_cores, tt_w.cores):
-        r_in, mk, nk, r_out = core.shape
-        rest = tmp.value.size // (r_in * nk * b)
-        a = ad.reshape(ad.transpose(core_var, (1, 3, 0, 2)), (mk * r_out, r_in * nk))
-        new = ad.matmul(a, ad.reshape(tmp, (r_in * nk, rest * b)))
-        # (mk, r_out, rest, B) -> (r_out, rest, mk, B): mk joins the output axes.
-        tmp = ad.transpose(ad.reshape(new, (mk, r_out, rest, b)), (1, 2, 0, 3))
-    out = ad.transpose(ad.reshape(tmp, (tt_w.nrows, b)), (1, 0))
-    if tt_w.nrows != out_dim:
-        out = ad.slice_axis(out, 1, 0, out_dim)
-    return out
-
-
 class _Graph:
-    """One forward/loss graph over a batch, with weight leaves kept by name.
+    """One forward/loss graph over a batch, with weight leaves kept by leaf key.
 
     With requires_grad=False the weights are constants, so the graph keeps
     no tape (inference only).
@@ -285,21 +260,28 @@ class _Graph:
 
     def __init__(self, model: TOMFNModel, requires_grad: bool = True):
         self.model = model
-        self.vars: dict[str, object] = {}
-        for name, w in model.weights.items():
-            if isinstance(w, tt_mod.TTMatrix):
-                self.vars[name] = [ad.leaf(c, requires_grad) for c in w.cores]
-            else:
-                self.vars[name] = ad.leaf(w, requires_grad)
+        self.leaves = {key: ad.leaf(arr, requires_grad) for key, arr in model.leaves()}
 
     def _apply(self, name: str, x: ad.Var, out_dim: int) -> ad.Var:
-        """The layer `name` applied to every row of x: (B, in) -> (B, out_dim)."""
+        """The layer `name` applied to every row of x: (B, in) -> (B, out_dim).
+
+        A TT weight is rebuilt from its core leaves as its dense operator,
+        cut down to the logical (out_dim, in) block, so every weight goes
+        through the same one matmul.
+        """
         w = self.model.weights[name]
-        if isinstance(w, tt_mod.TTMatrix):
-            return _tt_apply_rows(self.vars[name], w, x, out_dim)
-        if name.startswith(ROW_APPLIED):
-            return ad.matmul(x, self.vars[name])
-        return ad.matmul(x, ad.transpose(self.vars[name], (1, 0)))
+        is_tt = isinstance(w, tt_mod.TTMatrix)
+        if is_tt:
+            cores = [self.leaves[f"{name}/core{k}"] for k in range(len(w.cores))]
+            op = tt_mod.contract_cores(cores, w)
+            for axis, dim in enumerate((out_dim, x.shape[1])):
+                if op.shape[axis] != dim:
+                    op = ad.slice_axis(op, axis, 0, dim)
+        else:
+            op = self.leaves[name]
+        if is_tt or not name.startswith(ROW_APPLIED):
+            op = ad.transpose(op, (1, 0))
+        return ad.matmul(x, op)
 
     def _fc_stack(self, stack: str, dims: list[int], x: ad.Var) -> ad.Var:
         h = x
@@ -410,15 +392,8 @@ def loss_and_grad(model: TOMFNModel, visual, audio, text, labels):
     graph = _Graph(model)
     _, loss = graph.outputs(visual, audio, text, labels)
     ad.backward(loss)
-    grads = {}
-    for name, var in graph.vars.items():
-        if isinstance(var, list):
-            for k, core_var in enumerate(var):
-                grads[f"{name}/core{k}"] = (
-                    core_var.grad if core_var.grad is not None else np.zeros_like(core_var.value)
-                )
-        else:
-            grads[name] = var.grad if var.grad is not None else np.zeros_like(var.value)
+    grads = {key: v.grad if v.grad is not None else np.zeros_like(v.value)
+             for key, v in graph.leaves.items()}
     return float(loss.value), grads
 
 

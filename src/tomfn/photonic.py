@@ -40,13 +40,14 @@ into the realized weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tt as tt_mod
 from .model import ROW_APPLIED, ModelConfig, TOMFNModel, block_dims
-from .errors import DecompositionError, MappingError, ShapeError
+from .errors import DataError, DecompositionError, MappingError, ShapeError
 
 CORE_SIZE_CAP = 8
 
@@ -541,15 +542,31 @@ def netlist_to_obj(net: MeshNetlist) -> dict:
     }
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number as float; anything else is a DataError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DataError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _index(value, low: int, high: float, what: str) -> int:
+    """A JSON integer in [low, high]; anything else is a DataError."""
+    if type(value) is not int or not low <= value <= high:
+        raise DataError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
 def netlist_from_obj(obj: dict) -> MeshNetlist:
+    size = _index(obj["size"], 1, math.inf, "mesh size")
     columns = [
         [
-            MZISetting(layer_index=ci, row_index=int(m["row"]), theta=float(m["theta"]), phi=float(m["phi"]))
+            MZISetting(ci, _index(m["row"], 0, size - 2, "MZI row"),
+                       _number(m["theta"], "MZI theta"), _number(m["phi"], "MZI phi"))
             for m in col
         ]
         for ci, col in enumerate(obj["columns"])
     ]
-    return MeshNetlist(size=int(obj["size"]), columns=columns)
+    return MeshNetlist(size=size, columns=columns)
 
 
 def _triple_to_obj(tr: SVDTriple) -> dict:
@@ -564,13 +581,21 @@ def _triple_to_obj(tr: SVDTriple) -> dict:
 
 
 def _triple_from_obj(obj: dict) -> SVDTriple:
+    m = _index(obj["m"], 1, math.inf, "triple m")
+    n = _index(obj["n"], 1, math.inf, "triple n")
+    mesh_u, mesh_v = netlist_from_obj(obj["mesh_u"]), netlist_from_obj(obj["mesh_v"])
+    if (mesh_u.size, mesh_v.size) != (m, n):
+        raise DataError(f"meshes of sizes {mesh_u.size}, {mesh_v.size} in a {m}x{n} triple")
+    diag = [_number(v, "diag entry") for v in obj["diag"]]
+    if len(diag) != min(m, n):
+        raise DataError(f"diag has {len(diag)} entries, a {m}x{n} triple needs {min(m, n)}")
     return SVDTriple(
-        mesh_u=netlist_from_obj(obj["mesh_u"]),
-        diag=np.asarray(obj["diag"], dtype=np.float64),
-        global_scale=float(obj["scale"]),
-        mesh_v=netlist_from_obj(obj["mesh_v"]),
-        m=int(obj["m"]),
-        n=int(obj["n"]),
+        mesh_u=mesh_u,
+        diag=np.asarray(diag, dtype=np.float64),
+        global_scale=_number(obj["scale"], "scale"),
+        mesh_v=mesh_v,
+        m=m,
+        n=n,
     )
 
 

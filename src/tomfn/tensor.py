@@ -38,14 +38,6 @@ def reshape(t: np.ndarray, new_shape) -> np.ndarray:
     return t.reshape(new_shape)
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax of a 1-way tensor; output sums to 1."""
-    if v.ndim != 1 or v.size < 1:
-        raise ShapeError("softmax takes a nonempty 1-way tensor")
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
-
-
 def row_softmax(m: np.ndarray) -> np.ndarray:
     """Softmax applied independently to each row of a matrix."""
     if m.ndim != 2:

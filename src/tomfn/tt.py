@@ -3,13 +3,14 @@
 A matrix W of size M x N is viewed as a 2d-way tensor by factorizing
 M = m_1 ... m_d and N = n_1 ... n_d, interleaving the index pairs as
 (m_1, n_1, ..., m_d, n_d), and splitting with sequential SVDs.  Core k
-has shape (r_{k-1}, m_k, n_k, r_k) with r_0 = r_d = 1, so a matrix-vector
-product never materializes W: it contracts the cores one at a time.
+has shape (r_{k-1}, m_k, n_k, r_k) with r_0 = r_d = 1.
 
-The interleaved (paired-mode) ordering is what makes the contraction a
-clean left-to-right sweep, and it is the layout assumed by the photonic
-mapping: each core becomes a stack of small m_k x n_k operators indexed
-by its two bond ranks.
+The interleaved (paired-mode) ordering makes the contraction a clean
+left-to-right sweep (`tt_matvec`, the reference), and it is the layout
+and order of the photonic mapping: each core becomes a stack of small
+m_k x n_k operators indexed by its two bond ranks.  Training and
+inference instead rebuild W from its cores (`contract_cores`) and apply
+one matmul, which at these sizes is cheaper than sweeping a batch.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import tensor
 from .errors import FactorizationError, ShapeError
 
@@ -170,23 +172,36 @@ def tt_from_dense(w: np.ndarray, row_modes, col_modes, max_rank: int, tol: float
     return TTMatrix(row_modes, col_modes, ranks, cores)
 
 
+def contract_cores(cores: list, tt: TTMatrix) -> ad.Var:
+    """The M x N matrix of `tt` rebuilt from its cores, given as `ad.Var`s.
+
+    Contracts the bonds left to right into the paired-mode tensor, then
+    moves the row modes ahead of the column modes; gradients reach the
+    cores through the VJPs of these steps.
+    """
+    g = ad.reshape(cores[0], (-1, tt.ranks[1]))  # r_0 = 1
+    for k in range(1, len(cores)):
+        g = ad.matmul(g, ad.reshape(cores[k], (tt.ranks[k], -1)))
+        g = ad.reshape(g, (-1, tt.ranks[k + 1]))
+    d = len(tt.row_modes)
+    paired = [mode for k in range(d) for mode in (tt.row_modes[k], tt.col_modes[k])]
+    perm = [2 * k for k in range(d)] + [2 * k + 1 for k in range(d)]
+    return ad.reshape(ad.transpose(ad.reshape(g, paired), perm), (tt.nrows, tt.ncols))
+
+
 def tt_to_dense(tt: TTMatrix) -> np.ndarray:
     """Contract all cores back to the represented M x N matrix."""
-    g = tt.cores[0][0]  # (m_1, n_1, r_1)
-    for core in tt.cores[1:]:
-        g = np.tensordot(g, core, axes=([-1], [0]))
-    g = g[..., 0]  # drop the trailing rank-1 bond
-    d = len(tt.row_modes)
-    perm = [2 * k for k in range(d)] + [2 * k + 1 for k in range(d)]
-    return g.transpose(perm).reshape(tt.nrows, tt.ncols)
+    return contract_cores([ad.constant(c) for c in tt.cores], tt).value
 
 
 def tt_matvec(tt: TTMatrix, x: np.ndarray) -> np.ndarray:
-    """y = W @ x computed by sweeping the cores, never forming W.
+    """y = W @ x by the reference sweep over the cores, never forming W.
 
-    The running state is a flat array whose (row-major) axis order is
-    [r_{k-1}, n_k, ..., n_d, m_1, ..., m_{k-1}]: contracting core k
-    consumes the leading (r_{k-1}, n_k) axes and appends m_k at the back.
+    The photonic cores apply this order; training and inference rebuild W
+    instead (`contract_cores`).  The running state is a flat array whose
+    (row-major) axis order is [r_{k-1}, n_k, ..., n_d, m_1, ..., m_{k-1}]:
+    contracting core k consumes the leading (r_{k-1}, n_k) axes and
+    appends m_k at the back.
     """
     if x.ndim != 1:
         raise ShapeError("tt_matvec takes a 1-way tensor")

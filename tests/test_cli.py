@@ -268,6 +268,30 @@ def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect
     assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("defect", ["theta_not_a_number", "row_out_of_range", "diag_too_short"])
+def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
+    weights = make_trained(tmp_path, tiny_config)
+    bundle = tmp_path / "bundle.json"
+    run(["compile", "--config", tiny_config, "--weights", weights, "--out", str(bundle)])
+    doc = load_json(str(bundle))
+    triple = doc["plans"]["visual.fc0"]["cores"][0]["triples"][0][0]  # 4x8, mesh_u of size 4
+    mzi = triple["mesh_u"]["columns"][0][0]
+    if defect == "theta_not_a_number":
+        mzi["theta"] = "abc"
+    elif defect == "row_out_of_range":
+        mzi["row"] = 99
+    else:
+        triple["diag"] = triple["diag"][:1]
+    dump_json(doc, str(bundle))
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
+    data = tmp_path / "samples.jsonl"
+    T.save_jsonl(ds, str(data))
+    capsys.readouterr()
+    assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1
+
+
 # --- seeds and entry point ----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,16 @@ from tomfn import tt as tt_mod
 from tomfn.attention import encode_text
 from tomfn.errors import ConfigError, ShapeError
 from tomfn.fusion import lmf_forward
-from tomfn.tensor import relu, softmax
+from tomfn.tensor import relu, row_softmax
 
 
-def mini_config(seed=0, **tt_flags):
+def mini_config(seed=0, visual_dims=(3, 2), **tt_flags):
     tt = M.TTConfig(visual=False, audio=False, text=False, fusion=False,
                     class_heads=False, max_rank=64, tol=0.0)
     for k, v in tt_flags.items():
         setattr(tt, k, v)
     return M.ModelConfig(
-        visual_dims=[3, 2],
+        visual_dims=list(visual_dims),
         audio_dims=[3, 2],
         text=M.TextConfig(d_model=4, heads=2, d_head=2, d_out=3, seq_len=2),
         fusion=M.FusionConfig(rank=2, d_h=2),
@@ -142,20 +144,23 @@ def test_forward_matches_module_composition():
     z_a = z
     z_t = encode_text(m.text_encoder(), t[0])
     h = lmf_forward(m.fusion_layer(), z_v, z_a, z_t)
-    expect = np.stack([softmax(h @ m.weights[f"head.{j}"]) for j in range(cfg.heads)])
+    expect = np.stack([row_softmax((h @ m.weights[f"head.{j}"])[None, :])[0]
+                       for j in range(cfg.heads)])
     assert np.allclose(got, expect, atol=1e-10)
 
 
 def test_tt_forward_matches_dense_forward():
     rng = np.random.default_rng(4)
-    for seed in range(10):
-        dense = M.build(mini_config(seed=seed))
-        ttm = M.build(mini_config(seed=seed, visual=True, audio=True, text=True,
-                                  fusion=True, class_heads=True))
-        v, a, t, _ = random_batch(rng, dense.config, 2)
-        p_dense = M.forward_batch(dense, v, a, t)
-        p_tt = M.forward_batch(ttm, v, a, t)
-        assert np.max(np.abs(p_dense - p_tt)) < 1e-8
+    # [11, 11] makes visual.fc0 a TT operator zero-padded to 12x12.
+    for visual_dims in ([3, 2], [11, 11]):
+        for seed in range(10):
+            dense = M.build(mini_config(seed=seed, visual_dims=visual_dims))
+            ttm = M.build(mini_config(seed=seed, visual_dims=visual_dims, visual=True, audio=True,
+                                      text=True, fusion=True, class_heads=True))
+            v, a, t, _ = random_batch(rng, dense.config, 2)
+            p_dense = M.forward_batch(dense, v, a, t)
+            p_tt = M.forward_batch(ttm, v, a, t)
+            assert np.max(np.abs(p_dense - p_tt)) < 1e-8
 
 
 def test_forward_rejects_bad_dims():
@@ -217,9 +222,26 @@ def test_gradcheck_dense():
     finite_difference_check(M.build(mini_config(seed=7)), np.random.default_rng(7))
 
 
-def test_gradcheck_tt():
-    m = M.build(mini_config(seed=8, visual=True, text=True, fusion=True))
+@pytest.mark.parametrize("visual_dims", [[3, 2], [11, 11]], ids=["unpadded", "padded"])
+def test_gradcheck_tt(visual_dims):
+    # [11, 11] makes visual.fc0 a 12x12 TT operator, zero-padded on both sides.
+    m = M.build(mini_config(seed=8, visual_dims=visual_dims, visual=True, text=True, fusion=True))
     finite_difference_check(m, np.random.default_rng(8))
+
+
+def test_tt_train_step_allocation_peak():
+    # Rebuilding each TT operator keeps a B=8 step of the default config far
+    # below the ~680 MB that carrying the batch through every core took.
+    cfg = M.default_config()
+    m = M.build(cfg)
+    v, a, t, y = random_batch(np.random.default_rng(11), cfg, 8)
+    tracemalloc.start()
+    try:
+        M.loss_and_grad(m, v, a, t, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, f"tracemalloc peak {peak / 1e6:.0f} MB"
 
 
 def test_duplicated_sample_keeps_gradient():

@@ -23,22 +23,6 @@ def test_reshape_count_mismatch():
         tensor.reshape(tensor.as_tensor([1.0, 2, 3, 4]), [3])
 
 
-def test_softmax_values():
-    assert np.allclose(tensor.softmax(np.zeros(2)), [0.5, 0.5], atol=1e-15)
-    p = tensor.softmax(tensor.as_tensor([0.0, np.log(3.0)]))
-    assert np.allclose(p, [0.25, 0.75], atol=1e-14)
-
-
-def test_softmax_shift_invariance_and_normalization():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        v = rng.normal(size=rng.integers(1, 12))
-        p = tensor.softmax(v)
-        assert abs(p.sum() - 1.0) < 1e-12
-        assert np.all(p > 0)
-        assert np.allclose(p, tensor.softmax(v + 1000.0), atol=1e-12)
-
-
 def test_relu():
     assert np.array_equal(tensor.relu(tensor.as_tensor([-1, 0, 2])), [0, 0, 2])
     v = tensor.as_tensor([0.5, 3.0])
