@@ -18,7 +18,7 @@ rng = np.random.default_rng(3)
 print("=== a 6x6 orthogonal matrix as a mesh ===")
 q, r = np.linalg.qr(rng.normal(size=(6, 6)))
 u = q * np.sign(np.diag(r))
-net = P.givens_decompose(u)
+net = P.givens_decompose(u[None])[0]
 print(f"MZIs: {net.mzi_count()} (= 6*5/2), depth: {net.depth} columns")
 print("MZIs per column:", [len(col) for col in net.columns])
 print(f"reconstruction error: {np.linalg.norm(P.mesh_matrix(net) - u):.2e}")
@@ -28,7 +28,7 @@ print(f"norm preserved: |y| - |x| = {np.linalg.norm(P.mesh_apply(net, x)) - np.l
 print()
 print("=== rectangular weights via an SVD triple ===")
 w = rng.normal(size=(4, 6))
-triple = P.svd_map(w)
+triple = P.svd_map(w[None])[0]
 print(f"global scale {triple.global_scale:.3f}, on-chip amplitudes "
       f"{np.round(triple.diag, 3)} (all <= 1)")
 print(f"reconstruction error: {np.linalg.norm(P.svd_matrix(triple) - w):.2e}")

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Hardware accounting for the full default model.
 
-Builds the default network, maps every weight onto photonic cores, and
+Builds the default network, counts the photonic cores its weights map to
+(from TT modes and ranks alone, without decomposing a mesh), and
 reproduces the headline arithmetic: 297,008 subnetwork MACs; at the
 measured 79.87 W system total and a 10 GHz clock, 7.987 nJ per inference
 and 3.7e13 MAC/J; and the published-row reduction ratios 92.8x / 51.3x.
@@ -13,7 +14,7 @@ from tomfn import photonic as P
 
 cfg = M.default_config()
 model = M.build(cfg)
-bundle = P.compile_model(model)
+totals = P.totals(cfg, P.model_shapes(model))
 
 params = M.param_count(model)
 macs = {scope: M.mac_count(model, scope)
@@ -22,10 +23,10 @@ macs = {scope: M.mac_count(model, scope)
 print("=== default model inventory ===")
 print(f"stored parameters:        {params['total']:,}")
 print(f"dense-equivalent:         {params['dense_equivalent_total']:,}")
-print(f"MZIs:                     {bundle.mzi_total():,}")
-print(f"cascaded stages:          {bundle.stage_total():,}")
-print(f"WDM channels:             {bundle.wdm_channels()}")
-print(f"core histogram:           {bundle.histogram()}")
+print(f"MZIs:                     {totals['mzis']:,}")
+print(f"cascaded stages:          {totals['stages']:,}")
+print(f"WDM channels:             {totals['wdm_channels']}")
+print(f"core histogram:           {totals['core_histogram']}")
 print(f"MACs (subnet weights):    {macs['subnet_weights_only']:,}")
 print(f"MACs (all weights):       {macs['all_weights']:,}")
 print(f"MACs (runtime, L={cfg.text.seq_len}):    {macs['full_runtime']:,}")
@@ -34,8 +35,8 @@ print()
 print("=== energy at the measured system power ===")
 pm = C.PowerModel(total_override=79.87)
 report = C.build_report(
-    params, macs, bundle.mzi_total(), bundle.stage_total(), bundle.histogram(),
-    bundle.wdm_channels(), pm,
+    params, macs, totals["mzis"], totals["stages"], totals["core_histogram"],
+    totals["wdm_channels"], pm,
     n_inputs=cfg.visual_dims[0] + cfg.audio_dims[0] + cfg.text.d_model,
     n_outputs=cfg.heads * 2, f_hz=10e9,
     dense_mzis=C.dense_mzi_estimate(M.block_dims(cfg)),

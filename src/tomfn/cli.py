@@ -28,7 +28,6 @@ from .errors import (
     ConfigError,
     DataError,
     DecompositionError,
-    FactorizationError,
     MappingError,
     ShapeError,
 )
@@ -170,8 +169,8 @@ def cmd_describe(args) -> int:
     seed = _resolve_seed(args, config)
     model = model_mod.build(config)
     try:
-        bundle = photonic.compile_model(model)
-    except (MappingError, FactorizationError, DecompositionError) as exc:
+        totals = photonic.totals(config, photonic.model_shapes(model))
+    except MappingError as exc:
         raise CliError(EXIT_CONFIG, f"cannot map this config onto photonic cores: {exc}") from exc
     params = model_mod.param_count(model)
     macs = {scope: model_mod.mac_count(model, scope)
@@ -181,8 +180,8 @@ def cmd_describe(args) -> int:
     n_inputs = config.visual_dims[0] + config.audio_dims[0] + config.text.d_model
     n_outputs = config.heads * 2
     report = cost_mod.build_report(
-        params, macs, bundle.mzi_total(), bundle.stage_total(), bundle.histogram(),
-        bundle.wdm_channels(), pm, n_inputs, n_outputs, args.freq,
+        params, macs, totals["mzis"], totals["stages"], totals["core_histogram"],
+        totals["wdm_channels"], pm, n_inputs, n_outputs, args.freq,
         dense_mzis=cost_mod.dense_mzi_estimate(dims),
     )
     comparison = None
@@ -252,20 +251,15 @@ def cmd_compile(args) -> int:
         model = model_mod.build(config)
     try:
         bundle = photonic.compile_model(model)
-    except (MappingError, FactorizationError, DecompositionError) as exc:
+    except (MappingError, DecompositionError) as exc:
         raise CliError(EXIT_COMPILE, str(exc)) from exc
     doc = photonic.bundle_to_obj(bundle)
     doc["manifest"] = _manifest(args, "compile", seed)
-    doc["summary"] = {
-        "mzis": bundle.mzi_total(),
-        "stages": bundle.stage_total(),
-        "wdm_channels": bundle.wdm_channels(),
-        "core_histogram": bundle.histogram(),
-    }
+    summary = doc["summary"] = photonic.totals(config, bundle.plans)
     _emit(doc, args.out)
     if args.out:
-        print(f"wrote netlist bundle: {bundle.mzi_total()} MZIs, "
-              f"{bundle.stage_total()} stages, histogram {bundle.histogram()}")
+        print(f"wrote netlist bundle: {summary['mzis']} MZIs, "
+              f"{summary['stages']} stages, histogram {summary['core_histogram']}")
     return 0
 
 
@@ -273,7 +267,7 @@ def cmd_simulate(args) -> int:
     if args.bundle:
         try:
             bundle = photonic.bundle_from_obj(serialize.load_json(args.bundle))
-        except (DataError, ConfigError, KeyError) as exc:
+        except (DataError, ConfigError) as exc:
             raise CliError(EXIT_DATA, f"bundle: {exc}") from exc
         config = bundle.config
         seed = _resolve_seed(args, config)
@@ -285,7 +279,7 @@ def cmd_simulate(args) -> int:
         model = _load_weights_into(config, args.weights)
         try:
             bundle = photonic.compile_model(model)
-        except (MappingError, FactorizationError) as exc:
+        except MappingError as exc:
             raise CliError(EXIT_COMPILE, str(exc)) from exc
     if not args.data:
         raise CliError(EXIT_DATA, "simulate requires --data with input samples")

@@ -27,21 +27,36 @@ bond indices of core k yields r_{k-1} * r_k small m_k x n_k operators,
 each realized as its own SVD triple, with bond channels carried on WDM
 wavelengths and summed digitally after detection.
 
+Decomposition works on stacks.  The elimination order, and so the packing
+of rotations into the grid, depends on N alone, so `givens_decompose`
+takes a (K, N, N) stack and runs each elimination and sign-folding step on
+all K matrices at once; `svd_map` takes a (K, m, n) stack, such as one TT
+core's r_{k-1} * r_k bond slices, through one batched SVD.  A single
+matrix is a stack of one.  Every check (finite entries, orthogonality, the
+sign diagonal, a negative 1 x 1) still holds matrix by matrix.
+
+Accounting (MZIs, stages, WDM channels, the core-size histogram) reads
+only each layer's modes and bond ranks, so `describe` counts from the
+`LayerShape` records of the built model and never decomposes a mesh.
+
 Simulation does not re-implement the network.  For fixed phases a
 compiled plan is a linear map, so `realize_plan` reads each (possibly
 perturbed) plan back into the TT core or dense weight it computes, and
 `realize` assembles those into a model that the one batched forward pass
-(`model.forward_batch`) runs.  Phase errors from `perturb` are therefore
-static per trial: one draw per noisy copy of the bundle.  Per-shot
-detector noise, if ever added, varies from one input to the next and must
-be injected at the detection points inside the forward pass, not folded
-into the realized weights.
+(`model.forward_batch`) runs.  The meshes of one core run as a stack, one
+MZI of every mesh per step; a mesh with fewer MZIs is padded with identity
+MZIs (theta = phi = 0, exact), so meshes of any valid structure, such as
+those of a bundle loaded from JSON, take the same path.  Phase errors from
+`perturb` are static per trial: one draw per noisy copy of the bundle.
+Per-shot detector noise, if ever added, varies from one input to the next
+and must be injected at the detection points inside the forward pass, not
+folded into the realized weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +70,7 @@ CORE_SIZE_CAP = 8
 # --- netlists -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class MZISetting:
     layer_index: int
     row_index: int
@@ -76,124 +91,135 @@ class MeshNetlist:
         return len(self.columns)
 
 
-def _wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]."""
-    t = (theta + np.pi) % (2 * np.pi) - np.pi
-    return np.pi if t == -np.pi else t
+def _apply_meshes(nets: list[MeshNetlist], x: np.ndarray) -> np.ndarray:
+    """Apply mesh k of `nets` to the rows of x[k], for an x of shape (K, N, C).
 
-
-def _apply_columns(net: MeshNetlist, x: np.ndarray) -> np.ndarray:
-    """Apply the mesh to the rows of x (shape (N,) or (N, K))."""
-    y = x.astype(np.float64, copy=True)
-    for col in net.columns:
-        for mzi in col:
-            r = mzi.row_index
-            top = np.cos(mzi.phi) * y[r]
-            bot = y[r + 1]
-            c, s = np.cos(mzi.theta), np.sin(mzi.theta)
-            y[r] = c * top - s * bot
-            y[r + 1] = s * top + c * bot
+    Step j applies the j-th MZI of every mesh (columns in order), so the
+    meshes advance together; shorter meshes are padded with identity MZIs.
+    """
+    y = np.array(x, dtype=np.float64)
+    steps = [[(mzi.row_index, mzi.theta, mzi.phi) for col in net.columns for mzi in col]
+             for net in nets]
+    length = max(map(len, steps), default=0)
+    table = np.array([s + [(0, 0.0, 0.0)] * (length - len(s)) for s in steps])
+    table = table.reshape(len(nets), length, 3)
+    rows = table[:, :, 0].astype(np.intp)
+    cos_t, sin_t, cos_p = np.cos(table[:, :, 1]), np.sin(table[:, :, 1]), np.cos(table[:, :, 2])
+    ks = np.arange(len(nets))
+    for j in range(length):
+        r = rows[:, j]
+        top = cos_p[:, j, None] * y[ks, r]
+        bot = y[ks, r + 1]
+        c, s = cos_t[:, j, None], sin_t[:, j, None]
+        y[ks, r] = c * top - s * bot
+        y[ks, r + 1] = s * top + c * bot
     return y
 
 
 def mesh_apply(net: MeshNetlist, x: np.ndarray) -> np.ndarray:
-    """Run an N-vector through the mesh, column by column."""
+    """Run an N-vector (or the columns of an N x C matrix) through the mesh."""
     if x.shape[0] != net.size:
         raise ShapeError(f"input length {x.shape[0]} != mesh size {net.size}")
-    return _apply_columns(net, x)
+    return _apply_meshes([net], x.reshape(1, net.size, -1)).reshape(x.shape)
 
 
 def mesh_matrix(net: MeshNetlist) -> np.ndarray:
     """The matrix the netlist realizes (mesh applied to identity columns)."""
-    return _apply_columns(net, np.eye(net.size))
+    return _apply_meshes([net], np.eye(net.size)[None])[0]
 
 
-def givens_decompose(u: np.ndarray) -> MeshNetlist:
-    """Decompose a real orthogonal N x N matrix into a rectangular mesh.
+def givens_decompose(u: np.ndarray) -> list[MeshNetlist]:
+    """Decompose a (K, N, N) stack of real orthogonal matrices into rectangular meshes.
 
     Two-sided Givens elimination (alternating column and row sweeps)
-    reduces U to a +-1 diagonal; the rotations are packed into the
-    N-column rectangular grid and the diagonal is folded into the MZI
-    angles/signs as described in the module docstring.
+    reduces each matrix to a +-1 diagonal; the rotations are packed into
+    the N-column rectangular grid and the diagonal is folded into the MZI
+    angles/signs as described in the module docstring.  Every step runs on
+    the whole stack; the checks name the first matrix that fails them.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DecompositionError(f"expected a square matrix, got {u.shape}")
-    n = u.shape[0]
-    residual = np.linalg.norm(u.T @ u - np.eye(n))
-    if residual >= 1e-8:
-        raise DecompositionError(f"matrix is not orthogonal: ||U^T U - I||_F = {residual:.3e}")
+    if u.ndim != 3 or u.shape[1] != u.shape[2]:
+        raise DecompositionError(f"expected a (K, N, N) stack, got shape {u.shape}")
+    count, n = u.shape[:2]
+    residual = np.linalg.norm(np.swapaxes(u, 1, 2) @ u - np.eye(n), axis=(1, 2))
+    if (bad := np.flatnonzero(~(residual < 1e-8))).size:
+        raise DecompositionError(
+            f"matrix {bad[0]} is not orthogonal: ||U^T U - I||_F = {residual[bad[0]]:.3e}")
     if n == 1:
-        if u[0, 0] < 0:
-            raise DecompositionError("a 1x1 mesh has no MZI to carry a negative sign")
-        return MeshNetlist(size=1, columns=[])
+        if (bad := np.flatnonzero(u[:, 0, 0] < 0)).size:
+            raise DecompositionError(f"matrix {bad[0]}: a 1x1 mesh has no MZI to carry a negative sign")
+        return [MeshNetlist(size=1, columns=[]) for _ in range(count)]
 
     v = u.copy()
-    left: list[tuple[int, float]] = []  # G(k, theta) applied as V <- G V
-    right: list[tuple[int, float]] = []  # G(k, theta) applied as V <- V G
+    left: list[tuple[int, np.ndarray]] = []  # G(k, theta) applied as V <- G V
+    right: list[tuple[int, np.ndarray]] = []  # G(k, theta) applied as V <- V G
     for i in range(n - 1):
         if i % 2 == 0:
             for j in range(i + 1):
                 r, c = n - 1 - j, i - j
-                th = np.arctan2(-v[r, c], v[r, c + 1])
-                ct, st = np.cos(th), np.sin(th)
-                new_c = v[:, c] * ct + v[:, c + 1] * st
-                new_c1 = -v[:, c] * st + v[:, c + 1] * ct
-                v[:, c], v[:, c + 1] = new_c, new_c1
+                th = np.arctan2(-v[:, r, c], v[:, r, c + 1])
+                ct, st = np.cos(th)[:, None], np.sin(th)[:, None]
+                new_c = v[:, :, c] * ct + v[:, :, c + 1] * st
+                new_c1 = -v[:, :, c] * st + v[:, :, c + 1] * ct
+                v[:, :, c], v[:, :, c + 1] = new_c, new_c1
                 right.append((c, th))
         else:
             for j in range(i + 1):
                 r, c = n - 1 - i + j, j
-                th = np.arctan2(-v[r, c], v[r - 1, c])
-                ct, st = np.cos(th), np.sin(th)
-                new_top = v[r - 1] * ct - v[r] * st
-                new_bot = v[r - 1] * st + v[r] * ct
-                v[r - 1], v[r] = new_top, new_bot
+                th = np.arctan2(-v[:, r, c], v[:, r - 1, c])
+                ct, st = np.cos(th)[:, None], np.sin(th)[:, None]
+                new_top = v[:, r - 1] * ct - v[:, r] * st
+                new_bot = v[:, r - 1] * st + v[:, r] * ct
+                v[:, r - 1], v[:, r] = new_top, new_bot
                 left.append((r - 1, th))
 
-    signs = np.sign(np.diag(v))
+    signs = np.sign(np.diagonal(v, axis1=1, axis2=2))
     signs[signs == 0] = 1.0
-    if np.linalg.norm(v - np.diag(signs)) > 1e-7:
-        raise DecompositionError("elimination failed to reach a sign diagonal")
+    off = np.linalg.norm(v - signs[:, :, None] * np.eye(n), axis=(1, 2))
+    if (bad := np.flatnonzero(~(off <= 1e-7))).size:
+        raise DecompositionError(f"matrix {bad[0]}: elimination failed to reach a sign diagonal")
 
     # U = L1^T..Lp^T D Rq^T..R1^T.  Pull D to the front: conjugating a
     # rotation by the sign diagonal multiplies its angle by s_k * s_{k+1}.
-    matrix_order = [(k, signs[k] * signs[k + 1] * (-th)) for k, th in left]
+    matrix_order = [(k, signs[:, k] * signs[:, k + 1] * (-th)) for k, th in left]
     matrix_order += [(k, -th) for k, th in reversed(right)]
 
     # Greedy earliest-column packing (respecting the rectangular grid's
     # row/column parity) in physical order: last matrix factor first.
-    columns: list[list[MZISetting]] = [[] for _ in range(n)]
-    free = np.zeros(n, dtype=int)  # first free column per row
-    for k, th in reversed(matrix_order):
-        col = int(max(free[k], free[k + 1]))
-        if (col - k) % 2 != 0:
-            col += 1
+    placed = []  # (column, row) per rotation, in physical order
+    free = [0] * n  # first free column per row
+    for k, _ in reversed(matrix_order):
+        col = max(free[k], free[k + 1])
+        col += (col - k) % 2
         if col >= n:
             raise DecompositionError("rotation sequence does not fit the rectangular grid")
-        columns[col].append(MZISetting(layer_index=col, row_index=k, theta=th, phi=0.0))
+        placed.append((col, k))
         free[k] = free[k + 1] = col + 1
 
-    # Fold the output sign diagonal into angles, walking output -> input.
-    pending = signs.copy()
-    for col in reversed(columns):
-        for mzi in col:
-            s_top, s_bot = pending[mzi.row_index], pending[mzi.row_index + 1]
-            sigma = 1.0
-            if s_top < 0 and s_bot < 0:
-                mzi.theta += np.pi
-            elif s_top < 0 <= s_bot:
-                mzi.theta, sigma = -mzi.theta, -1.0
-            elif s_bot < 0 <= s_top:
-                mzi.theta, sigma = np.pi - mzi.theta, -1.0
-            mzi.phi = np.pi if sigma < 0 else 0.0
-            mzi.theta = _wrap_angle(mzi.theta)
-            pending[mzi.row_index] = pending[mzi.row_index + 1] = 1.0
-    if np.any(pending < 0):
-        raise DecompositionError("unabsorbed output sign; mesh does not cover every row")
-    for col in columns:
-        col.sort(key=lambda m: m.row_index)
-    return MeshNetlist(size=n, columns=columns)
+    # Fold the output sign diagonal into angles.  Walking output -> input,
+    # a row's sign is absorbed by the MZI on it nearest the output (the one
+    # in column free[row] - 1); every MZI after that sees +1 on the row.
+    cols, ks = np.array(placed, dtype=np.intp).T
+    last = np.array(free) - 1
+    top = (cols == last[ks])[:, None] & (signs[:, ks].T < 0)
+    bot = (cols == last[ks + 1])[:, None] & (signs[:, ks + 1].T < 0)
+    th = np.array([th for _, th in reversed(matrix_order)])  # (rotation, matrix)
+    th = np.where(top & bot, th + np.pi, np.where(top, -th, np.where(bot, np.pi - th, th)))
+    sigma_flip = top != bot  # phi = pi where the fold flipped the sign element
+    th = (th + np.pi) % (2 * np.pi) - np.pi  # wrap to (-pi, pi]
+    th = np.where(th == -np.pi, np.pi, th)
+    if (bad := np.flatnonzero(np.any(signs[:, last < 0] < 0, axis=1))).size:
+        raise DecompositionError(f"matrix {bad[0]}: unabsorbed output sign; the mesh misses a row")
+
+    layout = sorted(range(len(placed)), key=placed.__getitem__)  # by column, then row
+    slots = [placed[p] for p in layout]
+    nets = []
+    for theta_k, flip_k in zip(th[layout].T.tolist(), sigma_flip[layout].T.tolist()):
+        columns: list[list[MZISetting]] = [[] for _ in range(n)]
+        for (col, row), theta, flip in zip(slots, theta_k, flip_k):
+            columns[col].append(MZISetting(col, row, theta, np.pi if flip else 0.0))
+        nets.append(MeshNetlist(size=n, columns=columns))
+    return nets
 
 
 def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seed: int) -> MeshNetlist:
@@ -236,54 +262,74 @@ class SVDTriple:
     n: int
 
 
-def svd_map(w: np.ndarray) -> SVDTriple:
-    """Realize an arbitrary real m x n matrix as meshes plus attenuators.
+def svd_map(w: np.ndarray) -> list[SVDTriple]:
+    """Realize a (K, m, n) stack of real matrices as meshes plus attenuators.
 
-    The digital global scale is max(largest singular value, 1) so the
-    on-chip diagonal never amplifies.
+    One batched SVD covers the stack.  Each matrix's digital global scale
+    is max(its largest singular value, 1), so the on-chip diagonal never
+    amplifies.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError("svd_map takes a matrix")
-    if not np.all(np.isfinite(w)):
-        raise ShapeError("svd_map requires finite entries")
-    m, n = w.shape
+    if w.ndim != 3:
+        raise ShapeError(f"svd_map takes a (K, m, n) stack, got shape {w.shape}")
+    if (bad := np.flatnonzero(~np.isfinite(w).all(axis=(1, 2)))).size:
+        raise ShapeError(f"matrix {bad[0]}: svd_map requires finite entries")
+    m, n = w.shape[1:]
+    if m == 1 and n == 1 and (bad := np.flatnonzero(w[:, 0, 0] < 0)).size:
+        raise MappingError(f"matrix {bad[0]}: no MZI can carry the sign of a negative 1x1 weight")
     u, s, vt = np.linalg.svd(w, full_matrices=True)
     # A 1 x 1 mesh cannot carry a sign: push it into the larger factor.
-    if m == 1 and n > 1 and u[0, 0] < 0:
-        u = -u
-        vt[0] = -vt[0]
-    if n == 1 and m > 1 and vt[0, 0] < 0:
-        vt = -vt
-        u[:, 0] = -u[:, 0]
-    if m == 1 and n == 1 and w[0, 0] < 0:
-        raise MappingError("cannot realize a negative 1x1 weight; no MZI carries its sign")
-    global_scale = max(float(s[0]) if s.size else 0.0, 1.0)
-    return SVDTriple(
-        mesh_u=givens_decompose(u),
-        diag=s / global_scale,
-        global_scale=global_scale,
-        mesh_v=givens_decompose(vt),
-        m=m,
-        n=n,
-    )
+    if m == 1 and n > 1:
+        flip = u[:, 0, 0] < 0
+        u[flip] = -u[flip]
+        vt[flip, 0] = -vt[flip, 0]
+    if n == 1 and m > 1:
+        flip = vt[:, 0, 0] < 0
+        vt[flip] = -vt[flip]
+        u[flip, :, 0] = -u[flip, :, 0]
+    scale = np.maximum(s[:, 0], 1.0)
+    parts = zip(givens_decompose(u), s / scale[:, None], scale, givens_decompose(vt))
+    return [SVDTriple(mesh_u=mu, diag=d, global_scale=float(g), mesh_v=mv, m=m, n=n)
+            for mu, d, g, mv in parts]
 
 
-def svd_apply(triple: SVDTriple, x: np.ndarray) -> np.ndarray:
-    """Simulate the triple on a vector or on the columns of a matrix."""
-    t = _apply_columns(triple.mesh_v, x)
-    k = triple.diag.shape[0]
-    out_shape = (triple.m,) + t.shape[1:]
-    z = np.zeros(out_shape)
-    z[:k] = triple.diag.reshape((k,) + (1,) * (t.ndim - 1)) * t[:k]
-    return triple.global_scale * _apply_columns(triple.mesh_u, z)
+def _triple_matrices(triples: list[SVDTriple]) -> np.ndarray:
+    """The (K, m, n) matrices of K same-shape triples, each mesh side run as a stack."""
+    m, n = triples[0].m, triples[0].n
+    t = _apply_meshes([tr.mesh_v for tr in triples], np.broadcast_to(np.eye(n), (len(triples), n, n)))
+    k = min(m, n)
+    z = np.zeros((len(triples), m, n))
+    z[:, :k] = np.array([tr.diag for tr in triples])[:, :, None] * t[:, :k]
+    scale = np.array([tr.global_scale for tr in triples])
+    return scale[:, None, None] * _apply_meshes([tr.mesh_u for tr in triples], z)
 
 
 def svd_matrix(triple: SVDTriple) -> np.ndarray:
-    return svd_apply(triple, np.eye(triple.n))
+    return _triple_matrices([triple])[0]
 
 
-# --- layer plans -----------------------------------------------------------------
+# --- layer shapes, plans and accounting --------------------------------------------
+
+
+@dataclass
+class LayerShape:
+    """What accounting reads of a layer: its kind, modes and bond ranks.
+
+    A dense (m, n) layer is one core with row_modes [m], col_modes [n] and
+    ranks [1, 1]; logical_out/logical_in give its size before TT padding.
+    """
+
+    kind: str  # "dense" or "tt"
+    row_modes: list[int]
+    col_modes: list[int]
+    ranks: list[int]
+    logical_out: int
+    logical_in: int
+
+    @property
+    def wdm_channels(self) -> int:
+        """Bond channels ride WDM wavelengths, so the widest bond sets the count."""
+        return max(self.ranks)
 
 
 @dataclass
@@ -294,43 +340,50 @@ class CorePlan:
 
 
 @dataclass
-class LayerPlan:
-    kind: str  # "dense" or "tt"
-    row_modes: list[int]
-    col_modes: list[int]
-    ranks: list[int]
+class LayerPlan(LayerShape):
     cores: list[CorePlan]
-    wdm_channels: int
-    logical_out: int
-    logical_in: int
 
-    @property
-    def out_dim(self) -> int:
-        return int(np.prod(self.row_modes))
 
-    @property
-    def in_dim(self) -> int:
-        return int(np.prod(self.col_modes))
+def _core_shapes(shape: LayerShape):
+    """(m_k, n_k, number of bond slices r_{k-1} * r_k) per core."""
+    for k, (m, n) in enumerate(zip(shape.row_modes, shape.col_modes)):
+        yield m, n, shape.ranks[k] * shape.ranks[k + 1]
+
+
+def layer_shape(w, cap: int = CORE_SIZE_CAP, logical_out: int | None = None,
+                logical_in: int | None = None) -> LayerShape:
+    """The shape of the plan that maps operator `w` (dense (out, in) or TT).
+
+    Raises MappingError when a core (a dense operator, or one TT mode pair)
+    exceeds the cap x cap core size.
+    """
+    if isinstance(w, tt_mod.TTMatrix):
+        shape = LayerShape("tt", list(w.row_modes), list(w.col_modes), list(w.ranks),
+                           logical_out or w.nrows, logical_in or w.ncols)
+        hint = "re-factorize the dimension into smaller modes"
+    else:
+        shape = LayerShape("dense", [w.shape[0]], [w.shape[1]], [1, 1], *w.shape)
+        hint = "tensorize the layer (TT) so every mode fits"
+    for k, (m, n, _) in enumerate(_core_shapes(shape)):
+        if m > cap or n > cap:
+            raise MappingError(f"{shape.kind} core {k} is {m}x{n}, above the {cap}x{cap} cap; {hint}")
+    return shape
+
+
+def _map_cores(shape: LayerShape, cores) -> LayerPlan:
+    """Map each (r_in, m, n, r_out) core's bond slices as one stack of SVD triples."""
+    core_plans = []
+    for core in cores:
+        r_in, mk, nk, r_out = core.shape
+        triples = svd_map(core.transpose(0, 3, 1, 2).reshape(r_in * r_out, mk, nk))
+        core_plans.append(CorePlan(m=mk, n=nk, triples=[triples[a * r_out:(a + 1) * r_out]
+                                                         for a in range(r_in)]))
+    return LayerPlan(**vars(shape), cores=core_plans)
 
 
 def map_dense_layer(w: np.ndarray, cap: int = CORE_SIZE_CAP) -> LayerPlan:
     """One SVD triple for a small dense operator (both dims <= cap)."""
-    m, n = w.shape
-    if m > cap or n > cap:
-        raise MappingError(
-            f"dense {m}x{n} exceeds the {cap}x{cap} core cap; "
-            f"tensorize the layer (TT) so every mode fits"
-        )
-    return LayerPlan(
-        kind="dense",
-        row_modes=[m],
-        col_modes=[n],
-        ranks=[1, 1],
-        cores=[CorePlan(m=m, n=n, triples=[[svd_map(w)]])],
-        wdm_channels=1,
-        logical_out=m,
-        logical_in=n,
-    )
+    return _map_cores(layer_shape(w, cap), [w[None, :, :, None]])
 
 
 def map_tt_layer(tt: tt_mod.TTMatrix, cap: int = CORE_SIZE_CAP,
@@ -340,85 +393,82 @@ def map_tt_layer(tt: tt_mod.TTMatrix, cap: int = CORE_SIZE_CAP,
     Core k contributes r_{k-1} * r_k sub-matrices of shape m_k x n_k; the
     bond index rides a WDM channel, so the plan needs max_k r_k channels.
     """
-    for k, (mk, nk) in enumerate(zip(tt.row_modes, tt.col_modes)):
-        if mk > cap or nk > cap:
-            raise MappingError(
-                f"core {k} is {mk}x{nk}, above the {cap}x{cap} cap; "
-                f"re-factorize the dimension into smaller modes"
-            )
-    cores = []
-    for core in tt.cores:
-        r_in, mk, nk, r_out = core.shape
-        triples = [[svd_map(core[a, :, :, b]) for b in range(r_out)] for a in range(r_in)]
-        cores.append(CorePlan(m=mk, n=nk, triples=triples))
-    return LayerPlan(
-        kind="tt",
-        row_modes=list(tt.row_modes),
-        col_modes=list(tt.col_modes),
-        ranks=list(tt.ranks),
-        cores=cores,
-        wdm_channels=max(tt.ranks),
-        logical_out=logical_out or tt.nrows,
-        logical_in=logical_in or tt.ncols,
-    )
+    return _map_cores(layer_shape(tt, cap, logical_out, logical_in), tt.cores)
 
 
-def mzi_count(plan: LayerPlan) -> int:
+def mzi_count(shape: LayerShape) -> int:
     """Two meshes plus min(m, n) attenuator MZIs per sub-matrix."""
-    total = 0
-    for core in plan.cores:
-        per = core.m * (core.m - 1) // 2 + core.n * (core.n - 1) // 2 + min(core.m, core.n)
-        total += per * len(core.triples) * len(core.triples[0])
-    return total
+    return sum((m * (m - 1) // 2 + n * (n - 1) // 2 + min(m, n)) * slices
+               for m, n, slices in _core_shapes(shape))
 
 
-def stage_depth(plan: LayerPlan) -> int:
+def stage_depth(shape: LayerShape) -> int:
     """Cascaded optical stages: each core contributes m + 1 + n columns."""
-    return sum(core.m + 1 + core.n for core in plan.cores)
+    return sum(m + 1 + n for m, n, _ in _core_shapes(shape))
 
 
-def core_histogram(plans) -> dict[str, int]:
+def core_histogram(shapes) -> dict[str, int]:
     """Count of sub-matrices per shape, keyed like '4x4'."""
     hist: dict[str, int] = {}
-    for plan in plans:
-        for core in plan.cores:
-            key = f"{core.m}x{core.n}"
-            hist[key] = hist.get(key, 0) + len(core.triples) * len(core.triples[0])
+    for shape in shapes:
+        for m, n, slices in _core_shapes(shape):
+            hist[f"{m}x{n}"] = hist.get(f"{m}x{n}", 0) + slices
     return dict(sorted(hist.items()))
+
+
+def _stage_total(config: ModelConfig, shapes: dict) -> int:
+    """Sequential stages with parallel branches contributing their max.
+
+    The three subnetworks run side by side (max of the three chains);
+    all fusion projections are parallel, as are the class heads; the
+    attention score/softmax and the elementwise fusion products are
+    detection-side operations, not MZI stages.
+    """
+    chains = []
+    for stack, dims in (("visual", config.visual_dims), ("audio", config.audio_dims)):
+        chains.append(sum(stage_depth(shapes[f"{stack}.fc{k}"]) for k in range(len(dims) - 1)))
+    qkv = max(
+        stage_depth(shapes[f"text.head{h}.{part}"])
+        for h in range(config.text.heads)
+        for part in ("q", "k", "v")
+    )
+    chains.append(qkv + stage_depth(shapes["text.ff"]))
+    fusion_stage = max(
+        stage_depth(shapes[f"fusion.{m}.{i}"])
+        for m in ("v", "a", "t")
+        for i in range(config.fusion.rank)
+    )
+    head_stage = max(stage_depth(shapes[f"head.{j}"]) for j in range(config.heads))
+    return max(chains) + fusion_stage + head_stage
+
+
+def totals(config: ModelConfig, shapes: dict) -> dict:
+    """MZIs, optical stages, WDM channels and core histogram of a model's layers.
+
+    `shapes` maps every weight name to its LayerShape; compiled LayerPlans
+    serve too, and give the same totals, since only modes and ranks count.
+    """
+    return {
+        "mzis": sum(mzi_count(s) for s in shapes.values()),
+        "stages": _stage_total(config, shapes),
+        "wdm_channels": max(s.wdm_channels for s in shapes.values()),
+        "core_histogram": core_histogram(shapes.values()),
+    }
 
 
 def perturb_plan(plan: LayerPlan, phase_sigma: float, bits: int, seed: int) -> LayerPlan:
     """Perturb every netlist in the plan; seeds fan out per mesh."""
     seq = np.random.SeedSequence(seed)
-    cores = []
-    for core in plan.cores:
-        triples = []
-        for row in core.triples:
-            new_row = []
-            for tr in row:
-                s_u, s_v = seq.spawn(2)
-                new_row.append(
-                    SVDTriple(
-                        mesh_u=perturb(tr.mesh_u, phase_sigma, bits, s_u.generate_state(1)[0]),
-                        diag=tr.diag.copy(),
-                        global_scale=tr.global_scale,
-                        mesh_v=perturb(tr.mesh_v, phase_sigma, bits, s_v.generate_state(1)[0]),
-                        m=tr.m,
-                        n=tr.n,
-                    )
-                )
-            triples.append(new_row)
-        cores.append(CorePlan(m=core.m, n=core.n, triples=triples))
-    return LayerPlan(
-        kind=plan.kind,
-        row_modes=plan.row_modes,
-        col_modes=plan.col_modes,
-        ranks=plan.ranks,
-        cores=cores,
-        wdm_channels=plan.wdm_channels,
-        logical_out=plan.logical_out,
-        logical_in=plan.logical_in,
-    )
+
+    def perturbed(tr: SVDTriple) -> SVDTriple:
+        s_u, s_v = seq.spawn(2)
+        return replace(tr, mesh_u=perturb(tr.mesh_u, phase_sigma, bits, s_u.generate_state(1)[0]),
+                       diag=tr.diag.copy(),
+                       mesh_v=perturb(tr.mesh_v, phase_sigma, bits, s_v.generate_state(1)[0]))
+
+    return replace(plan, cores=[replace(core, triples=[[perturbed(tr) for tr in row]
+                                                       for row in core.triples])
+                                for core in plan.cores])
 
 
 # --- whole-model compilation and realization -------------------------------------
@@ -431,59 +481,31 @@ class ModelBundle:
     config: ModelConfig
     plans: dict[str, LayerPlan]
 
-    def mzi_total(self) -> int:
-        return sum(mzi_count(p) for p in self.plans.values())
 
-    def wdm_channels(self) -> int:
-        return max(p.wdm_channels for p in self.plans.values())
+def _operators(model):
+    """(name, operator, logical (out, in)) per weight.
 
-    def histogram(self) -> dict[str, int]:
-        return core_histogram(self.plans.values())
+    Dense weights stored in row-applied orientation (text projections,
+    class heads) are transposed, so each operator multiplies a column vector.
+    """
+    dims = block_dims(model.config)
+    for name, w in model.weights.items():
+        dense_row = not isinstance(w, tt_mod.TTMatrix) and name.startswith(ROW_APPLIED)
+        yield name, (w.T if dense_row else w), dims[name]
 
-    def stage_total(self) -> int:
-        """Sequential stages with parallel branches contributing their max.
 
-        The three subnetworks run side by side (max of the three chains);
-        all fusion projections are parallel, as are the class heads; the
-        attention score/softmax and the elementwise fusion products are
-        detection-side operations, not MZI stages.
-        """
-        cfg = self.config
-        chains = []
-        for stack, dims in (("visual", cfg.visual_dims), ("audio", cfg.audio_dims)):
-            chains.append(
-                sum(stage_depth(self.plans[f"{stack}.fc{k}"]) for k in range(len(dims) - 1))
-            )
-        qkv = max(
-            stage_depth(self.plans[f"text.head{h}.{part}"])
-            for h in range(cfg.text.heads)
-            for part in ("q", "k", "v")
-        )
-        chains.append(qkv + stage_depth(self.plans["text.ff"]))
-        fusion_stage = max(
-            stage_depth(self.plans[f"fusion.{m}.{i}"])
-            for m in ("v", "a", "t")
-            for i in range(cfg.fusion.rank)
-        )
-        head_stage = max(stage_depth(self.plans[f"head.{j}"]) for j in range(cfg.heads))
-        return max(chains) + fusion_stage + head_stage
+def model_shapes(model) -> dict[str, LayerShape]:
+    """The LayerShape of every weight, cap check included, without compiling a mesh."""
+    return {name: layer_shape(op, CORE_SIZE_CAP, *dims) for name, op, dims in _operators(model)}
 
 
 def compile_model(model, cap: int = CORE_SIZE_CAP) -> ModelBundle:
-    """Map every weight (dense or TT) onto photonic core plans.
-
-    Dense weights stored in row-applied orientation (text projections,
-    class heads) are transposed first so each plan realizes the operator
-    that multiplies a column vector.
-    """
-    dims = block_dims(model.config)
+    """Map every weight (dense or TT) onto photonic core plans."""
     plans = {}
-    for name, w in model.weights.items():
-        out_dim, in_dim = dims[name]
-        if isinstance(w, tt_mod.TTMatrix):
-            plans[name] = map_tt_layer(w, cap=cap, logical_out=out_dim, logical_in=in_dim)
+    for name, op, (out_dim, in_dim) in _operators(model):
+        if isinstance(op, tt_mod.TTMatrix):
+            plans[name] = map_tt_layer(op, cap=cap, logical_out=out_dim, logical_in=in_dim)
         else:
-            op = w.T if name.startswith(ROW_APPLIED) else w
             plans[name] = map_dense_layer(np.asarray(op), cap=cap)
     return ModelBundle(config=model.config, plans=plans)
 
@@ -495,12 +517,13 @@ def realize_plan(plan: LayerPlan):
     core k holds, at bond pair (a, b), the matrix of triple [a][b]: the
     digital sum over bond channels after detection is exactly the TT sweep.
     """
+    cores = []
+    for core in plan.cores:
+        r_in, r_out = len(core.triples), len(core.triples[0])
+        mats = _triple_matrices([t for row in core.triples for t in row])
+        cores.append(mats.reshape(r_in, r_out, core.m, core.n).transpose(0, 2, 3, 1))
     if plan.kind == "dense":
-        return svd_matrix(plan.cores[0].triples[0][0])
-    cores = [
-        np.stack([np.stack([svd_matrix(t) for t in row], axis=-1) for row in core.triples])
-        for core in plan.cores
-    ]
+        return cores[0][0, :, :, 0]
     return tt_mod.TTMatrix(plan.row_modes, plan.col_modes, plan.ranks, cores)
 
 
@@ -542,6 +565,22 @@ def netlist_to_obj(net: MeshNetlist) -> dict:
     }
 
 
+def _get(obj, key: str, what: str):
+    """Field `key` of a JSON object; a non-object or a missing field is a DataError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"{what} must be an object with a '{key}' field")
+    return obj[key]
+
+
+def _list(value, what: str, length: int | None = None) -> list:
+    """A JSON array, of `length` items if given; anything else is a DataError."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        got = f"{len(value)} items" if isinstance(value, list) else repr(value)[:40]
+        want = "a list" if length is None else f"a list of {length}"
+        raise DataError(f"{what} must be {want}, got {got}")
+    return value
+
+
 def _number(value, what: str) -> float:
     """A finite JSON number as float; anything else is a DataError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -556,15 +595,24 @@ def _index(value, low: int, high: float, what: str) -> int:
     return value
 
 
+def _sizes(value, what: str, length: int | None = None, high: float = math.inf) -> list[int]:
+    """A non-empty JSON array of integers in [1, high]."""
+    values = _list(value, what, length)
+    if not values:
+        raise DataError(f"{what} must not be empty")
+    return [_index(v, 1, high, what) for v in values]
+
+
 def netlist_from_obj(obj: dict) -> MeshNetlist:
-    size = _index(obj["size"], 1, math.inf, "mesh size")
+    size = _index(_get(obj, "size", "mesh"), 1, math.inf, "mesh size")
     columns = [
         [
-            MZISetting(ci, _index(m["row"], 0, size - 2, "MZI row"),
-                       _number(m["theta"], "MZI theta"), _number(m["phi"], "MZI phi"))
-            for m in col
+            MZISetting(ci, _index(_get(m, "row", "MZI"), 0, size - 2, "MZI row"),
+                       _number(_get(m, "theta", "MZI"), "MZI theta"),
+                       _number(_get(m, "phi", "MZI"), "MZI phi"))
+            for m in _list(col, "mesh column")
         ]
-        for ci, col in enumerate(obj["columns"])
+        for ci, col in enumerate(_list(_get(obj, "columns", "mesh"), "mesh columns"))
     ]
     return MeshNetlist(size=size, columns=columns)
 
@@ -580,23 +628,35 @@ def _triple_to_obj(tr: SVDTriple) -> dict:
     }
 
 
-def _triple_from_obj(obj: dict) -> SVDTriple:
-    m = _index(obj["m"], 1, math.inf, "triple m")
-    n = _index(obj["n"], 1, math.inf, "triple n")
-    mesh_u, mesh_v = netlist_from_obj(obj["mesh_u"]), netlist_from_obj(obj["mesh_v"])
+def _check_size(obj: dict, m: int, n: int, what: str):
+    """A core or triple must have the size (m, n) that its plan's modes give."""
+    if (_get(obj, "m", what), _get(obj, "n", what)) != (m, n):
+        raise DataError(f"{what} is {obj['m']}x{obj['n']} where the plan's modes give {m}x{n}")
+
+
+def _triple_from_obj(obj: dict, m: int, n: int) -> SVDTriple:
+    _check_size(obj, m, n, "triple")
+    mesh_u = netlist_from_obj(_get(obj, "mesh_u", "triple"))
+    mesh_v = netlist_from_obj(_get(obj, "mesh_v", "triple"))
     if (mesh_u.size, mesh_v.size) != (m, n):
         raise DataError(f"meshes of sizes {mesh_u.size}, {mesh_v.size} in a {m}x{n} triple")
-    diag = [_number(v, "diag entry") for v in obj["diag"]]
-    if len(diag) != min(m, n):
-        raise DataError(f"diag has {len(diag)} entries, a {m}x{n} triple needs {min(m, n)}")
+    diag = [_number(v, "diag entry") for v in _list(_get(obj, "diag", "triple"), "diag", min(m, n))]
     return SVDTriple(
         mesh_u=mesh_u,
         diag=np.asarray(diag, dtype=np.float64),
-        global_scale=_number(obj["scale"], "scale"),
+        global_scale=_number(_get(obj, "scale", "triple"), "scale"),
         mesh_v=mesh_v,
         m=m,
         n=n,
     )
+
+
+def _core_from_obj(obj: dict, m: int, n: int, r_in: int, r_out: int) -> CorePlan:
+    """A core of modes (m, n) holding r_in x r_out triples of that size."""
+    _check_size(obj, m, n, "core")
+    triples = [[_triple_from_obj(t, m, n) for t in _list(row, "row of core triples", r_out)]
+               for row in _list(_get(obj, "triples", "core"), "core triples", r_in)]
+    return CorePlan(m=m, n=n, triples=triples)
 
 
 def plan_to_obj(plan: LayerPlan) -> dict:
@@ -620,22 +680,29 @@ def plan_to_obj(plan: LayerPlan) -> dict:
 
 
 def plan_from_obj(obj: dict) -> LayerPlan:
+    """A plan whose cores, triples and meshes chain by its modes and ranks.
+
+    `wdm_channels` is not read: it follows from the ranks.
+    """
+    kind = _get(obj, "kind", "plan")
+    if kind not in ("dense", "tt"):
+        raise DataError(f"plan kind must be 'dense' or 'tt', got {kind!r}")
+    row_modes = _sizes(_get(obj, "row_modes", "plan"), "row_modes", high=CORE_SIZE_CAP)
+    d = len(row_modes)
+    col_modes = _sizes(_get(obj, "col_modes", "plan"), "col_modes", d, CORE_SIZE_CAP)
+    ranks = _sizes(_get(obj, "ranks", "plan"), "ranks", d + 1)
+    if ranks[0] != 1 or ranks[-1] != 1 or (kind == "dense" and d != 1):
+        raise DataError(f"a {kind} plan cannot have ranks {ranks}")
+    cores = [_core_from_obj(c, row_modes[k], col_modes[k], ranks[k], ranks[k + 1])
+             for k, c in enumerate(_list(_get(obj, "cores", "plan"), "plan cores", d))]
     return LayerPlan(
-        kind=obj["kind"],
-        row_modes=[int(v) for v in obj["row_modes"]],
-        col_modes=[int(v) for v in obj["col_modes"]],
-        ranks=[int(v) for v in obj["ranks"]],
-        cores=[
-            CorePlan(
-                m=int(c["m"]),
-                n=int(c["n"]),
-                triples=[[_triple_from_obj(t) for t in row] for row in c["triples"]],
-            )
-            for c in obj["cores"]
-        ],
-        wdm_channels=int(obj["wdm_channels"]),
-        logical_out=int(obj["logical_out"]),
-        logical_in=int(obj["logical_in"]),
+        kind=kind,
+        row_modes=row_modes,
+        col_modes=col_modes,
+        ranks=ranks,
+        logical_out=_index(_get(obj, "logical_out", "plan"), 1, math.inf, "logical_out"),
+        logical_in=_index(_get(obj, "logical_in", "plan"), 1, math.inf, "logical_in"),
+        cores=cores,
     )
 
 
@@ -647,7 +714,20 @@ def bundle_to_obj(bundle: ModelBundle) -> dict:
 
 
 def bundle_from_obj(obj: dict) -> ModelBundle:
-    return ModelBundle(
-        config=ModelConfig.from_dict(obj["config"]),
-        plans={name: plan_from_obj(p) for name, p in obj["plans"].items()},
-    )
+    """A bundle with one plan per weight of its config, each of the weight's logical size."""
+    config = ModelConfig.from_dict(_get(obj, "config", "bundle"))
+    plans_obj = _get(obj, "plans", "bundle")
+    dims = block_dims(config)
+    if not isinstance(plans_obj, dict) or set(plans_obj) != set(dims):
+        names = set(plans_obj) if isinstance(plans_obj, dict) else set()
+        raise DataError(f"bundle plans must be an object naming the config's weights: missing "
+                        f"{sorted(set(dims) - names)[:4]}, unexpected {sorted(names - set(dims))[:4]}")
+    plans = {}
+    for name, want in dims.items():
+        plan = plans[name] = plan_from_obj(plans_obj[name])
+        full = (math.prod(plan.row_modes), math.prod(plan.col_modes))
+        fits = full == want if plan.kind == "dense" else full[0] >= want[0] and full[1] >= want[1]
+        if (plan.logical_out, plan.logical_in) != want or not fits:
+            raise DataError(f"plan '{name}' is {full[0]}x{full[1]} (logical {plan.logical_out}x"
+                            f"{plan.logical_in}); the config needs {want[0]}x{want[1]}")
+    return ModelBundle(config=config, plans=plans)

@@ -119,7 +119,7 @@ def test_criterion_6_mesh_suite():
             u = q * np.sign(np.diag(r))
             if i % 2:
                 u[:, 0] = -u[:, 0]
-            net = P.givens_decompose(u)
+            net = P.givens_decompose(u[None])[0]
             assert net.mzi_count() == n * (n - 1) // 2
             assert net.depth == n
             assert np.linalg.norm(P.mesh_matrix(net) - u) < 1e-10
@@ -129,7 +129,7 @@ def test_criterion_6_mesh_suite():
             w = rng.normal(size=(m, n))
             if m == n == 1:
                 w = np.abs(w)  # an empty mesh cannot carry the sign of a scalar
-            triple = P.svd_map(w)
+            triple = P.svd_map(w[None])[0]
             rel = np.linalg.norm(P.svd_matrix(triple) - w) / np.linalg.norm(w)
             assert rel < 1e-9
 

@@ -97,6 +97,33 @@ def test_describe_deterministic_apart_from_timestamp(tmp_path):
     assert strip_timestamp(load_json(str(a))) == strip_timestamp(load_json(str(b)))
 
 
+def test_describe_counts_without_decomposing(tmp_path, monkeypatch):
+    from tomfn import photonic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("describe must count from shapes, not decompose meshes")
+
+    monkeypatch.setattr(photonic, "givens_decompose", refuse)
+    monkeypatch.setattr(photonic, "svd_map", refuse)
+    out = tmp_path / "report.json"
+    assert run(["describe", "--power-override", "79.87", "--out", str(out)]) == 0
+    doc = load_json(str(out))
+    assert (doc["mzis"], doc["stages"], doc["wdm_channels"]) == (40_044, 128, 8)
+    assert doc["macs"]["subnet_weights_only"] == 297_008
+    assert doc["energy_per_inference_j"] == pytest.approx(7.987e-9, rel=1e-9)
+
+
+def test_describe_all_dense_default_exits_2(tmp_path, capsys):
+    cfg = M.default_config().to_dict()
+    cfg["tt"].update(visual=False, audio=False, text=False, fusion=False, class_heads=False)
+    path = tmp_path / "dense.json"
+    dump_json(cfg, str(path))
+    capsys.readouterr()
+    assert run(["describe", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn describe: ") and "cap" in err and err.count("\n") == 1
+
+
 # --- train / eval ---------------------------------------------------------------
 
 
@@ -268,20 +295,41 @@ def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect
     assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("defect", ["theta_not_a_number", "row_out_of_range", "diag_too_short"])
+@pytest.mark.parametrize("defect", [
+    "theta_not_a_number", "row_out_of_range", "diag_too_short", "columns_not_a_list",
+    "plans_a_list", "diag_not_a_list", "ranks_not_a_list", "plans_empty", "plan_too_small",
+    "mode_above_cap", "triples_missing",
+])
 def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     weights = make_trained(tmp_path, tiny_config)
     bundle = tmp_path / "bundle.json"
     run(["compile", "--config", tiny_config, "--weights", weights, "--out", str(bundle)])
     doc = load_json(str(bundle))
-    triple = doc["plans"]["visual.fc0"]["cores"][0]["triples"][0][0]  # 4x8, mesh_u of size 4
+    plan = doc["plans"]["visual.fc0"]
+    triple = plan["cores"][0]["triples"][0][0]  # 4x8, mesh_u of size 4
     mzi = triple["mesh_u"]["columns"][0][0]
     if defect == "theta_not_a_number":
         mzi["theta"] = "abc"
     elif defect == "row_out_of_range":
         mzi["row"] = 99
-    else:
+    elif defect == "diag_too_short":
         triple["diag"] = triple["diag"][:1]
+    elif defect == "columns_not_a_list":
+        triple["mesh_u"]["columns"] = 5
+    elif defect == "plans_a_list":
+        doc["plans"] = []
+    elif defect == "diag_not_a_list":
+        triple["diag"] = 3
+    elif defect == "ranks_not_a_list":
+        plan["ranks"] = "x"
+    elif defect == "plans_empty":
+        doc["plans"] = {}
+    elif defect == "mode_above_cap":
+        plan["row_modes"] = [10**9]
+    elif defect == "triples_missing":
+        plan["cores"][0]["triples"] = []
+    else:  # a self-consistent plan of another weight (head.0, 2x4) where 4x8 is needed
+        doc["plans"]["visual.fc0"] = doc["plans"]["head.0"]
     dump_json(doc, str(bundle))
     ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
     data = tmp_path / "samples.jsonl"

@@ -20,7 +20,7 @@ def rotation(alpha):
 
 
 def test_identity_mesh():
-    net = P.givens_decompose(np.eye(4))
+    net = P.givens_decompose(np.eye(4)[None])[0]
     assert net.mzi_count() == 6
     assert net.depth == 4
     for col in net.columns:
@@ -32,7 +32,7 @@ def test_identity_mesh():
 
 def test_two_by_two_rotation_single_mzi():
     alpha = 0.7
-    net = P.givens_decompose(rotation(alpha))
+    net = P.givens_decompose(rotation(alpha)[None])[0]
     assert net.mzi_count() == 1
     assert net.depth == 2  # rectangular grid keeps N columns (one is empty)
     mzi = net.columns[0][0]
@@ -42,14 +42,14 @@ def test_two_by_two_rotation_single_mzi():
 
 def test_two_by_two_reflection():
     refl = np.array([[1.0, 0.0], [0.0, -1.0]])
-    net = P.givens_decompose(refl)
+    net = P.givens_decompose(refl[None])[0]
     assert np.allclose(P.mesh_matrix(net), refl, atol=1e-12)
 
 
 def test_random_6x6():
     rng = np.random.default_rng(0)
     u = random_orthogonal(rng, 6)
-    net = P.givens_decompose(u)
+    net = P.givens_decompose(u[None])[0]
     assert net.mzi_count() == 15
     assert net.depth == 6
     assert np.linalg.norm(P.mesh_matrix(net) - u) < 1e-10
@@ -62,7 +62,7 @@ def test_roundtrip_many_orthogonal():
         u = random_orthogonal(rng, n)
         if rng.random() < 0.5:
             u[:, 0] = -u[:, 0]  # force det -1 half the time
-        net = P.givens_decompose(u)
+        net = P.givens_decompose(u[None])[0]
         assert net.mzi_count() == n * (n - 1) // 2
         assert net.depth == n
         assert np.linalg.norm(P.mesh_matrix(net) - u) < 1e-10
@@ -71,7 +71,7 @@ def test_roundtrip_many_orthogonal():
 def test_column_structure_is_rectangular():
     rng = np.random.default_rng(2)
     u = random_orthogonal(rng, 5)
-    net = P.givens_decompose(u)
+    net = P.givens_decompose(u[None])[0]
     for ci, col in enumerate(net.columns):
         rows = [m.row_index for m in col]
         assert len(set(rows)) == len(rows)
@@ -85,7 +85,7 @@ def test_column_structure_is_rectangular():
 def test_norm_preservation():
     rng = np.random.default_rng(3)
     u = random_orthogonal(rng, 7)
-    net = P.givens_decompose(u)
+    net = P.givens_decompose(u[None])[0]
     for _ in range(10):
         x = rng.normal(size=7)
         assert abs(np.linalg.norm(P.mesh_apply(net, x)) - np.linalg.norm(x)) < 1e-12
@@ -94,21 +94,93 @@ def test_norm_preservation():
 def test_mesh_apply_matches_matvec():
     rng = np.random.default_rng(4)
     u = random_orthogonal(rng, 5)
-    net = P.givens_decompose(u)
+    net = P.givens_decompose(u[None])[0]
     x = rng.normal(size=5)
     assert np.allclose(P.mesh_apply(net, x), u @ x, atol=1e-10)
 
 
 def test_rejects_non_orthogonal():
     with pytest.raises(DecompositionError, match="orthogonal"):
-        P.givens_decompose(np.ones((3, 3)))
+        P.givens_decompose(np.ones((3, 3))[None])
 
 
 def test_one_by_one():
-    net = P.givens_decompose(np.array([[1.0]]))
+    net = P.givens_decompose(np.array([[1.0]])[None])[0]
     assert net.mzi_count() == 0
     with pytest.raises(DecompositionError):
-        P.givens_decompose(np.array([[-1.0]]))
+        P.givens_decompose(np.array([[-1.0]])[None])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_decomposition_matches_single(n):
+    rng = np.random.default_rng(30 + n)
+    stack = np.stack([random_orthogonal(rng, n) for _ in range(6)])
+    stack[::2, :, 0] *= -1  # det -1 for half of them
+    nets = P.givens_decompose(stack)
+    assert len(nets) == len(stack)
+    for u, net in zip(stack, nets):
+        assert np.linalg.norm(P.mesh_matrix(net) - u) < 1e-12
+        assert net == P.givens_decompose(u[None])[0]  # bit-identical angles and layout
+
+
+def test_stacked_decomposition_checks_every_matrix():
+    rng = np.random.default_rng(40)
+    stack = np.stack([random_orthogonal(rng, 4) for _ in range(3)])
+    stack[1, 0, 0] += 0.1
+    with pytest.raises(DecompositionError, match="matrix 1 is not orthogonal"):
+        P.givens_decompose(stack)
+    stack[1, :, 0] = np.nan
+    with pytest.raises(DecompositionError, match="matrix 1 is not orthogonal"):
+        P.givens_decompose(stack)
+    with pytest.raises(DecompositionError, match="matrix 2"):
+        P.givens_decompose(np.array([[[1.0]], [[1.0]], [[-1.0]]]))
+
+
+def test_svd_map_stack_matches_single():
+    rng = np.random.default_rng(41)
+    for shape in ((4, 6), (6, 4), (1, 5), (5, 1), (3, 3), (1, 1)):
+        stack = rng.normal(size=(5,) + shape)
+        if shape == (1, 1):
+            stack = np.abs(stack)
+        for w, tr in zip(stack, P.svd_map(stack)):
+            single = P.svd_map(w[None])[0]
+            assert tr.mesh_u == single.mesh_u and tr.mesh_v == single.mesh_v
+            assert np.array_equal(tr.diag, single.diag) and tr.global_scale == single.global_scale
+    stack = np.ones((3, 1, 1))
+    stack[2, 0, 0] = -1.0
+    with pytest.raises(MappingError, match="matrix 2"):
+        P.svd_map(stack)
+    stack = np.ones((3, 2, 2))
+    stack[1, 0, 1] = np.inf
+    with pytest.raises(ShapeError, match="matrix 1"):
+        P.svd_map(stack)
+
+
+def reference_mesh_matrix(net):
+    """One mesh applied MZI by MZI to identity columns: the oracle for the stacked apply."""
+    y = np.eye(net.size)
+    for col in net.columns:
+        for mzi in col:
+            r = mzi.row_index
+            top = np.cos(mzi.phi) * y[r]
+            bot = y[r + 1]
+            c, s = np.cos(mzi.theta), np.sin(mzi.theta)
+            y[r] = c * top - s * bot
+            y[r + 1] = s * top + c * bot
+    return y
+
+
+def test_stacked_apply_pads_meshes_of_any_structure():
+    rng = np.random.default_rng(42)
+    nets = [P.givens_decompose(random_orthogonal(rng, 5)[None])[0] for _ in range(3)]
+    nets[0].columns[2].pop()  # one MZI fewer
+    nets[1].columns.reverse()  # another order of rows per step
+    nets[2].columns.append([P.MZISetting(5, 1, 0.3, 0.2), P.MZISetting(5, 2, -0.4, 3.0)])
+    perturbed = [P.perturb(net, 0.05, 0, seed=i) for i, net in enumerate(nets)]
+    for group in (nets, perturbed):
+        stacked = P._apply_meshes(group, np.broadcast_to(np.eye(5), (3, 5, 5)))
+        for net, got in zip(group, stacked):
+            assert np.array_equal(got, reference_mesh_matrix(net))
 
 
 # --- perturb ---------------------------------------------------------------------
@@ -116,7 +188,7 @@ def test_one_by_one():
 
 def test_perturb_noop():
     rng = np.random.default_rng(5)
-    net = P.givens_decompose(random_orthogonal(rng, 4))
+    net = P.givens_decompose(random_orthogonal(rng, 4)[None])[0]
     same = P.perturb(net, phase_sigma=0.0, bits=0, seed=1)
     for ca, cb in zip(net.columns, same.columns):
         for a, b in zip(ca, cb):
@@ -125,7 +197,7 @@ def test_perturb_noop():
 
 def test_perturb_quantization_bound():
     rng = np.random.default_rng(6)
-    net = P.givens_decompose(random_orthogonal(rng, 4))
+    net = P.givens_decompose(random_orthogonal(rng, 4)[None])[0]
     q = P.perturb(net, phase_sigma=0.0, bits=8, seed=1)
     for ca, cb in zip(net.columns, q.columns):
         for a, b in zip(ca, cb):
@@ -135,7 +207,7 @@ def test_perturb_quantization_bound():
 def test_perturb_deterministic_and_error_grows():
     rng = np.random.default_rng(7)
     u = random_orthogonal(rng, 4)
-    net = P.givens_decompose(u)
+    net = P.givens_decompose(u[None])[0]
     x = rng.normal(size=4)
     errs = []
     for sigma in (0.001, 0.01, 0.1):
@@ -151,14 +223,14 @@ def test_perturb_deterministic_and_error_grows():
 
 
 def test_svd_map_identity():
-    tr = P.svd_map(np.eye(3))
+    tr = P.svd_map(np.eye(3)[None])[0]
     assert tr.global_scale == 1.0
     assert np.allclose(tr.diag, 1.0, atol=1e-12)
     assert np.allclose(P.svd_matrix(tr), np.eye(3), atol=1e-10)
 
 
 def test_svd_map_scaling():
-    tr = P.svd_map(2.0 * np.eye(2))
+    tr = P.svd_map(2.0 * np.eye(2)[None])[0]
     assert abs(tr.global_scale - 2.0) < 1e-12
     assert np.allclose(tr.diag, [1.0, 1.0], atol=1e-12)
     assert np.allclose(P.svd_matrix(tr), 2.0 * np.eye(2), atol=1e-10)
@@ -168,7 +240,7 @@ def test_svd_map_rectangular():
     rng = np.random.default_rng(8)
     for shape in ((4, 6), (6, 4), (1, 5), (5, 1), (3, 3)):
         w = rng.normal(size=shape)
-        tr = P.svd_map(w)
+        tr = P.svd_map(w[None])[0]
         assert np.all(tr.diag >= 0) and np.all(tr.diag <= 1 + 1e-12)
         rel = np.linalg.norm(P.svd_matrix(tr) - w) / np.linalg.norm(w)
         assert rel < 1e-9, shape
@@ -176,17 +248,17 @@ def test_svd_map_rectangular():
 
 def test_svd_map_negative_scalar_rejected():
     with pytest.raises(MappingError):
-        P.svd_map(np.array([[-2.0]]))
+        P.svd_map(np.array([[-2.0]])[None])
 
 
 def test_svd_output_norm_bound():
     rng = np.random.default_rng(9)
     w = rng.normal(size=(5, 3))
-    tr = P.svd_map(w)
+    tr = P.svd_map(w[None])[0]
     for _ in range(5):
         x = rng.normal(size=3)
         bound = tr.global_scale * np.linalg.norm(x) * tr.diag.max()
-        assert np.linalg.norm(P.svd_apply(tr, x)) <= bound + 1e-9
+        assert np.linalg.norm(P.svd_matrix(tr) @ x) <= bound + 1e-9
 
 
 # --- layer plans -----------------------------------------------------------------
@@ -240,14 +312,14 @@ def test_mzi_count_formulas():
     assert P.mzi_count(plan4) == 6 + 6 + 4 == 16
     plan2 = P.map_dense_layer(rng.normal(size=(2, 2)))
     assert P.mzi_count(plan2) == 1 + 1 + 2 == 4
-    empty = P.LayerPlan("tt", [], [], [1], [], 1, 0, 0)
+    empty = P.LayerShape("tt", [], [], [1], 0, 0)
     assert P.mzi_count(empty) == 0
 
 
 def test_full_mesh_mzi_count():
     rng = np.random.default_rng(14)
     for n in range(2, 9):
-        net = P.givens_decompose(random_orthogonal(rng, n))
+        net = P.givens_decompose(random_orthogonal(rng, n)[None])[0]
         assert net.mzi_count() == n * (n - 1) // 2
 
 
@@ -285,13 +357,13 @@ def test_plan_serialization_roundtrip():
 def test_netlist_serialization_roundtrip():
     rng = np.random.default_rng(18)
     u = random_orthogonal(rng, 4)
-    net = P.givens_decompose(u)
+    net = P.givens_decompose(u[None])[0]
     back = P.netlist_from_obj(P.netlist_to_obj(net))
     assert np.allclose(P.mesh_matrix(back), P.mesh_matrix(net), atol=0)
 
 
 def test_mesh_apply_length_check():
-    net = P.givens_decompose(np.eye(3))
+    net = P.givens_decompose(np.eye(3)[None])[0]
     with pytest.raises(ShapeError):
         P.mesh_apply(net, np.zeros(4))
 
@@ -351,9 +423,10 @@ def test_bundle_totals_and_histogram():
 
     m = M.build(tiny_config())
     bundle = P.compile_model(m)
-    assert bundle.mzi_total() == sum(P.mzi_count(p) for p in bundle.plans.values())
-    assert bundle.wdm_channels() == 1
-    hist = bundle.histogram()
+    totals = P.totals(bundle.config, bundle.plans)
+    assert totals["mzis"] == sum(P.mzi_count(p) for p in bundle.plans.values())
+    assert totals["wdm_channels"] == 1
+    hist = totals["core_histogram"]
     assert sum(hist.values()) == len(bundle.plans)  # all dense: one triple each
     # Sequential chains sum, parallel branches take the max.
     visual = P.stage_depth(bundle.plans["visual.fc0"])
@@ -363,7 +436,37 @@ def test_bundle_totals_and_histogram():
     fusion = max(P.stage_depth(bundle.plans[f"fusion.{m_}.{i}"])
                  for m_ in ("v", "a", "t") for i in range(2))
     heads = max(P.stage_depth(bundle.plans[f"head.{j}"]) for j in range(4))
-    assert bundle.stage_total() == max(visual, audio, text) + fusion + heads
+    assert totals["stages"] == max(visual, audio, text) + fusion + heads
+
+
+@pytest.mark.parametrize("case", ["default", "tiny", "padded_tt", "pooling_last"])
+def test_shape_totals_equal_compiled_totals(case):
+    from tomfn import model as M
+
+    cfg = {
+        "default": M.default_config,
+        "tiny": tiny_config,
+        "padded_tt": lambda: tiny_config(visual_dims=(11, 4), visual=True, text=True,
+                                         class_heads=True),
+        "pooling_last": lambda: tiny_config(pooling="last", visual=True, fusion=True),
+    }[case]()
+    model = M.build(cfg)
+    shapes = P.model_shapes(model)
+    bundle = P.compile_model(model)
+    assert P.totals(cfg, shapes) == P.totals(cfg, bundle.plans)
+    # Counted from the compiled meshes themselves, not from modes and ranks.
+    triples = [t for plan in bundle.plans.values() for core in plan.cores
+               for row in core.triples for t in row]
+    mzis = sum(t.mesh_u.mzi_count() + t.mesh_v.mzi_count() + t.diag.size for t in triples)
+    hist = {}
+    for t in triples:
+        hist[f"{t.m}x{t.n}"] = hist.get(f"{t.m}x{t.n}", 0) + 1
+    wdm = max(max(len(core.triples), len(core.triples[0]))
+              for plan in bundle.plans.values() for core in plan.cores)
+    totals = P.totals(cfg, shapes)
+    assert (totals["mzis"], totals["core_histogram"], totals["wdm_channels"]) == (mzis, hist, wdm)
+    if case == "default":
+        assert (totals["mzis"], totals["stages"], totals["wdm_channels"]) == (40_044, 128, 8)
 
 
 def test_dense_oversized_layer_refused():
