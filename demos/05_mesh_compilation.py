@@ -20,7 +20,7 @@ q, r = np.linalg.qr(rng.normal(size=(6, 6)))
 u = q * np.sign(np.diag(r))
 net = P.givens_decompose(u[None])[0]
 print(f"MZIs: {net.mzi_count()} (= 6*5/2), depth: {net.depth} columns")
-print("MZIs per column:", [len(col) for col in net.columns])
+print("MZIs per column:", np.bincount(net.col, minlength=net.depth).tolist())
 print(f"reconstruction error: {np.linalg.norm(P.mesh_matrix(net) - u):.2e}")
 x = rng.normal(size=6)
 print(f"norm preserved: |y| - |x| = {np.linalg.norm(P.mesh_apply(net, x)) - np.linalg.norm(x):.2e}")

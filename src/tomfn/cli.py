@@ -264,6 +264,12 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    try:
+        photonic.check_noise(args.phase_sigma, args.bits)
+    except ShapeError as exc:
+        raise CliError(EXIT_SIMULATE, str(exc)) from exc
+    if args.trials < 0:
+        raise CliError(EXIT_SIMULATE, f"trials must be >= 0, got {args.trials}")
     if args.bundle:
         try:
             bundle = photonic.bundle_from_obj(serialize.load_json(args.bundle))

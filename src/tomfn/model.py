@@ -100,6 +100,8 @@ class ModelConfig:
             raise ConfigError(f"tt.max_rank must be >= 1, got {self.tt.max_rank}")
         if self.tt.tol < 0:
             raise ConfigError(f"tt.tol must be >= 0, got {self.tt.tol}")
+        if self.tt.max_factor < 2:
+            raise ConfigError(f"tt.max_factor must be >= 2, got {self.tt.max_factor}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -35,6 +35,11 @@ core's r_{k-1} * r_k bond slices, through one batched SVD.  A single
 matrix is a stack of one.  Every check (finite entries, orthogonality, the
 sign diagonal, a negative 1 x 1) still holds matrix by matrix.
 
+A mesh (`MeshNetlist`) holds its MZIs in physical order as four flat
+arrays, `col` (non-decreasing), `row`, `theta` and `phi`, beside its `size`
+and `depth` (columns, empty ones included).  `perturb` is one array
+operation; only the JSON codec visits MZIs one at a time.
+
 Accounting (MZIs, stages, WDM channels, the core-size histogram) reads
 only each layer's modes and bond ranks, so `describe` counts from the
 `LayerShape` records of the built model and never decomposes a mesh.
@@ -70,43 +75,37 @@ CORE_SIZE_CAP = 8
 # --- netlists -------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class MZISetting:
-    layer_index: int
-    row_index: int
-    theta: float
-    phi: float = 0.0
-
-
 @dataclass
 class MeshNetlist:
+    """MZI i sits in column col[i] on waveguides (row[i], row[i] + 1)."""
+
     size: int
-    columns: list[list[MZISetting]]
+    depth: int
+    col: np.ndarray
+    row: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
 
     def mzi_count(self) -> int:
-        return sum(len(col) for col in self.columns)
-
-    @property
-    def depth(self) -> int:
-        return len(self.columns)
+        return len(self.col)
 
 
 def _apply_meshes(nets: list[MeshNetlist], x: np.ndarray) -> np.ndarray:
     """Apply mesh k of `nets` to the rows of x[k], for an x of shape (K, N, C).
 
-    Step j applies the j-th MZI of every mesh (columns in order), so the
+    Step j applies the j-th MZI of every mesh (physical order), so the
     meshes advance together; shorter meshes are padded with identity MZIs.
     """
     y = np.array(x, dtype=np.float64)
-    steps = [[(mzi.row_index, mzi.theta, mzi.phi) for col in net.columns for mzi in col]
-             for net in nets]
-    length = max(map(len, steps), default=0)
-    table = np.array([s + [(0, 0.0, 0.0)] * (length - len(s)) for s in steps])
-    table = table.reshape(len(nets), length, 3)
-    rows = table[:, :, 0].astype(np.intp)
-    cos_t, sin_t, cos_p = np.cos(table[:, :, 1]), np.sin(table[:, :, 1]), np.cos(table[:, :, 2])
+    counts = np.array([net.mzi_count() for net in nets])
+    filled = np.arange(counts.max(initial=0)) < counts[:, None]  # (mesh, step)
+    table = np.zeros((3,) + filled.shape)
+    for t, field in zip(table, ("row", "theta", "phi")):
+        t[filled] = np.concatenate([getattr(net, field) for net in nets])
+    rows = table[0].astype(np.intp)
+    cos_t, sin_t, cos_p = np.cos(table[1]), np.sin(table[1]), np.cos(table[2])
     ks = np.arange(len(nets))
-    for j in range(length):
+    for j in range(filled.shape[1]):
         r = rows[:, j]
         top = cos_p[:, j, None] * y[ks, r]
         bot = y[ks, r + 1]
@@ -148,7 +147,8 @@ def givens_decompose(u: np.ndarray) -> list[MeshNetlist]:
     if n == 1:
         if (bad := np.flatnonzero(u[:, 0, 0] < 0)).size:
             raise DecompositionError(f"matrix {bad[0]}: a 1x1 mesh has no MZI to carry a negative sign")
-        return [MeshNetlist(size=1, columns=[]) for _ in range(count)]
+        empty = np.zeros(0, dtype=np.intp)
+        return [MeshNetlist(1, 0, empty, empty, np.zeros(0), np.zeros(0)) for _ in range(count)]
 
     v = u.copy()
     left: list[tuple[int, np.ndarray]] = []  # G(k, theta) applied as V <- G V
@@ -211,40 +211,32 @@ def givens_decompose(u: np.ndarray) -> list[MeshNetlist]:
     if (bad := np.flatnonzero(np.any(signs[:, last < 0] < 0, axis=1))).size:
         raise DecompositionError(f"matrix {bad[0]}: unabsorbed output sign; the mesh misses a row")
 
-    layout = sorted(range(len(placed)), key=placed.__getitem__)  # by column, then row
-    slots = [placed[p] for p in layout]
-    nets = []
-    for theta_k, flip_k in zip(th[layout].T.tolist(), sigma_flip[layout].T.tolist()):
-        columns: list[list[MZISetting]] = [[] for _ in range(n)]
-        for (col, row), theta, flip in zip(slots, theta_k, flip_k):
-            columns[col].append(MZISetting(col, row, theta, np.pi if flip else 0.0))
-        nets.append(MeshNetlist(size=n, columns=columns))
-    return nets
+    layout = np.lexsort((ks, cols))  # physical order: by column, then row
+    phis = np.where(sigma_flip[layout], np.pi, 0.0).T
+    return [MeshNetlist(n, n, cols[layout], ks[layout], theta, phi)
+            for theta, phi in zip(th[layout].T, phis)]
+
+
+def check_noise(phase_sigma: float, bits: int):
+    """Phase noise needs a finite phase_sigma >= 0 and bits >= 0 (NaN fails both)."""
+    if not 0 <= phase_sigma < math.inf:
+        raise ShapeError(f"phase_sigma must be a finite number >= 0, got {phase_sigma}")
+    if not bits >= 0:
+        raise ShapeError(f"bits must be >= 0, got {bits}")
 
 
 def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seed: int) -> MeshNetlist:
     """Quantize angles to a 2*pi / 2**bits grid (bits=0: none), then add
-    N(0, phase_sigma^2) jitter.  Deterministic under `seed`."""
-    if phase_sigma < 0:
-        raise ShapeError("phase_sigma must be >= 0")
-    if bits < 0:
-        raise ShapeError("bits must be >= 0")
-    rng = np.random.default_rng(seed)
-    step = 2 * np.pi / (2**bits) if bits >= 1 else None
-    columns = []
-    for col in net.columns:
-        new_col = []
-        for mzi in col:
-            theta, phi = mzi.theta, mzi.phi
-            if step is not None:
-                theta = round(theta / step) * step
-                phi = round(phi / step) * step
-            if phase_sigma > 0:
-                theta += rng.normal(0.0, phase_sigma)
-                phi += rng.normal(0.0, phase_sigma)
-            new_col.append(MZISetting(mzi.layer_index, mzi.row_index, theta, phi))
-        columns.append(new_col)
-    return MeshNetlist(size=net.size, columns=columns)
+    N(0, phase_sigma^2) jitter.  Deterministic under `seed`: the draws are
+    theta's, then phi's, for each MZI in physical order."""
+    check_noise(phase_sigma, bits)
+    angles = np.stack([net.theta, net.phi], axis=1)  # (MZI, 2)
+    if bits >= 1:
+        step = 2 * np.pi / 2**bits
+        angles = np.round(angles / step) * step
+    if phase_sigma > 0:
+        angles = angles + np.random.default_rng(seed).normal(0.0, phase_sigma, angles.shape)
+    return replace(net, theta=angles[:, 0], phi=angles[:, 1])
 
 
 # --- SVD mapping -----------------------------------------------------------------
@@ -556,13 +548,10 @@ def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int
 
 
 def netlist_to_obj(net: MeshNetlist) -> dict:
-    return {
-        "size": net.size,
-        "columns": [
-            [{"row": m.row_index, "theta": m.theta, "phi": m.phi} for m in col]
-            for col in net.columns
-        ],
-    }
+    columns = [[] for _ in range(net.depth)]
+    for c, r, t, p in zip(net.col.tolist(), net.row.tolist(), net.theta.tolist(), net.phi.tolist()):
+        columns[c].append({"row": r, "theta": t, "phi": p})
+    return {"size": net.size, "columns": columns}
 
 
 def _get(obj, key: str, what: str):
@@ -605,16 +594,12 @@ def _sizes(value, what: str, length: int | None = None, high: float = math.inf) 
 
 def netlist_from_obj(obj: dict) -> MeshNetlist:
     size = _index(_get(obj, "size", "mesh"), 1, math.inf, "mesh size")
-    columns = [
-        [
-            MZISetting(ci, _index(_get(m, "row", "MZI"), 0, size - 2, "MZI row"),
-                       _number(_get(m, "theta", "MZI"), "MZI theta"),
-                       _number(_get(m, "phi", "MZI"), "MZI phi"))
-            for m in _list(col, "mesh column")
-        ]
-        for ci, col in enumerate(_list(_get(obj, "columns", "mesh"), "mesh columns"))
-    ]
-    return MeshNetlist(size=size, columns=columns)
+    columns = _list(_get(obj, "columns", "mesh"), "mesh columns")
+    mzis = [(ci, _index(_get(m, "row", "MZI"), 0, size - 2, "MZI row"),
+             _number(_get(m, "theta", "MZI"), "MZI theta"), _number(_get(m, "phi", "MZI"), "MZI phi"))
+            for ci, col in enumerate(columns) for m in _list(col, "mesh column")]
+    col, row, theta, phi = np.array(mzis, dtype=np.float64).reshape(-1, 4).T
+    return MeshNetlist(size, len(columns), col.astype(np.intp), row.astype(np.intp), theta, phi)
 
 
 def _triple_to_obj(tr: SVDTriple) -> dict:

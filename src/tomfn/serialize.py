@@ -50,6 +50,8 @@ def weight_to_obj(w) -> dict:
 
 
 def weight_from_obj(obj: dict):
+    if not isinstance(obj, dict):
+        raise DataError(f"a weight must be a tensor or TT object, got {obj!r:.40}")
     if "cores" in obj:
         return tt_mod.from_json_obj(obj)
     return tensor.from_json_obj(obj)

@@ -1,7 +1,7 @@
 """Dense tensor kernels shared by every other module.
 
 All values are float64 numpy arrays in row-major (C) order; the flat
-row-major layout is also the on-disk layout, so ``reshape`` never moves
+row-major layout is also the on-disk layout, so decoding never reorders
 data.  Nothing here broadcasts: shape mismatches raise ``ShapeError``
 instead of silently expanding.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 
 def as_tensor(data, shape=None) -> np.ndarray:
@@ -26,16 +26,6 @@ def as_tensor(data, shape=None) -> np.ndarray:
             raise ShapeError(f"cannot view {t.size} elements as shape {list(shape)}")
         t = t.reshape(shape)
     return np.ascontiguousarray(t)
-
-
-def reshape(t: np.ndarray, new_shape) -> np.ndarray:
-    """Relabel `t` with `new_shape`; element count must be preserved."""
-    new_shape = tuple(int(d) for d in new_shape)
-    if any(d < 1 for d in new_shape):
-        raise ShapeError(f"shape entries must be >= 1, got {list(new_shape)}")
-    if t.size != int(np.prod(new_shape)):
-        raise ShapeError(f"cannot reshape {t.size} elements to {list(new_shape)}")
-    return t.reshape(new_shape)
 
 
 def row_softmax(m: np.ndarray) -> np.ndarray:
@@ -57,7 +47,10 @@ def to_json_obj(t: np.ndarray) -> dict:
 
 
 def from_json_obj(obj: dict) -> np.ndarray:
-    """Decode the {"shape","data"} encoding produced by `to_json_obj`."""
-    if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
-        raise ShapeError("tensor object must carry 'shape' and 'data'")
-    return as_tensor(obj["data"], shape=obj["shape"])
+    """Decode `to_json_obj`'s encoding; a malformed object is a DataError."""
+    shape, data = (obj.get("shape"), obj.get("data")) if isinstance(obj, dict) else (None, None)
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise DataError(f"tensor 'shape' must be a list of integers >= 0, got {shape!r:.40}")
+    if not isinstance(data, list) or not all(type(v) in (int, float) for v in data):
+        raise DataError(f"tensor 'data' must be a flat list of numbers, got {data!r:.40}")
+    return as_tensor(data, shape=shape)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tensor
-from .errors import FactorizationError, ShapeError
+from .errors import DataError, FactorizationError, ShapeError
 
 
 def prime_factors(n: int) -> list[int]:
@@ -232,9 +232,10 @@ def to_json_obj(tt: TTMatrix) -> dict:
 
 
 def from_json_obj(obj: dict) -> TTMatrix:
-    return TTMatrix(
-        [int(v) for v in obj["row_modes"]],
-        [int(v) for v in obj["col_modes"]],
-        [int(v) for v in obj["ranks"]],
-        [tensor.from_json_obj(c) for c in obj["cores"]],
-    )
+    """Decode `to_json_obj`'s encoding; a missing or mistyped field is a DataError."""
+    *modes_ranks, cores = (obj.get(k) for k in ("row_modes", "col_modes", "ranks", "cores"))
+    if not all(isinstance(f, list) and all(type(v) is int for v in f) for f in modes_ranks) \
+            or not isinstance(cores, list):
+        raise DataError("a TT weight needs 'row_modes', 'col_modes' and 'ranks' as lists of "
+                        "integers, and 'cores' as a list")
+    return TTMatrix(*modes_ranks, [tensor.from_json_obj(c) for c in cores])

@@ -8,6 +8,7 @@ import pytest
 from tomfn import cli
 from tomfn import model as M
 from tomfn import train as T
+from tomfn import tt as tt_mod
 from tomfn.serialize import dump_json, load_json
 
 TINY = {
@@ -124,6 +125,20 @@ def test_describe_all_dense_default_exits_2(tmp_path, capsys):
     assert err.startswith("tomfn describe: ") and "cap" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("max_factor", [1, 0])
+def test_describe_max_factor_below_2_exits_2(tmp_path, capsys, max_factor):
+    # No dimension above 1 factors into primes <= 1, so padding would never end.
+    cfg = json.loads(json.dumps(TINY))
+    cfg["tt"].update(visual=True, max_factor=max_factor)
+    path = tmp_path / "cfg.json"
+    dump_json(cfg, str(path))
+    capsys.readouterr()
+    assert run(["describe", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn describe: config: ") and "max_factor" in err
+    assert err.count("\n") == 1
+
+
 # --- train / eval ---------------------------------------------------------------
 
 
@@ -213,6 +228,36 @@ def test_compile_weights_mismatch_exits_4(tmp_path, tiny_config):
     assert run(["compile", "--config", tiny_config, "--weights", str(weights)]) == 4
 
 
+@pytest.mark.parametrize("command", ["eval", "compile"])
+@pytest.mark.parametrize("defect", [
+    "tt_ranks_missing", "tt_ranks_a_string", "weight_a_number", "data_a_string",
+])
+def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect):
+    weights = make_trained(tmp_path, tiny_config)
+    doc = load_json(weights)
+    fc0 = doc["visual.fc0"]  # dense 4x8
+    tt_obj = tt_mod.to_json_obj(tt_mod.tt_from_dense(
+        np.reshape(fc0["data"], fc0["shape"]), [2, 2], [2, 4], max_rank=4, tol=0.0))
+    if defect == "tt_ranks_missing":
+        del tt_obj["ranks"]
+        doc["visual.fc0"] = tt_obj
+    elif defect == "tt_ranks_a_string":
+        tt_obj["ranks"] = "x"
+        doc["visual.fc0"] = tt_obj
+    elif defect == "weight_a_number":
+        doc["visual.fc0"] = 5
+    else:
+        fc0["data"] = "abc"
+    dump_json(doc, weights)
+    argv = [command, "--config", tiny_config, "--weights", weights]
+    if command == "eval":
+        argv += ["--synthetic", "n=8,L=3"]
+    capsys.readouterr()
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"tomfn {command}: weights: ") and err.count("\n") == 1
+
+
 def test_simulate_noiseless_bitexact_and_matches_forward(tmp_path, tiny_config):
     weights = make_trained(tmp_path, tiny_config)
     bundle = tmp_path / "bundle.json"
@@ -270,6 +315,22 @@ def test_simulate_dim_mismatch_exits_5(tmp_path, tiny_config):
         data = tmp_path / "bad.jsonl"
         T.save_jsonl(ds, str(data))
         assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 5
+
+
+@pytest.mark.parametrize("flags", [
+    ["--phase-sigma", "-0.1"], ["--phase-sigma", "nan"], ["--phase-sigma", "inf"],
+    ["--bits", "-2"], ["--trials", "-1"],
+], ids=["sigma_negative", "sigma_nan", "sigma_inf", "bits_negative", "trials_negative"])
+def test_simulate_bad_noise_exits_5(tmp_path, tiny_config, capsys, flags):
+    weights = make_trained(tmp_path, tiny_config)
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
+    data = tmp_path / "samples.jsonl"
+    T.save_jsonl(ds, str(data))
+    capsys.readouterr()
+    assert run(["simulate", "--config", tiny_config, "--weights", weights, "--data", str(data),
+                "--trials", "1", *flags]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn simulate: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, defect", [

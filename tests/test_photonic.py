@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,7 @@ def test_identity_mesh():
     net = P.givens_decompose(np.eye(4)[None])[0]
     assert net.mzi_count() == 6
     assert net.depth == 4
-    for col in net.columns:
-        for mzi in col:
-            assert mzi.theta == 0.0
-            assert mzi.phi == 0.0
+    assert np.all(net.theta == 0.0) and np.all(net.phi == 0.0)
     assert np.allclose(P.mesh_matrix(net), np.eye(4), atol=1e-12)
 
 
@@ -35,8 +34,8 @@ def test_two_by_two_rotation_single_mzi():
     net = P.givens_decompose(rotation(alpha)[None])[0]
     assert net.mzi_count() == 1
     assert net.depth == 2  # rectangular grid keeps N columns (one is empty)
-    mzi = net.columns[0][0]
-    assert abs(mzi.theta - alpha) < 1e-12
+    assert (net.col.tolist(), net.row.tolist()) == ([0], [0])
+    assert abs(net.theta[0] - alpha) < 1e-12
     assert np.allclose(P.mesh_matrix(net), rotation(alpha), atol=1e-12)
 
 
@@ -72,8 +71,9 @@ def test_column_structure_is_rectangular():
     rng = np.random.default_rng(2)
     u = random_orthogonal(rng, 5)
     net = P.givens_decompose(u[None])[0]
-    for ci, col in enumerate(net.columns):
-        rows = [m.row_index for m in col]
+    assert np.all(np.diff(net.col) >= 0) and np.all(net.col < net.depth)  # physical order
+    for ci in range(net.depth):
+        rows = net.row[net.col == ci].tolist()
         assert len(set(rows)) == len(rows)
         for r in rows:
             assert (r - ci) % 2 == 0  # column parity
@@ -120,7 +120,8 @@ def test_stacked_decomposition_matches_single(n):
     assert len(nets) == len(stack)
     for u, net in zip(stack, nets):
         assert np.linalg.norm(P.mesh_matrix(net) - u) < 1e-12
-        assert net == P.givens_decompose(u[None])[0]  # bit-identical angles and layout
+        single = P.givens_decompose(u[None])[0]
+        assert P.netlist_to_obj(net) == P.netlist_to_obj(single)  # bit-identical angles and layout
 
 
 def test_stacked_decomposition_checks_every_matrix():
@@ -144,7 +145,8 @@ def test_svd_map_stack_matches_single():
             stack = np.abs(stack)
         for w, tr in zip(stack, P.svd_map(stack)):
             single = P.svd_map(w[None])[0]
-            assert tr.mesh_u == single.mesh_u and tr.mesh_v == single.mesh_v
+            for mesh, want in ((tr.mesh_u, single.mesh_u), (tr.mesh_v, single.mesh_v)):
+                assert P.netlist_to_obj(mesh) == P.netlist_to_obj(want)
             assert np.array_equal(tr.diag, single.diag) and tr.global_scale == single.global_scale
     stack = np.ones((3, 1, 1))
     stack[2, 0, 0] = -1.0
@@ -159,23 +161,31 @@ def test_svd_map_stack_matches_single():
 def reference_mesh_matrix(net):
     """One mesh applied MZI by MZI to identity columns: the oracle for the stacked apply."""
     y = np.eye(net.size)
-    for col in net.columns:
-        for mzi in col:
-            r = mzi.row_index
-            top = np.cos(mzi.phi) * y[r]
-            bot = y[r + 1]
-            c, s = np.cos(mzi.theta), np.sin(mzi.theta)
-            y[r] = c * top - s * bot
-            y[r + 1] = s * top + c * bot
+    for r, theta, phi in zip(net.row, net.theta, net.phi):
+        top = np.cos(phi) * y[r]
+        bot = y[r + 1]
+        c, s = np.cos(theta), np.sin(theta)
+        y[r] = c * top - s * bot
+        y[r + 1] = s * top + c * bot
     return y
+
+
+MZI_FIELDS = ("col", "row", "theta", "phi")
 
 
 def test_stacked_apply_pads_meshes_of_any_structure():
     rng = np.random.default_rng(42)
     nets = [P.givens_decompose(random_orthogonal(rng, 5)[None])[0] for _ in range(3)]
-    nets[0].columns[2].pop()  # one MZI fewer
-    nets[1].columns.reverse()  # another order of rows per step
-    nets[2].columns.append([P.MZISetting(5, 1, 0.3, 0.2), P.MZISetting(5, 2, -0.4, 3.0)])
+    # One MZI fewer (the last of column 2).
+    drop = np.flatnonzero(nets[0].col == 2)[-1]
+    nets[0] = replace(nets[0], **{f: np.delete(getattr(nets[0], f), drop) for f in MZI_FIELDS})
+    # The columns in reverse order: another order of rows per step.
+    nets[1] = replace(nets[1], col=nets[1].depth - 1 - nets[1].col[::-1],
+                      **{f: getattr(nets[1], f)[::-1] for f in MZI_FIELDS[1:]})
+    # An extra column of two overlapping MZIs.
+    extra = {"col": [5, 5], "row": [1, 2], "theta": [0.3, -0.4], "phi": [0.2, 3.0]}
+    nets[2] = replace(nets[2], depth=6,
+                      **{f: np.append(getattr(nets[2], f), extra[f]) for f in MZI_FIELDS})
     perturbed = [P.perturb(net, 0.05, 0, seed=i) for i, net in enumerate(nets)]
     for group in (nets, perturbed):
         stacked = P._apply_meshes(group, np.broadcast_to(np.eye(5), (3, 5, 5)))
@@ -190,18 +200,46 @@ def test_perturb_noop():
     rng = np.random.default_rng(5)
     net = P.givens_decompose(random_orthogonal(rng, 4)[None])[0]
     same = P.perturb(net, phase_sigma=0.0, bits=0, seed=1)
-    for ca, cb in zip(net.columns, same.columns):
-        for a, b in zip(ca, cb):
-            assert a.theta == b.theta and a.phi == b.phi
+    for f in MZI_FIELDS:
+        assert np.array_equal(getattr(same, f), getattr(net, f))
+    assert (same.size, same.depth) == (net.size, net.depth)
 
 
 def test_perturb_quantization_bound():
     rng = np.random.default_rng(6)
     net = P.givens_decompose(random_orthogonal(rng, 4)[None])[0]
     q = P.perturb(net, phase_sigma=0.0, bits=8, seed=1)
-    for ca, cb in zip(net.columns, q.columns):
-        for a, b in zip(ca, cb):
-            assert abs(a.theta - b.theta) <= np.pi / 2**8 + 1e-15
+    assert np.max(np.abs(q.theta - net.theta)) <= np.pi / 2**8 + 1e-15
+    assert np.max(np.abs(q.phi - net.phi)) <= np.pi / 2**8 + 1e-15
+
+
+def test_perturb_matches_per_mzi_draws():
+    # The array perturb must draw the stream of a per-MZI loop (theta's draw,
+    # then phi's, MZI by MZI in physical order) so seeded noisy runs repeat.
+    rng = np.random.default_rng(23)
+    u = random_orthogonal(rng, 6)
+    if np.linalg.det(u) > 0:
+        u[:, 0] = -u[:, 0]  # det -1: some MZI carries phi = pi, which quantization moves
+    net = P.givens_decompose(u[None])[0]
+    assert np.any(net.phi != 0)
+    sigma, bits, seed = 0.05, 8, 9
+    got = P.perturb(net, sigma, bits, seed)
+    draws = np.random.default_rng(seed)
+    step = 2 * np.pi / 2**bits
+    for i in range(net.mzi_count()):
+        theta = round(float(net.theta[i]) / step) * step
+        phi = round(float(net.phi[i]) / step) * step
+        theta += draws.normal(0.0, sigma)
+        phi += draws.normal(0.0, sigma)
+        assert (got.theta[i], got.phi[i]) == (theta, phi)
+    assert np.array_equal(got.col, net.col) and np.array_equal(got.row, net.row)
+
+
+@pytest.mark.parametrize("sigma, bits", [(-0.1, 0), (float("nan"), 0), (float("inf"), 0), (0.01, -2)])
+def test_perturb_rejects_bad_noise(sigma, bits):
+    net = P.givens_decompose(np.eye(3)[None])[0]
+    with pytest.raises(ShapeError):
+        P.perturb(net, sigma, bits, seed=0)
 
 
 def test_perturb_deterministic_and_error_grows():

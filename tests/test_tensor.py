@@ -5,24 +5,6 @@ from tomfn import tensor
 from tomfn.errors import ShapeError
 
 
-def test_reshape_preserves_flat_order():
-    t = tensor.as_tensor([0, 1, 2, 3, 4, 5])
-    r = tensor.reshape(t, [2, 3])
-    assert r.shape == (2, 3)
-    assert np.array_equal(r.ravel(), t)
-
-
-def test_reshape_roundtrip():
-    t = tensor.as_tensor(np.arange(6.0), shape=[2, 3])
-    back = tensor.reshape(tensor.reshape(t, [3, 2]), [6])
-    assert np.array_equal(back, np.arange(6.0))
-
-
-def test_reshape_count_mismatch():
-    with pytest.raises(ShapeError):
-        tensor.reshape(tensor.as_tensor([1.0, 2, 3, 4]), [3])
-
-
 def test_relu():
     assert np.array_equal(tensor.relu(tensor.as_tensor([-1, 0, 2])), [0, 0, 2])
     v = tensor.as_tensor([0.5, 3.0])
