@@ -23,7 +23,7 @@ print(f"MZIs: {net.mzi_count()} (= 6*5/2), depth: {net.depth} columns")
 print("MZIs per column:", np.bincount(net.col, minlength=net.depth).tolist())
 print(f"reconstruction error: {np.linalg.norm(P.mesh_matrix(net) - u):.2e}")
 x = rng.normal(size=6)
-print(f"norm preserved: |y| - |x| = {np.linalg.norm(P.mesh_apply(net, x)) - np.linalg.norm(x):.2e}")
+print(f"norm preserved: |y| - |x| = {np.linalg.norm(P.mesh_matrix(net) @ x) - np.linalg.norm(x):.2e}")
 
 print()
 print("=== rectangular weights via an SVD triple ===")
@@ -49,8 +49,8 @@ print(f"realized optical plan vs TT contraction: max error {err:.2e}")
 print()
 print("=== phase noise and quantization ===")
 x6 = rng.normal(size=6)
-ideal = P.mesh_apply(net, x6)
+ideal = P.mesh_matrix(net) @ x6
 for sigma in (0.001, 0.01, 0.05):
     noisy_net = P.perturb(net, phase_sigma=sigma, bits=8, seed=7)
-    err = np.max(np.abs(P.mesh_apply(noisy_net, x6) - ideal))
+    err = np.max(np.abs(P.mesh_matrix(noisy_net) @ x6 - ideal))
     print(f"  sigma={sigma:<6} 8-bit phases: max output error {err:.3e}")

@@ -10,24 +10,39 @@ serializer, and the photonic compiler all see the same inventory:
     fusion.{v|a|t}.{i}           (d_h, d_m + 1) factor for rank term i
     head.{j}                     (d_h, 2) per-emotion softmax head
 
-Forward and gradients are computed on one reverse-mode graph (see
-`autodiff`), batched over samples.  Dimensions that are not 8-smooth are
-zero-padded only inside TT operators; the graph rebuilds each TT operator
-densely from its cores and slices it back to the logical (out, in)
-block, so callers never see the padding.
+`_Graph` is the package's one forward pass, batched over samples on one
+reverse-mode graph (see `autodiff`); training, evaluation and the
+optical simulation all run it.  Its stages:
+
+- visual and audio: FC stacks with relu between layers;
+- text (`_encode_text`): each head maps the L tokens to queries, keys and
+  values and mixes value rows by softmax(Q K^T / sqrt(d_head)); the heads
+  concatenate back to d_model, then text.ff and a relu give per-token
+  features, pooled by their mean or the last token.  With no positional
+  encoding, mean pooling makes the embedding order-free;
+- fusion (`_fuse`): h = sum_i (W_v^i z'_v) * (W_a^i z'_a) * (W_t^i z'_t)
+  over bias-augmented embeddings z' = [z, 1], elementwise.  That is a
+  CP factorization of the explicit fusion tensor
+  T[j,p,q,s] = sum_i W_v^i[j,p] W_a^i[j,q] W_t^i[j,s], so h equals T
+  contracted with z'_v, z'_a and z'_t, which is never materialized;
+- heads: a softmax over two classes per emotion.
+
+Dimensions that are not 8-smooth are zero-padded only inside TT
+operators; the graph rebuilds each TT operator densely from its cores
+and slices it back to the logical (out, in) block, so callers never see
+the padding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import tt as tt_mod
 from .errors import ConfigError, ShapeError
-from .fusion import LMFLayer
-from .attention import AttentionHead, TextEncoder
 
 EMOTIONS = ("happy", "sad", "angry", "neutral")
 
@@ -83,6 +98,9 @@ class ModelConfig:
             if len(dims) < 2 or any(d < 1 for d in dims):
                 raise ConfigError(f"{name} must chain at least two positive dims, got {dims}")
         t = self.text
+        for name in ("d_model", "heads", "d_head", "d_out", "seq_len"):
+            if getattr(t, name) < 1:
+                raise ConfigError(f"text.{name} must be >= 1, got {getattr(t, name)}")
         if t.heads * t.d_head != t.d_model:
             raise ConfigError(
                 f"text.heads * text.d_head must equal text.d_model "
@@ -90,16 +108,16 @@ class ModelConfig:
             )
         if t.pooling not in ("mean", "last"):
             raise ConfigError(f"text.pooling must be 'mean' or 'last', got '{t.pooling}'")
-        if t.seq_len < 1:
-            raise ConfigError(f"text.seq_len must be >= 1, got {t.seq_len}")
         if self.fusion.rank < 1 or self.fusion.d_h < 1:
             raise ConfigError("fusion.r and fusion.d_h must be >= 1")
         if self.heads < 1:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tt.max_rank < 1:
             raise ConfigError(f"tt.max_rank must be >= 1, got {self.tt.max_rank}")
-        if self.tt.tol < 0:
-            raise ConfigError(f"tt.tol must be >= 0, got {self.tt.tol}")
+        if not 0 <= self.tt.tol < math.inf:
+            raise ConfigError(f"tt.tol must be a finite number >= 0, got {self.tt.tol}")
         if self.tt.max_factor < 2:
             raise ConfigError(f"tt.max_factor must be >= 2, got {self.tt.max_factor}")
 
@@ -110,41 +128,42 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {"visual_dims", "audio_dims", "text", "fusion", "heads", "tt", "seed"}
-        for key in obj:
-            if key not in known:
-                raise ConfigError(f"unknown config field '{key}'")
-        def convert(field_name, fn):
-            try:
-                return fn(obj[field_name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad config field '{field_name}': {exc}") from exc
+        return _from_json(cls, obj)
 
-        kwargs = {}
-        if "visual_dims" in obj:
-            kwargs["visual_dims"] = convert("visual_dims", lambda v: [int(x) for x in v])
-        if "audio_dims" in obj:
-            kwargs["audio_dims"] = convert("audio_dims", lambda v: [int(x) for x in v])
-        if "text" in obj:
-            kwargs["text"] = convert("text", lambda v: TextConfig(**v))
-        if "fusion" in obj:
 
-            def make_fusion(v):
-                f = dict(v)
-                if "r" in f:
-                    f["rank"] = f.pop("r")
-                return FusionConfig(**f)
+# What a JSON value must be, per field annotation; a bool is not a number here.
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "list[int]": (lambda v: type(v) is list and all(type(x) is int for x in v),
+                  "a list of integers"),
+}
 
-            kwargs["fusion"] = convert("fusion", make_fusion)
-        if "heads" in obj:
-            kwargs["heads"] = convert("heads", int)
-        if "tt" in obj:
-            kwargs["tt"] = convert("tt", lambda v: TTConfig(**v))
-        if "seed" in obj:
-            kwargs["seed"] = convert("seed", int)
-        return cls(**kwargs)
+
+def _from_json(cls, obj, prefix: str = ""):
+    """Config dataclass `cls` from its JSON object: sections recurse, and
+    every other value must match its field's annotation (ConfigError names
+    the field).  `FusionConfig.rank` is spelled "r" in JSON."""
+    if not isinstance(obj, dict):
+        where = f"field '{prefix[:-1]}'" if prefix else "config"
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r:.40}")
+    by_key = {"r" if f.name == "rank" else f.name: f for f in fields(cls)}
+    kwargs = {}
+    for key, value in obj.items():
+        name = prefix + key
+        if key not in by_key:
+            raise ConfigError(f"unknown config field '{name}'")
+        f = by_key[key]
+        if is_dataclass(f.default_factory):
+            kwargs[f.name] = _from_json(f.default_factory, value, name + ".")
+            continue
+        check, want = _JSON_TYPES[f.type]
+        if not check(value):
+            raise ConfigError(f"field '{name}' must be {want}, got {value!r:.40}")
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def default_config() -> ModelConfig:
@@ -168,28 +187,6 @@ class TOMFNModel:
                     yield f"{name}/core{k}", core
             else:
                 yield name, w
-
-    def text_encoder(self) -> TextEncoder:
-        heads = [
-            AttentionHead(
-                self.weights[f"text.head{h}.q"],
-                self.weights[f"text.head{h}.k"],
-                self.weights[f"text.head{h}.v"],
-            )
-            for h in range(self.config.text.heads)
-        ]
-        return TextEncoder(heads=heads, ff=self.weights["text.ff"], pooling=self.config.text.pooling)
-
-    def fusion_layer(self) -> LMFLayer:
-        cfg = self.config.fusion
-        return LMFLayer(
-            fusion_rank=cfg.rank,
-            out_dim=cfg.d_h,
-            factors={
-                m: [self.weights[f"fusion.{m}.{i}"] for i in range(cfg.rank)]
-                for m in ("v", "a", "t")
-            },
-        )
 
 
 def _glorot(rng, fan_out: int, fan_in: int, shape) -> np.ndarray:
@@ -397,16 +394,6 @@ def loss_and_grad(model: TOMFNModel, visual, audio, text, labels):
     grads = {key: v.grad if v.grad is not None else np.zeros_like(v.value)
              for key, v in graph.leaves.items()}
     return float(loss.value), grads
-
-
-def grad(model: TOMFNModel, batch) -> dict:
-    """Gradients for a batch given as a Dataset or a dict of arrays."""
-    if hasattr(batch, "visual"):
-        v, a, t, y = batch.visual, batch.audio, batch.text, batch.labels
-    else:
-        v, a, t, y = batch["visual"], batch["audio"], batch["text"], batch["labels"]
-    _, grads = loss_and_grad(model, v, a, t, y)
-    return grads
 
 
 def batch_loss(model: TOMFNModel, visual, audio, text, labels) -> float:

@@ -115,13 +115,6 @@ def _apply_meshes(nets: list[MeshNetlist], x: np.ndarray) -> np.ndarray:
     return y
 
 
-def mesh_apply(net: MeshNetlist, x: np.ndarray) -> np.ndarray:
-    """Run an N-vector (or the columns of an N x C matrix) through the mesh."""
-    if x.shape[0] != net.size:
-        raise ShapeError(f"input length {x.shape[0]} != mesh size {net.size}")
-    return _apply_meshes([net], x.reshape(1, net.size, -1)).reshape(x.shape)
-
-
 def mesh_matrix(net: MeshNetlist) -> np.ndarray:
     """The matrix the netlist realizes (mesh applied to identity columns)."""
     return _apply_meshes([net], np.eye(net.size)[None])[0]
@@ -218,11 +211,13 @@ def givens_decompose(u: np.ndarray) -> list[MeshNetlist]:
 
 
 def check_noise(phase_sigma: float, bits: int):
-    """Phase noise needs a finite phase_sigma >= 0 and bits >= 0 (NaN fails both)."""
+    """Phase noise needs a finite phase_sigma >= 0 and 0 <= bits <= 53 (NaN
+    fails both).  From 54 bits on, the 2*pi / 2**bits grid is finer than the
+    float64 spacing of angles near pi, so quantizing would mean nothing."""
     if not 0 <= phase_sigma < math.inf:
         raise ShapeError(f"phase_sigma must be a finite number >= 0, got {phase_sigma}")
-    if not bits >= 0:
-        raise ShapeError(f"bits must be >= 0, got {bits}")
+    if not 0 <= bits <= 53:
+        raise ShapeError(f"bits must be between 0 and 53, got {bits}")
 
 
 def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seed: int) -> MeshNetlist:

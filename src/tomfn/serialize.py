@@ -3,7 +3,8 @@
 A dense tensor serializes as {"shape": [...], "data": [...]} (row-major),
 a TT weight as {"row_modes": ..., "col_modes": ..., "ranks": ..., "cores":
 [tensor, ...]}; a weights file is a flat name -> weight map.  Writes go
-through a temp file and rename so readers never see partial output.
+through a temp file and rename so readers never see partial output; the
+file gets the mode the umask allows, as with a plain open().
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ def dump_json(obj, path: str):
         with os.fdopen(fd, "w") as f:
             json.dump(obj, f, sort_keys=True, indent=1)
             f.write("\n")
+        # mkstemp creates the file 0600; give it the mode open() would have.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,4 +1,4 @@
-"""Dense tensor kernels shared by every other module.
+"""Dense tensors: coercion and the JSON encoding.
 
 All values are float64 numpy arrays in row-major (C) order; the flat
 row-major layout is also the on-disk layout, so decoding never reorders
@@ -26,19 +26,6 @@ def as_tensor(data, shape=None) -> np.ndarray:
             raise ShapeError(f"cannot view {t.size} elements as shape {list(shape)}")
         t = t.reshape(shape)
     return np.ascontiguousarray(t)
-
-
-def row_softmax(m: np.ndarray) -> np.ndarray:
-    """Softmax applied independently to each row of a matrix."""
-    if m.ndim != 2:
-        raise ShapeError("row_softmax takes a 2-way tensor")
-    e = np.exp(m - np.max(m, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
-def relu(v: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(v, 0.0)
 
 
 def to_json_obj(t: np.ndarray) -> dict:

@@ -1,121 +1,150 @@
+"""The shipped text stage (`model._Graph._encode_text`) against explicit-loop attention."""
+
 import numpy as np
 import pytest
 
-from tomfn.attention import AttentionHead, TextEncoder, encode_text, scaled_dot_attention
-from tomfn.errors import ShapeError
-from tomfn.tensor import relu
+from tomfn import model as M
+from tomfn.errors import ConfigError, ShapeError
+
+from oracles import encode_text, graph_encode_text, relu
 
 
-def make_encoder(rng, d_model=6, n_heads=2, d_out=4, pooling="mean"):
-    d_head = d_model // n_heads
-    heads = [
-        AttentionHead(*(rng.normal(size=(d_model, d_head)) for _ in range(3)))
-        for _ in range(n_heads)
-    ]
-    return TextEncoder(heads=heads, ff=rng.normal(size=(d_model, d_out)), pooling=pooling)
+def text_model(seed=0, d_model=6, n_heads=2, d_out=4, seq_len=5, pooling="mean"):
+    cfg = M.ModelConfig(
+        visual_dims=[2, 2], audio_dims=[2, 2],
+        text=M.TextConfig(d_model=d_model, heads=n_heads, d_head=d_model // n_heads,
+                          d_out=d_out, seq_len=seq_len, pooling=pooling),
+        fusion=M.FusionConfig(rank=1, d_h=2), heads=1,
+        tt=M.TTConfig(visual=False, audio=False, text=False, fusion=False, class_heads=False),
+        seed=seed,
+    )
+    return M.build(cfg)
+
+
+def heads_of(model):
+    w = model.weights
+    return [tuple(w[f"text.head{h}.{p}"] for p in "qkv") for h in range(model.config.text.heads)]
+
+
+def oracle(model, x):
+    return encode_text(x, heads_of(model), model.weights["text.ff"], model.config.text.pooling)
+
+
+def values_mixed(model, x, mix):
+    # The features of a token whose attention weights are `mix` in every head.
+    vees = np.concatenate([mix @ (x @ w_v) for _, _, w_v in heads_of(model)])
+    return relu(vees @ model.weights["text.ff"])
 
 
 def test_single_row_passthrough():
+    # One token attends only to itself, so queries and keys cannot matter.
     rng = np.random.default_rng(0)
-    q, k, v = (rng.normal(size=(1, 3)) for _ in range(3))
-    assert np.allclose(scaled_dot_attention(q, k, v), v, atol=1e-15)
+    m = text_model(seed=0, seq_len=1)
+    x = rng.normal(size=(1, 6))
+    z = graph_encode_text(m, x)
+    for h in range(2):
+        m.weights[f"text.head{h}.q"] = 100 * rng.normal(size=(6, 3))
+        m.weights[f"text.head{h}.k"] = np.zeros((6, 3))
+    assert np.allclose(graph_encode_text(m, x), z, atol=1e-15)
 
 
 def test_zero_queries_average_values():
+    # Zero queries give uniform attention: every token mixes to the mean value row.
     rng = np.random.default_rng(1)
-    k, v = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    out = scaled_dot_attention(np.zeros((4, 3)), k, v)
-    assert np.allclose(out, np.broadcast_to(v.mean(axis=0), (4, 3)), atol=1e-12)
+    m = text_model(seed=1)
+    for h in range(2):
+        m.weights[f"text.head{h}.q"] = np.zeros((6, 3))
+    x = rng.normal(size=(4, 6))
+    want = values_mixed(m, x, np.full(4, 0.25))
+    assert np.allclose(graph_encode_text(m, x), want, atol=1e-12)
 
 
 def test_against_triple_loop_oracle():
     rng = np.random.default_rng(2)
-    q, k, v = (rng.normal(size=(3, 2)) for _ in range(3))
-    out = scaled_dot_attention(q, k, v)
-    # Independent oracle: explicit loops and a scalar softmax.
-    expect = np.zeros((3, 2))
-    for i in range(3):
-        scores = np.array([np.dot(q[i], k[j]) / np.sqrt(2.0) for j in range(3)])
-        weights = np.exp(scores - scores.max())
-        weights /= weights.sum()
-        for j in range(3):
-            for c in range(2):
-                expect[i, c] += weights[j] * v[j, c]
-    assert np.allclose(out, expect, atol=1e-12)
+    for pooling in ("mean", "last"):
+        for length in (1, 5, 20):
+            m = text_model(seed=length, seq_len=length, pooling=pooling)
+            for h in range(2):  # larger queries keep the softmax far from uniform
+                m.weights[f"text.head{h}.q"] *= 3.0
+            x = rng.normal(size=(3, length, 6))
+            got = graph_encode_text(m, x)
+            want = np.stack([oracle(m, x[b]) for b in range(3)])
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_rows_are_convex_combinations():
+    # With an identity feed-forward, each feature is relu of a convex mixture
+    # of value rows, so it stays within relu of the value columns' range.
     rng = np.random.default_rng(3)
-    q, k, v = (rng.normal(size=(5, 4)) for _ in range(3))
-    out = scaled_dot_attention(q, k, v)
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+    m = text_model(seed=3, d_out=6, pooling="last")
+    m.weights["text.ff"] = np.eye(6)
+    x = rng.normal(size=(5, 6))
+    vees = np.concatenate([x @ w_v for _, _, w_v in heads_of(m)], axis=1)
+    z = graph_encode_text(m, x)
+    assert np.all(z >= relu(vees.min(axis=0)) - 1e-12)
+    assert np.all(z <= relu(vees.max(axis=0)) + 1e-12)
 
 
 def test_permutation_equivariance():
+    # Per-token features move with their tokens, so under last pooling
+    # shuffling every token but the last changes nothing.
     rng = np.random.default_rng(4)
-    q, k, v = (rng.normal(size=(6, 3)) for _ in range(3))
-    perm = rng.permutation(6)
-    direct = scaled_dot_attention(q, k, v)[perm]
-    permuted = scaled_dot_attention(q[perm], k[perm], v[perm])
-    assert np.allclose(direct, permuted, atol=1e-12)
+    m = text_model(seed=4, pooling="last")
+    x = rng.normal(size=(6, 6))
+    z = graph_encode_text(m, x)
+    for _ in range(5):
+        order = np.append(rng.permutation(5), 5)
+        assert np.allclose(graph_encode_text(m, x[order]), z, atol=1e-12)
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ShapeError):
-        scaled_dot_attention(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 3)))
+    # A sequence must hold exactly text.seq_len tokens.
+    m = text_model(seq_len=5)
+    with pytest.raises(ShapeError, match="text"):
+        M.forward_batch(m, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 4, 6)))
 
 
 def test_encode_single_token_closed_form():
     rng = np.random.default_rng(5)
-    enc = make_encoder(rng)
-    x = rng.normal(size=(1, 6))
-    z = encode_text(enc, x)
-    vees = np.concatenate([x[0] @ h.w_v for h in enc.heads])
-    assert np.allclose(z, relu(vees @ enc.ff), atol=1e-12)
+    for pooling in ("mean", "last"):
+        m = text_model(seed=5, seq_len=1, pooling=pooling)
+        x = rng.normal(size=(1, 6))
+        assert np.allclose(graph_encode_text(m, x), values_mixed(m, x, np.ones(1)), atol=1e-12)
 
 
 def test_output_width_follows_ff():
     rng = np.random.default_rng(6)
-    enc = make_encoder(rng, d_out=4)
+    m = text_model(seed=6, d_out=4)
     for length in (1, 5, 20):
-        z = encode_text(enc, rng.normal(size=(length, 6)))
-        assert z.shape == (4,)
+        assert graph_encode_text(m, rng.normal(size=(2, length, 6))).shape == (2, 4)
 
 
 def test_mean_pooling_permutation_invariant():
     rng = np.random.default_rng(7)
-    enc = make_encoder(rng)
+    m = text_model(seed=7, pooling="mean")
     x = rng.normal(size=(8, 6))
-    z = encode_text(enc, x)
+    z = graph_encode_text(m, x)
     for _ in range(5):
-        z_perm = encode_text(enc, x[rng.permutation(8)])
-        assert np.allclose(z, z_perm, atol=1e-12)
+        assert np.allclose(graph_encode_text(m, x[rng.permutation(8)]), z, atol=1e-12)
 
 
 def test_last_pooling():
+    # Last pooling keeps the last token's features, so it is order-sensitive:
+    # reversing the sequence puts another token last.
     rng = np.random.default_rng(8)
-    enc = make_encoder(rng, pooling="last")
+    m = text_model(seed=8, pooling="last")
     x = rng.normal(size=(4, 6))
-    z = encode_text(enc, x)
-    # Isolate the expected last row via the mean-pooled L=1 behaviour of the
-    # full sequence: recompute features directly.
-    heads_out = []
-    for h in enc.heads:
-        heads_out.append(scaled_dot_attention(x @ h.w_q, x @ h.w_k, x @ h.w_v))
-    feats = relu(np.concatenate(heads_out, axis=1) @ enc.ff)
-    assert np.allclose(z, feats[-1], atol=1e-12)
+    z = graph_encode_text(m, x)
+    assert np.allclose(z, oracle(m, x), atol=1e-12)
+    assert np.max(np.abs(graph_encode_text(m, x[::-1].copy()) - z)) > 1e-3
 
 
 def test_head_width_must_restore_model_width():
-    rng = np.random.default_rng(9)
-    heads = [AttentionHead(*(rng.normal(size=(6, 2)) for _ in range(3)))]
-    with pytest.raises(ShapeError):
-        TextEncoder(heads=heads, ff=rng.normal(size=(6, 4)))
+    with pytest.raises(ConfigError, match="d_model"):
+        M.ModelConfig.from_dict({"text": {"d_model": 6, "heads": 1, "d_head": 2}})
 
 
 def test_token_width_checked():
-    rng = np.random.default_rng(10)
-    enc = make_encoder(rng)
-    with pytest.raises(ShapeError):
-        encode_text(enc, rng.normal(size=(3, 5)))
+    m = text_model(seq_len=3)
+    with pytest.raises(ShapeError, match="text"):
+        M.forward_batch(m, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 3, 5)))

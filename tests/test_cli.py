@@ -1,4 +1,7 @@
 import json
+import os
+import pathlib
+import stat
 import subprocess
 import sys
 
@@ -139,6 +142,63 @@ def test_describe_max_factor_below_2_exits_2(tmp_path, capsys, max_factor):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("tt", "max_factor", "x"), ("fusion", "r", 1.5), ("tt", "max_rank", None),
+    (None, "heads", True), (None, "visual_dims", [80.7, 32]),
+], ids=["max_factor_str", "r_float", "max_rank_null", "heads_bool", "visual_dims_floats"])
+def test_describe_wrong_json_type_exits_2(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(TINY))
+    (cfg[section] if section else cfg)[key] = value
+    path = tmp_path / "cfg.json"
+    dump_json(cfg, str(path))
+    capsys.readouterr()
+    assert run(["describe", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn describe: config: ") and key in err
+    assert err.count("\n") == 1
+
+
+# Per leaf field of TINY: its type (int unless listed), wrong-typed JSON
+# values per type, and out-of-range values.
+KIND = {"visual_dims": "list[int]", "audio_dims": "list[int]", "text.pooling": "str",
+        "tt.tol": "float",
+        **{f"tt.{flag}": "bool" for flag in ("visual", "audio", "text", "fusion", "class_heads")}}
+WRONG_TYPE = {
+    "int": ["x", 1.5, None, True, [1], {"n": 1}],
+    "float": ["0", None, True, [0.0]],
+    "bool": [1, 0, "true", None],
+    "str": [1, None, ["mean"]],
+    "list[int]": ["oops", 5, None, [8.5, 4], [True, 4], [[8], 4], {"0": 8}],
+}
+OUT_OF_RANGE = {
+    "visual_dims": [[8], [0, 4], [8, -4]], "audio_dims": [[], [6, 0]],
+    "text.d_model": [0, -8], "text.heads": [0, -2], "text.d_head": [0, -4],
+    "text.d_out": [0, -1], "text.seq_len": [0, -3], "text.pooling": ["max", ""],
+    "fusion.r": [0, -1], "fusion.d_h": [0], "heads": [0, -4], "seed": [-1],
+    "tt.max_rank": [0, -1], "tt.tol": [-0.5, float("nan"), float("inf")],
+    "tt.max_factor": [1, 0, -8],
+}
+
+
+def test_describe_config_fuzz_exits_2(tmp_path, capsys):
+    fields = sorted(set(OUT_OF_RANGE) | set(KIND))
+    rng = np.random.default_rng(2468)
+    path = tmp_path / "cfg.json"
+    for _ in range(60):
+        name = fields[rng.integers(len(fields))]
+        pool = WRONG_TYPE[KIND.get(name, "int")] + OUT_OF_RANGE.get(name, [])
+        value = pool[rng.integers(len(pool))]
+        cfg = json.loads(json.dumps(TINY))
+        *section, key = name.split(".")
+        (cfg[section[0]] if section else cfg)[key] = value
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(["describe", "--config", str(path)]) == 2, (name, value)
+        err = capsys.readouterr().err
+        assert err.startswith("tomfn describe: config: ") and err.count("\n") == 1, (name, value)
+        assert "Traceback" not in err
+
+
 # --- train / eval ---------------------------------------------------------------
 
 
@@ -211,6 +271,17 @@ def test_compile_bundle_summary(tmp_path, tiny_config, capsys):
     assert doc["summary"]["wdm_channels"] == 1
     assert doc["summary"]["mzis"] > 0
     assert "plans" in doc and "visual.fc0" in doc["plans"]
+
+
+def test_compile_out_follows_umask(tmp_path, tiny_config):
+    for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+        out = tmp_path / f"bundle_{mode:o}.json"
+        previous = os.umask(umask)
+        try:
+            assert run(["compile", "--config", tiny_config, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 def test_compile_oversized_dense_exits_4(tmp_path, capsys):
@@ -319,8 +390,9 @@ def test_simulate_dim_mismatch_exits_5(tmp_path, tiny_config):
 
 @pytest.mark.parametrize("flags", [
     ["--phase-sigma", "-0.1"], ["--phase-sigma", "nan"], ["--phase-sigma", "inf"],
-    ["--bits", "-2"], ["--trials", "-1"],
-], ids=["sigma_negative", "sigma_nan", "sigma_inf", "bits_negative", "trials_negative"])
+    ["--bits", "-2"], ["--trials", "-1"], ["--bits", "54"], ["--bits", "1100"],
+], ids=["sigma_negative", "sigma_nan", "sigma_inf", "bits_negative", "trials_negative",
+        "bits_54", "bits_1100"])
 def test_simulate_bad_noise_exits_5(tmp_path, tiny_config, capsys, flags):
     weights = make_trained(tmp_path, tiny_config)
     ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
@@ -414,10 +486,12 @@ def test_env_seed_fallback(tmp_path, tiny_config, monkeypatch):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "r.json"
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tomfn.cli", "describe", "--power-override", "79.87",
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "Efficiency" in proc.stdout

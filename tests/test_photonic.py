@@ -18,7 +18,7 @@ def rotation(alpha):
     return np.array([[c, -s], [s, c]])
 
 
-# --- givens_decompose / mesh_apply ----------------------------------------------
+# --- givens_decompose / mesh_matrix ---------------------------------------------
 
 
 def test_identity_mesh():
@@ -88,15 +88,7 @@ def test_norm_preservation():
     net = P.givens_decompose(u[None])[0]
     for _ in range(10):
         x = rng.normal(size=7)
-        assert abs(np.linalg.norm(P.mesh_apply(net, x)) - np.linalg.norm(x)) < 1e-12
-
-
-def test_mesh_apply_matches_matvec():
-    rng = np.random.default_rng(4)
-    u = random_orthogonal(rng, 5)
-    net = P.givens_decompose(u[None])[0]
-    x = rng.normal(size=5)
-    assert np.allclose(P.mesh_apply(net, x), u @ x, atol=1e-10)
+        assert abs(np.linalg.norm(P.mesh_matrix(net) @ x) - np.linalg.norm(x)) < 1e-12
 
 
 def test_rejects_non_orthogonal():
@@ -235,7 +227,9 @@ def test_perturb_matches_per_mzi_draws():
     assert np.array_equal(got.col, net.col) and np.array_equal(got.row, net.row)
 
 
-@pytest.mark.parametrize("sigma, bits", [(-0.1, 0), (float("nan"), 0), (float("inf"), 0), (0.01, -2)])
+@pytest.mark.parametrize("sigma, bits", [
+    (-0.1, 0), (float("nan"), 0), (float("inf"), 0), (0.01, -2), (0.01, 54), (0.0, 1100),
+])
 def test_perturb_rejects_bad_noise(sigma, bits):
     net = P.givens_decompose(np.eye(3)[None])[0]
     with pytest.raises(ShapeError):
@@ -251,7 +245,7 @@ def test_perturb_deterministic_and_error_grows():
     for sigma in (0.001, 0.01, 0.1):
         p1 = P.perturb(net, sigma, 0, seed=42)
         p2 = P.perturb(net, sigma, 0, seed=42)
-        y1, y2 = P.mesh_apply(p1, x), P.mesh_apply(p2, x)
+        y1, y2 = P.mesh_matrix(p1) @ x, P.mesh_matrix(p2) @ x
         assert np.array_equal(y1, y2)
         errs.append(np.max(np.abs(y1 - u @ x)))
     assert errs[0] < errs[-1]
@@ -398,12 +392,6 @@ def test_netlist_serialization_roundtrip():
     net = P.givens_decompose(u[None])[0]
     back = P.netlist_from_obj(P.netlist_to_obj(net))
     assert np.allclose(P.mesh_matrix(back), P.mesh_matrix(net), atol=0)
-
-
-def test_mesh_apply_length_check():
-    net = P.givens_decompose(np.eye(3)[None])[0]
-    with pytest.raises(ShapeError):
-        P.mesh_apply(net, np.zeros(4))
 
 
 # --- whole-model compile + realize -------------------------------------------------

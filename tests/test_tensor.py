@@ -5,14 +5,6 @@ from tomfn import tensor
 from tomfn.errors import ShapeError
 
 
-def test_relu():
-    assert np.array_equal(tensor.relu(tensor.as_tensor([-1, 0, 2])), [0, 0, 2])
-    v = tensor.as_tensor([0.5, 3.0])
-    assert np.array_equal(tensor.relu(v), v)
-    w = tensor.as_tensor([-2.0, 1.0, -0.5])
-    assert np.array_equal(tensor.relu(tensor.relu(w)), tensor.relu(w))
-
-
 def test_json_roundtrip():
     rng = np.random.default_rng(5)
     t = rng.normal(size=(2, 3, 4))
