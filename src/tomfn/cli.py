@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 compile/weights error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -53,14 +54,20 @@ def _manifest(args, command: str, seed) -> dict:
 
 
 def _resolve_seed(args, config) -> int:
+    """--seed, else $TOMFN_SEED, else the config's seed; numpy seeds are >= 0."""
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise CliError(EXIT_CONFIG, f"--seed must be >= 0, got {args.seed}")
         return args.seed
     env = os.environ.get("TOMFN_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise CliError(EXIT_CONFIG, f"TOMFN_SEED must be an integer, got '{env}'") from exc
+            seed = int(env)
+        except ValueError:
+            seed = None
+        if seed is None or seed < 0:
+            raise CliError(EXIT_CONFIG, f"TOMFN_SEED must be an integer >= 0, got '{env}'")
+        return seed
     return config.seed if config is not None else 0
 
 
@@ -156,9 +163,7 @@ def _emit(obj: dict, out_path: str | None):
     if out_path:
         serialize.dump_json(obj, out_path)
     else:
-        import json
-
-        print(json.dumps(obj, sort_keys=True, indent=1))
+        print(serialize.dumps(obj))
 
 
 # --- commands ------------------------------------------------------------------
@@ -204,7 +209,19 @@ def cmd_describe(args) -> int:
     return 0
 
 
+def _check_train_args(args):
+    if args.batch < 1:
+        raise CliError(EXIT_CONFIG, f"--batch must be >= 1, got {args.batch}")
+    if args.epochs < 0:
+        raise CliError(EXIT_CONFIG, f"--epochs must be >= 0, got {args.epochs}")
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise CliError(EXIT_CONFIG, f"--lr must be finite and > 0, got {args.lr}")
+    if args.target_acc is not None and not 0.0 <= args.target_acc <= 1.0:
+        raise CliError(EXIT_CONFIG, f"--target-acc must lie in [0, 1], got {args.target_acc}")
+
+
 def cmd_train(args) -> int:
+    _check_train_args(args)
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     dataset = _load_dataset(args, config, seed)

@@ -567,8 +567,12 @@ def _list(value, what: str, length: int | None = None) -> list:
 
 def _number(value, what: str) -> float:
     """A finite JSON number as float; anything else is a DataError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise DataError(f"{what} must be a finite number, got {value!r}")
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise DataError(f"{what} must be a finite number, got {value!r:.40}")
     return float(value)
 
 
@@ -610,8 +614,9 @@ def _triple_to_obj(tr: SVDTriple) -> dict:
 
 def _check_size(obj: dict, m: int, n: int, what: str):
     """A core or triple must have the size (m, n) that its plan's modes give."""
-    if (_get(obj, "m", what), _get(obj, "n", what)) != (m, n):
-        raise DataError(f"{what} is {obj['m']}x{obj['n']} where the plan's modes give {m}x{n}")
+    got = tuple(_index(_get(obj, key, what), 1, math.inf, f"{what} {key}") for key in "mn")
+    if got != (m, n):
+        raise DataError(f"{what} is {got[0]}x{got[1]} where the plan's modes give {m}x{n}")
 
 
 def _triple_from_obj(obj: dict, m: int, n: int) -> SVDTriple:

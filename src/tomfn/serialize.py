@@ -2,7 +2,8 @@
 
 A dense tensor serializes as {"shape": [...], "data": [...]} (row-major),
 a TT weight as {"row_modes": ..., "col_modes": ..., "ranks": ..., "cores":
-[tensor, ...]}; a weights file is a flat name -> weight map.  Writes go
+[tensor, ...]}; a weights file is a flat name -> weight map.  Every JSON
+text tomfn writes comes from `dumps`: compact, keys sorted.  Writes go
 through a temp file and rename so readers never see partial output; the
 file gets the mode the umask allows, as with a plain open().
 """
@@ -19,13 +20,24 @@ from . import tensor, tt as tt_mod
 from .errors import DataError
 
 
+def dumps(obj) -> str:
+    """One line of JSON, keys sorted for stable bytes and no whitespace.
+
+    Only `json.dumps` of a flat layout runs on CPython's C encoder;
+    `json.dump` to a file, or a pretty-printed layout, falls back to the
+    pure-Python encoder, which is several times slower on a compiled bundle.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def dump_json(obj, path: str):
-    """Write JSON atomically (temp file + rename), keys sorted for stable bytes."""
+    """Write `dumps(obj)` and a newline atomically (temp file + rename)."""
+    text = dumps(obj)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(obj, f, sort_keys=True, indent=1)
+            f.write(text)
             f.write("\n")
         # mkstemp creates the file 0600; give it the mode open() would have.
         umask = os.umask(0)

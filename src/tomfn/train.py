@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
+from . import serialize
 from .errors import DataError, ShapeError
 from .model import EMOTIONS, TOMFNModel
 
@@ -130,7 +131,7 @@ def save_jsonl(ds: Dataset, path: str):
                 "text": ds.text[i].tolist(),
                 "labels": ds.labels[i].tolist(),
             }
-            f.write(json.dumps(rec) + "\n")
+            f.write(serialize.dumps(rec) + "\n")
 
 
 def load_jsonl(path: str) -> Dataset:

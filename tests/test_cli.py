@@ -10,6 +10,7 @@ import pytest
 
 from tomfn import cli
 from tomfn import model as M
+from tomfn import photonic
 from tomfn import train as T
 from tomfn import tt as tt_mod
 from tomfn.serialize import dump_json, load_json
@@ -99,6 +100,19 @@ def test_describe_deterministic_apart_from_timestamp(tmp_path):
     run(["describe", "--power-override", "79.87", "--out", str(a)])
     run(["describe", "--power-override", "79.87", "--out", str(b)])
     assert strip_timestamp(load_json(str(a))) == strip_timestamp(load_json(str(b)))
+
+
+def test_describe_stdout_is_the_out_text(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["describe", "--power-override", "79.87", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["describe", "--power-override", "79.87"]) == 0
+    printed = capsys.readouterr().out
+    line, table = printed.split("\n", 1)
+    assert "Efficiency" in table
+    text = out.read_text()
+    stamps = [json.loads(t)["manifest"]["timestamp"] for t in (line, text)]
+    assert line.replace(stamps[0], "T") + "\n" == text.replace(stamps[1], "T")
 
 
 def test_describe_counts_without_decomposing(tmp_path, monkeypatch):
@@ -226,6 +240,26 @@ def test_train_zero_epochs_keeps_initialization(tmp_path, tiny_config):
         assert np.allclose(stored[name]["data"], np.ravel(w), atol=0)
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["--seed", "-1"], None), ([], "-3"), (["--batch", "0"], None), (["--batch", "-3"], None),
+    (["--lr", "nan"], None), (["--lr", "inf"], None), (["--lr", "0"], None),
+    (["--lr", "-0.01"], None), (["--epochs", "-1"], None), (["--target-acc", "nan"], None),
+    (["--target-acc", "1.5"], None), (["--target-acc", "-0.1"], None),
+], ids=["seed_negative", "env_seed_negative", "batch_0", "batch_negative", "lr_nan", "lr_inf",
+        "lr_0", "lr_negative", "epochs_negative", "target_acc_nan", "target_acc_above_1",
+        "target_acc_negative"])
+def test_train_bad_args_exit_2(tmp_path, tiny_config, capsys, monkeypatch, flags, env):
+    if env is not None:
+        monkeypatch.setenv("TOMFN_SEED", env)
+    metrics = tmp_path / "m.json"
+    capsys.readouterr()
+    assert run(["train", "--config", tiny_config, "--synthetic", "n=8,L=3", "--epochs", "1",
+                "--metrics-out", str(metrics), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn train: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not metrics.exists()
+
+
 def test_train_missing_data_exits_3(tiny_config):
     assert run(["train", "--config", tiny_config, "--data", "/missing.jsonl"]) == 3
 
@@ -271,6 +305,19 @@ def test_compile_bundle_summary(tmp_path, tiny_config, capsys):
     assert doc["summary"]["wdm_channels"] == 1
     assert doc["summary"]["mzis"] > 0
     assert "plans" in doc and "visual.fc0" in doc["plans"]
+
+
+def test_compile_default_bundle_is_compact_and_exact(tmp_path):
+    out = tmp_path / "bundle.json"
+    assert run(["compile", "--out", str(out)]) == 0
+    assert out.stat().st_size <= 2_000_000
+    from_file = photonic.realize(photonic.bundle_from_obj(load_json(str(out))))
+    in_process = photonic.realize(photonic.compile_model(M.build(M.default_config())))
+    assert sorted(from_file.weights) == sorted(in_process.weights)
+    for name, w in in_process.weights.items():
+        got = from_file.weights[name]
+        for a, b in zip(getattr(got, "cores", [got]), getattr(w, "cores", [w])):
+            assert np.array_equal(a, b), name
 
 
 def test_compile_out_follows_umask(tmp_path, tiny_config):
@@ -431,7 +478,7 @@ def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect
 @pytest.mark.parametrize("defect", [
     "theta_not_a_number", "row_out_of_range", "diag_too_short", "columns_not_a_list",
     "plans_a_list", "diag_not_a_list", "ranks_not_a_list", "plans_empty", "plan_too_small",
-    "mode_above_cap", "triples_missing",
+    "mode_above_cap", "triples_missing", "core_size_a_float", "theta_huge_integer",
 ])
 def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     weights = make_trained(tmp_path, tiny_config)
@@ -461,6 +508,10 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
         plan["row_modes"] = [10**9]
     elif defect == "triples_missing":
         plan["cores"][0]["triples"] = []
+    elif defect == "core_size_a_float":
+        plan["cores"][0]["m"] = 4.0
+    elif defect == "theta_huge_integer":
+        mzi["theta"] = 10**400  # no float holds it
     else:  # a self-consistent plan of another weight (head.0, 2x4) where 4x8 is needed
         doc["plans"]["visual.fc0"] = doc["plans"]["head.0"]
     dump_json(doc, str(bundle))
@@ -471,6 +522,78 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1
+
+
+def _bundle_fields(node, path=(), label=""):
+    """(label, path) of every value in a bundle that bundle_from_obj reads.
+
+    The label names the field with list indices as [] and weight names as
+    *, so a draw can pick a field first and then one of its occurrences.
+    """
+    if path:
+        yield label, path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            if key in ("summary", "manifest", "wdm_channels"):
+                continue
+            part = "*" if label == "plans" else key
+            yield from _bundle_fields(child, path + (key,), f"{label}.{part}" if label else part)
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _bundle_fields(child, path + (i,), label + "[]")
+
+
+def _wrong_json_types(value):
+    """Values of JSON types a field holding `value` does not accept; an
+    integer field also refuses the same number as a float, and a float
+    field is not offered an int, which it accepts."""
+    if isinstance(value, bool):
+        return [1, "true", None]
+    if isinstance(value, int):
+        return [float(value), value + 0.5, True, str(value), None, [value]]
+    if isinstance(value, float):
+        return [str(value), True, None, [value], {"x": value}]
+    if isinstance(value, str):
+        return [1, None, [value]]
+    if isinstance(value, list):
+        return [5, "x", None, {"0": value}]
+    return [5, "x", None, [value]]
+
+
+def test_simulate_bundle_fuzz_exits_3(tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY))
+    cfg["tt"].update(visual=True, fusion=True)  # TT plans too: several cores, bond ranks > 1
+    config = tmp_path / "config.json"
+    dump_json(cfg, str(config))
+    bundle = tmp_path / "bundle.json"
+    assert run(["compile", "--config", str(config), "--out", str(bundle)]) == 0
+    text = bundle.read_text()
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(cfg))
+    data = tmp_path / "samples.jsonl"
+    T.save_jsonl(ds, str(data))
+    by_label = {}
+    for label, path in _bundle_fields(json.loads(text)):
+        by_label.setdefault(label, []).append(path)
+    labels = sorted(by_label)
+    rng = np.random.default_rng(1357)
+    for _ in range(60):
+        paths = by_label[labels[rng.integers(len(labels))]]
+        *parents, key = paths[rng.integers(len(paths))]
+        doc = json.loads(text)
+        node = doc
+        for part in parents:
+            node = node[part]
+        pool = _wrong_json_types(node[key])
+        value = pool[rng.integers(len(pool))]
+        node[key] = value
+        dump_json(doc, str(bundle))
+        capsys.readouterr()
+        assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3, (
+            parents, key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1, (
+            parents, key, value)
+        assert "Traceback" not in err
 
 
 # --- seeds and entry point ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -35,6 +36,17 @@ def test_dump_is_stable_bytes(tmp_path):
     S.dump_json(obj, str(a))
     S.dump_json(obj, str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dump_is_compact_sorted_one_line(tmp_path):
+    path = tmp_path / "out.json"
+    obj = {"z": [1.0, -2.5e-17, None], "a": {"y": "t\u00e9xt", "b": True}, "m": 3}
+    S.dump_json(obj, str(path))
+    text = path.read_text()
+    assert path.read_bytes() == (json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                                 + "\n").encode()
+    assert text == S.dumps(obj) + "\n" and text.count("\n") == 1
+    assert S.load_json(str(path)) == obj
 
 
 def test_dump_leaves_no_temp_files(tmp_path):
