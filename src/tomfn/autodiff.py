@@ -82,25 +82,11 @@ def backward(root: Var, seed=None):
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """np.matmul for the shape combinations the model uses."""
+    """np.matmul of two matrices, or of two equal-length stacks of matrices."""
     av, bv = a.value, b.value
-    case = (av.ndim, bv.ndim)
-    if case not in {(2, 2), (2, 1), (1, 2), (3, 2), (3, 3)}:
-        raise ShapeError(f"unsupported matmul arity {case}")
-    out = np.matmul(av, bv)
-
-    def vjp(g):
-        if case == (2, 2):
-            return g @ bv.T, av.T @ g
-        if case == (2, 1):
-            return np.outer(g, bv), av.T @ g
-        if case == (1, 2):
-            return bv @ g, np.outer(av, g)
-        if case == (3, 2):
-            return g @ bv.T, np.einsum("bmk,bmn->kn", av, g)
-        return g @ bv.swapaxes(1, 2), av.swapaxes(1, 2) @ g
-
-    return Var(out, (a, b), vjp)
+    if (av.ndim, bv.ndim) not in {(2, 2), (3, 3)}:
+        raise ShapeError(f"unsupported matmul arity {(av.ndim, bv.ndim)}")
+    return Var(av @ bv, (a, b), lambda g: (g @ bv.swapaxes(-1, -2), av.swapaxes(-1, -2) @ g))
 
 
 def add(a: Var, b: Var) -> Var:

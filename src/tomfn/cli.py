@@ -170,6 +170,9 @@ def _emit(obj: dict, out_path: str | None):
 
 
 def cmd_describe(args) -> int:
+    for option, value in (("--freq", args.freq), ("--power-override", args.power_override)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise CliError(EXIT_CONFIG, f"{option} must be finite and > 0, got {value}")
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     model = model_mod.build(config)
@@ -193,13 +196,12 @@ def cmd_describe(args) -> int:
     if args.compare:
         try:
             ref_obj = serialize.load_json(args.compare)
-        except DataError as exc:
-            raise CliError(EXIT_DATA, str(exc)) from exc
-        if "reference" in ref_obj and "candidate" in ref_obj:
-            comparison = cost_mod.compare(ref_obj["reference"], ref_obj["candidate"])
-        else:
-            candidate = {"params": report.params, "mzis": report.mzis}
-            comparison = cost_mod.compare(ref_obj, candidate)
+            if isinstance(ref_obj, dict) and "reference" in ref_obj and "candidate" in ref_obj:
+                comparison = cost_mod.compare(ref_obj["reference"], ref_obj["candidate"])
+            else:
+                comparison = cost_mod.compare(ref_obj, {"params": report.params, "mzis": report.mzis})
+        except (DataError, ShapeError) as exc:
+            raise CliError(EXIT_DATA, f"--compare: {exc}") from exc
     doc = report.to_obj()
     doc["manifest"] = _manifest(args, "describe", seed)
     if comparison is not None:

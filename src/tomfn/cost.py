@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ShapeError
+from .serialize import field, number
 
 #: Published figures for the reference designs this toolkit is compared
 #: against.  These are external reference values: they depend on training
@@ -94,14 +95,16 @@ def ratio_text(r: float) -> str:
 
 
 def compare(reference: dict, candidate: dict) -> dict:
-    """Reduction ratios reference/candidate for params and MZIs."""
-    for key in ("params", "mzis"):
-        if candidate.get(key, 0) <= 0:
-            raise ShapeError(f"candidate {key} must be positive")
-        if key not in reference:
-            raise ShapeError(f"reference report lacks '{key}'")
-    param_ratio = reference["params"] / candidate["params"]
-    mzi_ratio = reference["mzis"] / candidate["mzis"]
+    """Reduction ratios reference/candidate for params and MZIs, each count a finite
+    JSON number (else DataError) above 0, with a finite ratio (else ShapeError)."""
+    def ratio(key: str) -> float:
+        ref, cand = (number(field(report, key, f"{side} report"), f"{side} {key}")
+                     for side, report in (("reference", reference), ("candidate", candidate)))
+        if min(ref, cand) <= 0 or not np.isfinite(ref / cand):
+            raise ShapeError(f"{key} counts must be positive with a finite ratio: {ref}, {cand}")
+        return ref / cand
+
+    param_ratio, mzi_ratio = ratio("params"), ratio("mzis")
     return {
         "param_ratio": param_ratio,
         "mzi_ratio": mzi_ratio,

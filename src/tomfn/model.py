@@ -42,7 +42,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tt as tt_mod
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
+from .serialize import flag, integer, integers, number, string
 
 EMOTIONS = ("happy", "sad", "angry", "neutral")
 
@@ -131,15 +132,8 @@ class ModelConfig:
         return _from_json(cls, obj)
 
 
-# What a JSON value must be, per field annotation; a bool is not a number here.
-_JSON_TYPES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) in (int, float), "a number"),
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "str": (lambda v: type(v) is str, "a string"),
-    "list[int]": (lambda v: type(v) is list and all(type(x) is int for x in v),
-                  "a list of integers"),
-}
+# The validator a JSON value goes through, per field annotation.
+_JSON_TYPES = {"int": integer, "float": number, "bool": flag, "str": string, "list[int]": integers}
 
 
 def _from_json(cls, obj, prefix: str = ""):
@@ -159,10 +153,11 @@ def _from_json(cls, obj, prefix: str = ""):
         if is_dataclass(f.default_factory):
             kwargs[f.name] = _from_json(f.default_factory, value, name + ".")
             continue
-        check, want = _JSON_TYPES[f.type]
-        if not check(value):
-            raise ConfigError(f"field '{name}' must be {want}, got {value!r:.40}")
-        kwargs[f.name] = value
+        try:
+            _JSON_TYPES[f.type](value, f"field '{name}'")
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+        kwargs[f.name] = value  # as written, so a config re-written from it keeps its bytes
     return cls(**kwargs)
 
 
@@ -211,39 +206,21 @@ def _to_tt_operator(w_op: np.ndarray, tt_cfg: TTConfig) -> tt_mod.TTMatrix:
 
 
 def build(config: ModelConfig) -> TOMFNModel:
-    """Initialize all weights (Glorot-uniform, seeded), then tensorize flagged blocks.
-
-    The dense draw happens first in a fixed order, so a TT model and a dense
-    model from the same seed start from identical matrices.
-    """
+    """Draw every weight of `block_dims`, in its order (Glorot-uniform, seeded), and
+    tensorize the flagged blocks.  ROW_APPLIED dense weights are drawn (in, out),
+    the rest (out, in); the TT-SVD draws nothing, so a TT and a dense model from
+    the same seed start from identical matrices."""
     rng = np.random.default_rng(config.seed)
-    w: dict = {}
-    for stack, dims in (("visual", config.visual_dims), ("audio", config.audio_dims)):
-        for k in range(len(dims) - 1):
-            w[f"{stack}.fc{k}"] = _glorot(rng, dims[k + 1], dims[k], (dims[k + 1], dims[k]))
-    t = config.text
-    for h in range(t.heads):
-        for part in ("q", "k", "v"):
-            w[f"text.head{h}.{part}"] = _glorot(rng, t.d_head, t.d_model, (t.d_model, t.d_head))
-    w["text.ff"] = _glorot(rng, t.d_out, t.d_model, (t.d_model, t.d_out))
-    dims_in = {"v": config.visual_dims[-1], "a": config.audio_dims[-1], "t": t.d_out}
-    for m in ("v", "a", "t"):
-        for i in range(config.fusion.rank):
-            d_in = dims_in[m] + 1
-            w[f"fusion.{m}.{i}"] = _glorot(
-                rng, config.fusion.d_h, d_in, (config.fusion.d_h, d_in)
-            )
-    for j in range(config.heads):
-        w[f"head.{j}"] = _glorot(rng, 2, config.fusion.d_h, (config.fusion.d_h, 2))
-
     tt_cfg = config.tt
     flags = {"visual": tt_cfg.visual, "audio": tt_cfg.audio, "text": tt_cfg.text,
              "fusion": tt_cfg.fusion, "head": tt_cfg.class_heads}
-    for name in w:
+    w: dict = {}
+    for name, (out_dim, in_dim) in block_dims(config).items():
+        row_applied = name.startswith(ROW_APPLIED)
+        w[name] = _glorot(rng, out_dim, in_dim, (in_dim, out_dim) if row_applied else (out_dim, in_dim))
         if flags[name.split(".")[0]]:
             # TT weights are always (out, in) operators.
-            op = w[name].T if name.startswith(ROW_APPLIED) else w[name]
-            w[name] = _to_tt_operator(op, tt_cfg)
+            w[name] = _to_tt_operator(w[name].T if row_applied else w[name], tt_cfg)
     return TOMFNModel(config, w)
 
 

@@ -68,6 +68,7 @@ import numpy as np
 from . import tt as tt_mod
 from .model import ROW_APPLIED, ModelConfig, TOMFNModel, block_dims
 from .errors import DataError, DecompositionError, MappingError, ShapeError
+from .serialize import field, integer, json_list, number, sizes
 
 CORE_SIZE_CAP = 8
 
@@ -337,12 +338,11 @@ def _core_shapes(shape: LayerShape):
         yield m, n, shape.ranks[k] * shape.ranks[k + 1]
 
 
-def layer_shape(w, cap: int = CORE_SIZE_CAP, logical_out: int | None = None,
-                logical_in: int | None = None) -> LayerShape:
+def layer_shape(w, logical_out: int | None = None, logical_in: int | None = None) -> LayerShape:
     """The shape of the plan that maps operator `w` (dense (out, in) or TT).
 
     Raises MappingError when a core (a dense operator, or one TT mode pair)
-    exceeds the cap x cap core size.
+    exceeds the CORE_SIZE_CAP x CORE_SIZE_CAP core size.
     """
     if isinstance(w, tt_mod.TTMatrix):
         shape = LayerShape("tt", list(w.row_modes), list(w.col_modes), list(w.ranks),
@@ -352,8 +352,9 @@ def layer_shape(w, cap: int = CORE_SIZE_CAP, logical_out: int | None = None,
         shape = LayerShape("dense", [w.shape[0]], [w.shape[1]], [1, 1], *w.shape)
         hint = "tensorize the layer (TT) so every mode fits"
     for k, (m, n, _) in enumerate(_core_shapes(shape)):
-        if m > cap or n > cap:
-            raise MappingError(f"{shape.kind} core {k} is {m}x{n}, above the {cap}x{cap} cap; {hint}")
+        if m > CORE_SIZE_CAP or n > CORE_SIZE_CAP:
+            raise MappingError(f"{shape.kind} core {k} is {m}x{n}, above the "
+                               f"{CORE_SIZE_CAP}x{CORE_SIZE_CAP} cap; {hint}")
     return shape
 
 
@@ -368,19 +369,19 @@ def _map_cores(shape: LayerShape, cores) -> LayerPlan:
     return LayerPlan(**vars(shape), cores=core_plans)
 
 
-def map_dense_layer(w: np.ndarray, cap: int = CORE_SIZE_CAP) -> LayerPlan:
-    """One SVD triple for a small dense operator (both dims <= cap)."""
-    return _map_cores(layer_shape(w, cap), [w[None, :, :, None]])
+def map_dense_layer(w: np.ndarray) -> LayerPlan:
+    """One SVD triple for a small dense operator (both dims <= CORE_SIZE_CAP)."""
+    return _map_cores(layer_shape(w), [w[None, :, :, None]])
 
 
-def map_tt_layer(tt: tt_mod.TTMatrix, cap: int = CORE_SIZE_CAP,
-                 logical_out: int | None = None, logical_in: int | None = None) -> LayerPlan:
+def map_tt_layer(tt: tt_mod.TTMatrix, logical_out: int | None = None,
+                 logical_in: int | None = None) -> LayerPlan:
     """Slice every core over its bond-rank pairs into small mesh operators.
 
     Core k contributes r_{k-1} * r_k sub-matrices of shape m_k x n_k; the
     bond index rides a WDM channel, so the plan needs max_k r_k channels.
     """
-    return _map_cores(layer_shape(tt, cap, logical_out, logical_in), tt.cores)
+    return _map_cores(layer_shape(tt, logical_out, logical_in), tt.cores)
 
 
 def mzi_count(shape: LayerShape) -> int:
@@ -483,17 +484,17 @@ def _operators(model):
 
 def model_shapes(model) -> dict[str, LayerShape]:
     """The LayerShape of every weight, cap check included, without compiling a mesh."""
-    return {name: layer_shape(op, CORE_SIZE_CAP, *dims) for name, op, dims in _operators(model)}
+    return {name: layer_shape(op, *dims) for name, op, dims in _operators(model)}
 
 
-def compile_model(model, cap: int = CORE_SIZE_CAP) -> ModelBundle:
+def compile_model(model) -> ModelBundle:
     """Map every weight (dense or TT) onto photonic core plans."""
     plans = {}
     for name, op, (out_dim, in_dim) in _operators(model):
         if isinstance(op, tt_mod.TTMatrix):
-            plans[name] = map_tt_layer(op, cap=cap, logical_out=out_dim, logical_in=in_dim)
+            plans[name] = map_tt_layer(op, out_dim, in_dim)
         else:
-            plans[name] = map_dense_layer(np.asarray(op), cap=cap)
+            plans[name] = map_dense_layer(np.asarray(op))
     return ModelBundle(config=model.config, plans=plans)
 
 
@@ -549,54 +550,12 @@ def netlist_to_obj(net: MeshNetlist) -> dict:
     return {"size": net.size, "columns": columns}
 
 
-def _get(obj, key: str, what: str):
-    """Field `key` of a JSON object; a non-object or a missing field is a DataError."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise DataError(f"{what} must be an object with a '{key}' field")
-    return obj[key]
-
-
-def _list(value, what: str, length: int | None = None) -> list:
-    """A JSON array, of `length` items if given; anything else is a DataError."""
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        got = f"{len(value)} items" if isinstance(value, list) else repr(value)[:40]
-        want = "a list" if length is None else f"a list of {length}"
-        raise DataError(f"{what} must be {want}, got {got}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """A finite JSON number as float; anything else is a DataError."""
-    try:
-        finite = type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise DataError(f"{what} must be a finite number, got {value!r:.40}")
-    return float(value)
-
-
-def _index(value, low: int, high: float, what: str) -> int:
-    """A JSON integer in [low, high]; anything else is a DataError."""
-    if type(value) is not int or not low <= value <= high:
-        raise DataError(f"{what} must be an integer in [{low}, {high}], got {value!r}")
-    return value
-
-
-def _sizes(value, what: str, length: int | None = None, high: float = math.inf) -> list[int]:
-    """A non-empty JSON array of integers in [1, high]."""
-    values = _list(value, what, length)
-    if not values:
-        raise DataError(f"{what} must not be empty")
-    return [_index(v, 1, high, what) for v in values]
-
-
 def netlist_from_obj(obj: dict) -> MeshNetlist:
-    size = _index(_get(obj, "size", "mesh"), 1, math.inf, "mesh size")
-    columns = _list(_get(obj, "columns", "mesh"), "mesh columns")
-    mzis = [(ci, _index(_get(m, "row", "MZI"), 0, size - 2, "MZI row"),
-             _number(_get(m, "theta", "MZI"), "MZI theta"), _number(_get(m, "phi", "MZI"), "MZI phi"))
-            for ci, col in enumerate(columns) for m in _list(col, "mesh column")]
+    size = integer(field(obj, "size", "mesh"), "mesh size", 1)
+    columns = json_list(field(obj, "columns", "mesh"), "mesh columns")
+    mzis = [(ci, integer(field(m, "row", "MZI"), "MZI row", 0, size - 2),
+             number(field(m, "theta", "MZI"), "MZI theta"), number(field(m, "phi", "MZI"), "MZI phi"))
+            for ci, col in enumerate(columns) for m in json_list(col, "mesh column")]
     col, row, theta, phi = np.array(mzis, dtype=np.float64).reshape(-1, 4).T
     return MeshNetlist(size, len(columns), col.astype(np.intp), row.astype(np.intp), theta, phi)
 
@@ -614,22 +573,22 @@ def _triple_to_obj(tr: SVDTriple) -> dict:
 
 def _check_size(obj: dict, m: int, n: int, what: str):
     """A core or triple must have the size (m, n) that its plan's modes give."""
-    got = tuple(_index(_get(obj, key, what), 1, math.inf, f"{what} {key}") for key in "mn")
+    got = tuple(integer(field(obj, key, what), f"{what} {key}", 1) for key in "mn")
     if got != (m, n):
         raise DataError(f"{what} is {got[0]}x{got[1]} where the plan's modes give {m}x{n}")
 
 
 def _triple_from_obj(obj: dict, m: int, n: int) -> SVDTriple:
     _check_size(obj, m, n, "triple")
-    mesh_u = netlist_from_obj(_get(obj, "mesh_u", "triple"))
-    mesh_v = netlist_from_obj(_get(obj, "mesh_v", "triple"))
+    mesh_u = netlist_from_obj(field(obj, "mesh_u", "triple"))
+    mesh_v = netlist_from_obj(field(obj, "mesh_v", "triple"))
     if (mesh_u.size, mesh_v.size) != (m, n):
         raise DataError(f"meshes of sizes {mesh_u.size}, {mesh_v.size} in a {m}x{n} triple")
-    diag = [_number(v, "diag entry") for v in _list(_get(obj, "diag", "triple"), "diag", min(m, n))]
+    diag = [number(v, "diag entry") for v in json_list(field(obj, "diag", "triple"), "diag", min(m, n))]
     return SVDTriple(
         mesh_u=mesh_u,
         diag=np.asarray(diag, dtype=np.float64),
-        global_scale=_number(_get(obj, "scale", "triple"), "scale"),
+        global_scale=number(field(obj, "scale", "triple"), "scale"),
         mesh_v=mesh_v,
         m=m,
         n=n,
@@ -639,8 +598,8 @@ def _triple_from_obj(obj: dict, m: int, n: int) -> SVDTriple:
 def _core_from_obj(obj: dict, m: int, n: int, r_in: int, r_out: int) -> CorePlan:
     """A core of modes (m, n) holding r_in x r_out triples of that size."""
     _check_size(obj, m, n, "core")
-    triples = [[_triple_from_obj(t, m, n) for t in _list(row, "row of core triples", r_out)]
-               for row in _list(_get(obj, "triples", "core"), "core triples", r_in)]
+    triples = [[_triple_from_obj(t, m, n) for t in json_list(row, "row of core triples", r_out)]
+               for row in json_list(field(obj, "triples", "core"), "core triples", r_in)]
     return CorePlan(m=m, n=n, triples=triples)
 
 
@@ -669,24 +628,24 @@ def plan_from_obj(obj: dict) -> LayerPlan:
 
     `wdm_channels` is not read: it follows from the ranks.
     """
-    kind = _get(obj, "kind", "plan")
+    kind = field(obj, "kind", "plan")
     if kind not in ("dense", "tt"):
         raise DataError(f"plan kind must be 'dense' or 'tt', got {kind!r}")
-    row_modes = _sizes(_get(obj, "row_modes", "plan"), "row_modes", high=CORE_SIZE_CAP)
+    row_modes = sizes(field(obj, "row_modes", "plan"), "row_modes", high=CORE_SIZE_CAP)
     d = len(row_modes)
-    col_modes = _sizes(_get(obj, "col_modes", "plan"), "col_modes", d, CORE_SIZE_CAP)
-    ranks = _sizes(_get(obj, "ranks", "plan"), "ranks", d + 1)
+    col_modes = sizes(field(obj, "col_modes", "plan"), "col_modes", d, CORE_SIZE_CAP)
+    ranks = sizes(field(obj, "ranks", "plan"), "ranks", d + 1)
     if ranks[0] != 1 or ranks[-1] != 1 or (kind == "dense" and d != 1):
         raise DataError(f"a {kind} plan cannot have ranks {ranks}")
     cores = [_core_from_obj(c, row_modes[k], col_modes[k], ranks[k], ranks[k + 1])
-             for k, c in enumerate(_list(_get(obj, "cores", "plan"), "plan cores", d))]
+             for k, c in enumerate(json_list(field(obj, "cores", "plan"), "plan cores", d))]
     return LayerPlan(
         kind=kind,
         row_modes=row_modes,
         col_modes=col_modes,
         ranks=ranks,
-        logical_out=_index(_get(obj, "logical_out", "plan"), 1, math.inf, "logical_out"),
-        logical_in=_index(_get(obj, "logical_in", "plan"), 1, math.inf, "logical_in"),
+        logical_out=integer(field(obj, "logical_out", "plan"), "logical_out", 1),
+        logical_in=integer(field(obj, "logical_in", "plan"), "logical_in", 1),
         cores=cores,
     )
 
@@ -700,8 +659,8 @@ def bundle_to_obj(bundle: ModelBundle) -> dict:
 
 def bundle_from_obj(obj: dict) -> ModelBundle:
     """A bundle with one plan per weight of its config, each of the weight's logical size."""
-    config = ModelConfig.from_dict(_get(obj, "config", "bundle"))
-    plans_obj = _get(obj, "plans", "bundle")
+    config = ModelConfig.from_dict(field(obj, "config", "bundle"))
+    plans_obj = field(obj, "plans", "bundle")
     dims = block_dims(config)
     if not isinstance(plans_obj, dict) or set(plans_obj) != set(dims):
         names = set(plans_obj) if isinstance(plans_obj, dict) else set()

@@ -1,22 +1,27 @@
-"""JSON file formats: tensors, weights maps, configs, atomic writes.
+"""JSON files: the validators every input goes through, the weights codec, atomic writes.
 
-A dense tensor serializes as {"shape": [...], "data": [...]} (row-major),
-a TT weight as {"row_modes": ..., "col_modes": ..., "ranks": ..., "cores":
-[tensor, ...]}; a weights file is a flat name -> weight map.  Every JSON
-text tomfn writes comes from `dumps`: compact, keys sorted.  Writes go
-through a temp file and rename so readers never see partial output; the
-file gets the mode the umask allows, as with a plain open().
+Every file tomfn reads (config, weights, bundle, JSONL dataset, `--compare`
+report) is decoded with the validators here, so one module decides what a
+JSON field, list, number, integer or numeric array is: true/false is no
+number, 1.0 is no integer, and a number is finite; a failure is a one-line
+DataError.  A dense tensor serializes as {"shape": [...], "data": [...]}
+(flat, row-major), a TT weight as {"row_modes", "col_modes", "ranks",
+"cores": [tensor, ...]}, a weights file as a flat name -> weight map.
+Every JSON text tomfn writes comes from `dumps`: compact, keys sorted.
+Writes go through a temp file and rename so readers never see partial
+output; the file gets the mode the umask allows, as with a plain open().
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
-from . import tensor, tt as tt_mod
+from . import tt as tt_mod
 from .errors import DataError
 
 
@@ -56,22 +61,118 @@ def load_json(path: str):
             return json.load(f)
     except FileNotFoundError as exc:
         raise DataError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise DataError(f"malformed JSON in {path}: {exc}") from exc
+
+
+# --- validators ----------------------------------------------------------------
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def field(obj, key: str, what: str):
+    """Field `key` of a JSON object; a non-object or a missing field is a DataError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"{what} must be an object with a '{key}' field")
+    return obj[key]
+
+
+def json_list(value, what: str, length: int | None = None) -> list:
+    """A JSON array, of `length` items if given."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        got = f"{len(value)} items" if isinstance(value, list) else repr(value)[:40]
+        want = "a list" if length is None else f"a list of {length}"
+        raise DataError(f"{what} must be {want}, got {got}")
+    return value
+
+
+def number(value, what: str) -> float:
+    """A finite JSON number, as float (an integer beyond the float range is not)."""
+    if type(value) not in (int, float) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise DataError(f"{what} must be a finite number, got {value!r:.40}")
+    return float(value)
+
+
+def integer(value, what: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """A JSON integer in [low, high]."""
+    if type(value) is not int or not low <= value <= high:
+        bounds = f" in [{low}, {high}]" if (low, high) != (-math.inf, math.inf) else ""
+        raise DataError(f"{what} must be an integer{bounds}, got {value!r:.40}")
+    return value
+
+
+def integers(value, what: str, length: int | None = None, low: float = -math.inf,
+             high: float = math.inf) -> list[int]:
+    """A JSON array of integers in [low, high]."""
+    return [integer(v, f"{what} entry", low, high) for v in json_list(value, what, length)]
+
+
+def sizes(value, what: str, length: int | None = None, high: float = math.inf) -> list[int]:
+    """A non-empty JSON array of integers in [1, high]."""
+    values = integers(value, what, length, 1, high)
+    if not values:
+        raise DataError(f"{what} must not be empty")
+    return values
+
+
+def flag(value, what: str) -> bool:
+    if type(value) is not bool:
+        raise DataError(f"{what} must be true or false, got {value!r:.40}")
+    return value
+
+
+def string(value, what: str) -> str:
+    if type(value) is not str:
+        raise DataError(f"{what} must be a string, got {value!r:.40}")
+    return value
+
+
+def numbers(value, what: str, ndim: int = 1, dtype=np.float64) -> np.ndarray:
+    """Rectangular JSON arrays nested `ndim` deep, as a `dtype` array, of finite
+    numbers, or for an integer dtype of JSON integers within its range."""
+    integral = np.issubdtype(dtype, np.integer)
+    want = f"{what} must be {ndim}-deep lists of {'integers' if integral else 'finite numbers'}"
+    leaves = np.array(value, dtype=object)  # ragged lists stay lists here
+    if leaves.ndim != ndim or not set(map(type, leaves.flat)) <= ({int} if integral else {int, float}):
+        raise DataError(want)
+    try:
+        array = leaves.astype(dtype)
+    except OverflowError as exc:  # an integer beyond the dtype's range
+        raise DataError(f"{want}: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise DataError(want)
+    return array
+
+
+# --- weights ---------------------------------------------------------------------
 
 
 def weight_to_obj(w) -> dict:
     if isinstance(w, tt_mod.TTMatrix):
-        return tt_mod.to_json_obj(w)
-    return tensor.to_json_obj(np.asarray(w))
+        return {"row_modes": list(w.row_modes), "col_modes": list(w.col_modes),
+                "ranks": list(w.ranks), "cores": [weight_to_obj(c) for c in w.cores]}
+    return {"shape": list(np.shape(w)), "data": np.ravel(w, order="C").tolist()}
 
 
-def weight_from_obj(obj: dict):
+def _tensor_from_obj(obj) -> np.ndarray:
+    shape = integers(field(obj, "shape", "tensor"), "tensor 'shape'", low=0)
+    data = numbers(field(obj, "data", "tensor"), "tensor 'data'")
+    try:
+        return data.reshape(shape)
+    except ValueError as exc:
+        raise DataError(f"tensor 'data' does not fit its shape: {exc}") from exc
+
+
+def weight_from_obj(obj):
+    """A dense (tensor) or TT weight; TT cores that do not chain are a ShapeError."""
     if not isinstance(obj, dict):
         raise DataError(f"a weight must be a tensor or TT object, got {obj!r:.40}")
-    if "cores" in obj:
-        return tt_mod.from_json_obj(obj)
-    return tensor.from_json_obj(obj)
+    if "cores" not in obj:
+        return _tensor_from_obj(obj)
+    modes_ranks = [sizes(field(obj, key, "TT weight"), f"TT '{key}'")
+                   for key in ("row_modes", "col_modes", "ranks")]
+    cores = [_tensor_from_obj(c) for c in json_list(obj["cores"], "TT 'cores'")]
+    return tt_mod.TTMatrix(*modes_ranks, cores)
 
 
 def weights_to_obj(weights: dict) -> dict:

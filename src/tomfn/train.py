@@ -12,6 +12,7 @@ over unimodal models on the interaction-only variant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from . import model as model_mod
 from . import serialize
 from .errors import DataError, ShapeError
 from .model import EMOTIONS, TOMFNModel
+from .serialize import field, numbers
 
 
 @dataclass
@@ -34,8 +36,13 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_samples < 4:
             raise DataError("need at least 4 samples (one per emotion)")
-        if self.noise_std < 0:
-            raise DataError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise DataError(f"noise_std must be a finite number >= 0, got {self.noise_std}")
+        for name in ("interaction_strength", "template_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -134,39 +141,36 @@ def save_jsonl(ds: Dataset, path: str):
             f.write(serialize.dumps(rec) + "\n")
 
 
+# Per sample field: how deep its lists nest, and its dtype (labels are 0/1 flags).
+_SAMPLE_FIELDS = {"visual": (1, np.float64), "audio": (1, np.float64), "text": (2, np.float64),
+                  "labels": (1, np.int64)}
+
+
 def load_jsonl(path: str) -> Dataset:
-    visual, audio, text, labels = [], [], [], []
+    columns = {key: [] for key in _SAMPLE_FIELDS}
     try:
-        lines = open(path).read().splitlines()
-    except FileNotFoundError as exc:
-        raise DataError(f"dataset not found: {path}") from exc
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, or not UTF-8
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            visual.append(rec["visual"])
-            audio.append(rec["audio"])
-            text.append(rec["text"])
-            labels.append(rec["labels"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: bad sample record ({exc})") from exc
-    if not visual:
+        where = f"{path}:{lineno}: sample"
+        for key, (ndim, dtype) in _SAMPLE_FIELDS.items():
+            columns[key].append(numbers(field(rec, key, where), f"{where} {key}", ndim, dtype))
+    if not columns["visual"]:
         raise DataError(f"{path}: empty dataset")
     try:
-        ds = Dataset(
-            np.asarray(visual, dtype=np.float64),
-            np.asarray(audio, dtype=np.float64),
-            np.asarray(text, dtype=np.float64),
-            np.asarray(labels, dtype=np.int64),
-        )
+        ds = Dataset(*(np.stack(column) for column in columns.values()))
     except ValueError as exc:
         raise DataError(f"{path}: inconsistent sample shapes ({exc})") from exc
     if not set(np.unique(ds.labels)) <= {0, 1}:
         raise DataError(f"{path}: labels must be binary flags")
-    for name in ("visual", "audio", "text"):
-        if not np.all(np.isfinite(getattr(ds, name))):
-            raise DataError(f"{path}: {name} features must be finite")
     return ds
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import tensor
-from .errors import DataError, FactorizationError, ShapeError
+from .errors import FactorizationError, ShapeError
 
 
 def prime_factors(n: int) -> list[int]:
@@ -221,21 +220,3 @@ def tt_param_count(tt: TTMatrix) -> int:
     """Number of stored core entries: sum_k r_{k-1} m_k n_k r_k."""
     return int(sum(core.size for core in tt.cores))
 
-
-def to_json_obj(tt: TTMatrix) -> dict:
-    return {
-        "row_modes": list(tt.row_modes),
-        "col_modes": list(tt.col_modes),
-        "ranks": list(tt.ranks),
-        "cores": [tensor.to_json_obj(c) for c in tt.cores],
-    }
-
-
-def from_json_obj(obj: dict) -> TTMatrix:
-    """Decode `to_json_obj`'s encoding; a missing or mistyped field is a DataError."""
-    *modes_ranks, cores = (obj.get(k) for k in ("row_modes", "col_modes", "ranks", "cores"))
-    if not all(isinstance(f, list) and all(type(v) is int for v in f) for f in modes_ranks) \
-            or not isinstance(cores, list):
-        raise DataError("a TT weight needs 'row_modes', 'col_modes' and 'ranks' as lists of "
-                        "integers, and 'cores' as a list")
-    return TTMatrix(*modes_ranks, [tensor.from_json_obj(c) for c in cores])

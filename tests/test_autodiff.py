@@ -49,18 +49,6 @@ def test_matmul_2d_2d():
     check(lambda a, b: ad.matmul(a, b), (3, 4), (4, 2))
 
 
-def test_matmul_2d_1d():
-    check(lambda a, b: ad.matmul(a, b), (3, 4), (4,))
-
-
-def test_matmul_1d_2d():
-    check(lambda a, b: ad.matmul(a, b), (4,), (4, 2))
-
-
-def test_matmul_3d_2d():
-    check(lambda a, b: ad.matmul(a, b), (2, 3, 4), (4, 5))
-
-
 def test_matmul_3d_3d():
     check(lambda a, b: ad.matmul(a, b), (2, 3, 4), (2, 4, 5))
 

@@ -11,6 +11,7 @@ import pytest
 from tomfn import cli
 from tomfn import model as M
 from tomfn import photonic
+from tomfn import serialize
 from tomfn import train as T
 from tomfn import tt as tt_mod
 from tomfn.serialize import dump_json, load_json
@@ -82,6 +83,37 @@ def test_describe_compare_against_computed_model(tmp_path, tiny_config):
                 "--out", str(out)]) == 0
     doc = load_json(str(out))
     assert doc["comparison"]["param_ratio"] == pytest.approx(1000 / doc["params"])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--freq", "0"], ["--freq", "-1"], ["--freq", "nan"], ["--freq", "inf"],
+    ["--power-override", "0"], ["--power-override", "-3"], ["--power-override", "nan"],
+    ["--power-override", "inf"],
+], ids=["freq_0", "freq_negative", "freq_nan", "freq_inf", "power_0", "power_negative",
+        "power_nan", "power_inf"])
+def test_describe_bad_numeric_args_exit_2(tmp_path, tiny_config, capsys, flags):
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run(["describe", "--config", tiny_config, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn describe: ") and flags[0] in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2], {"mzis": 5000}, {"params": "x", "mzis": 5000}, {"params": True, "mzis": 5000},
+    {"params": 0, "mzis": 5000}, {"params": 10**400, "mzis": 5000},
+    {"reference": {"params": 10, "mzis": 10}, "candidate": {"params": 5}},
+    {"reference": {"params": 1e308, "mzis": 10}, "candidate": {"params": 1e-10, "mzis": 5}},
+], ids=["a_list", "no_params", "params_a_string", "params_true", "params_0", "params_huge",
+        "candidate_without_mzis", "ratio_overflows"])
+def test_describe_bad_compare_file_exits_3(tmp_path, tiny_config, capsys, doc):
+    ref = tmp_path / "ref.json"
+    dump_json(doc, str(ref))
+    capsys.readouterr()
+    assert run(["describe", "--config", tiny_config, "--compare", str(ref)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn describe: --compare: ") and err.count("\n") == 1
 
 
 def test_describe_missing_config_exits_2(capsys):
@@ -158,8 +190,9 @@ def test_describe_max_factor_below_2_exits_2(tmp_path, capsys, max_factor):
 
 @pytest.mark.parametrize("section, key, value", [
     ("tt", "max_factor", "x"), ("fusion", "r", 1.5), ("tt", "max_rank", None),
-    (None, "heads", True), (None, "visual_dims", [80.7, 32]),
-], ids=["max_factor_str", "r_float", "max_rank_null", "heads_bool", "visual_dims_floats"])
+    (None, "heads", True), (None, "visual_dims", [80.7, 32]), ("tt", "tol", 10**400),
+], ids=["max_factor_str", "r_float", "max_rank_null", "heads_bool", "visual_dims_floats",
+        "tol_huge_integer"])
 def test_describe_wrong_json_type_exits_2(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(TINY))
     (cfg[section] if section else cfg)[key] = value
@@ -260,6 +293,37 @@ def test_train_bad_args_exit_2(tmp_path, tiny_config, capsys, monkeypatch, flags
     assert "Traceback" not in err and not metrics.exists()
 
 
+@pytest.mark.parametrize("spec", [
+    "seed=-1", "sigma=nan", "sigma=inf", "gamma=inf", "gamma=nan", "scale=nan", "scale=-inf",
+])
+def test_train_bad_synthetic_values_exit_3(tmp_path, tiny_config, capsys, spec):
+    metrics = tmp_path / "m.json"
+    capsys.readouterr()
+    assert run(["train", "--config", tiny_config, "--synthetic", f"n=8,L=3,{spec}",
+                "--epochs", "1", "--metrics-out", str(metrics)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn train: --synthetic: ") and err.count("\n") == 1
+    assert not metrics.exists()
+
+
+@pytest.mark.parametrize("command, flag, code", [
+    ("describe", "--config", 2), ("train", "--data", 3),
+])
+@pytest.mark.parametrize("kind", ["a_directory", "not_utf8"])
+def test_unreadable_input_file_exits_with_its_code(tmp_path, tiny_config, capsys, command, flag,
+                                                   code, kind):
+    path = tmp_path / "input"
+    if kind == "a_directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    argv = [command, flag, str(path)] + (["--config", tiny_config] if command == "train" else [])
+    capsys.readouterr()
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
+
+
 def test_train_missing_data_exits_3(tiny_config):
     assert run(["train", "--config", tiny_config, "--data", "/missing.jsonl"]) == 3
 
@@ -349,12 +413,13 @@ def test_compile_weights_mismatch_exits_4(tmp_path, tiny_config):
 @pytest.mark.parametrize("command", ["eval", "compile"])
 @pytest.mark.parametrize("defect", [
     "tt_ranks_missing", "tt_ranks_a_string", "weight_a_number", "data_a_string",
+    "data_huge_integer", "data_nested",
 ])
 def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect):
     weights = make_trained(tmp_path, tiny_config)
     doc = load_json(weights)
     fc0 = doc["visual.fc0"]  # dense 4x8
-    tt_obj = tt_mod.to_json_obj(tt_mod.tt_from_dense(
+    tt_obj = serialize.weight_to_obj(tt_mod.tt_from_dense(
         np.reshape(fc0["data"], fc0["shape"]), [2, 2], [2, 4], max_rank=4, tol=0.0))
     if defect == "tt_ranks_missing":
         del tt_obj["ranks"]
@@ -364,6 +429,10 @@ def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect
         doc["visual.fc0"] = tt_obj
     elif defect == "weight_a_number":
         doc["visual.fc0"] = 5
+    elif defect == "data_huge_integer":
+        fc0["data"][3] = 10**400  # no float holds it
+    elif defect == "data_nested":
+        fc0["data"] = np.reshape(fc0["data"], fc0["shape"]).tolist()  # data stays flat
     else:
         fc0["data"] = "abc"
     dump_json(doc, weights)
@@ -473,6 +542,84 @@ def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("labels", 0, 0.5), ("labels", 1, True), ("visual", 2, True), ("audio", 0, "1"),
+    ("visual", 1, 10**400),
+], ids=["label_half", "label_true", "feature_true", "feature_string", "feature_huge_integer"])
+def test_dataset_wrong_json_value_exits_3(tmp_path, tiny_config, capsys, key, index, value):
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
+    data = tmp_path / "bad.jsonl"
+    T.save_jsonl(ds, str(data))
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    records[2][key][index] = value
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert run(["train", "--config", tiny_config, "--data", str(data), "--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"tomfn train: {data}:3: sample {key} ") and err.count("\n") == 1
+
+
+def test_dataset_fuzz_exits_3(tmp_path, tiny_config, capsys):
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
+    data = tmp_path / "samples.jsonl"
+    T.save_jsonl(ds, str(data))
+    lines = data.read_text().splitlines()
+    rng = np.random.default_rng(8642)
+    for _ in range(60):
+        lineno = rng.integers(len(lines))
+        record = json.loads(lines[lineno])
+        by_label = {}
+        for label, path in _bundle_fields(record):
+            by_label.setdefault(label, []).append(path)
+        labels = sorted(by_label)
+        paths = by_label[labels[rng.integers(len(labels))]]
+        *parents, key = paths[rng.integers(len(paths))]
+        node = record
+        for part in parents:
+            node = node[part]
+        pool = _wrong_json_types(node[key])
+        value = pool[rng.integers(len(pool))]
+        node[key] = value
+        data.write_text("\n".join(lines[:lineno] + [json.dumps(record)] + lines[lineno + 1:]))
+        capsys.readouterr()
+        assert run(["train", "--config", tiny_config, "--data", str(data), "--epochs", "0"]) == 3, (
+            lineno, parents, key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("tomfn train: ") and err.count("\n") == 1, (lineno, parents, key, value)
+        assert "Traceback" not in err
+
+
+def test_weights_fuzz_exits_4(tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY))
+    cfg["tt"].update(visual=True, fusion=True)  # TT weights too: modes, ranks and cores
+    config = tmp_path / "config.json"
+    dump_json(cfg, str(config))
+    weights = make_trained(tmp_path, str(config))
+    text = pathlib.Path(weights).read_text()
+    by_label = {}
+    for label, path in _bundle_fields(json.loads(text)):
+        by_label.setdefault(label, []).append(path)
+    labels = sorted(by_label)
+    rng = np.random.default_rng(9753)
+    for _ in range(60):
+        paths = by_label[labels[rng.integers(len(labels))]]
+        *parents, key = paths[rng.integers(len(paths))]
+        doc = json.loads(text)
+        node = doc
+        for part in parents:
+            node = node[part]
+        pool = _wrong_json_types(node[key])
+        value = pool[rng.integers(len(pool))]
+        node[key] = value
+        dump_json(doc, weights)
+        capsys.readouterr()
+        assert run(["eval", "--config", str(config), "--weights", weights,
+                    "--synthetic", "n=8,L=3"]) == 4, (parents, key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("tomfn eval: weights: ") and err.count("\n") == 1, (parents, key, value)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("defect", [

@@ -9,6 +9,20 @@ from tomfn import serialize as S
 from tomfn.errors import DataError
 
 
+def test_tensor_json_roundtrip():
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=(2, 3, 4))
+    obj = S.weight_to_obj(t)
+    assert obj["shape"] == [2, 3, 4]
+    back = S.weight_from_obj(obj)
+    assert np.array_equal(back, t)
+
+
+def test_tensor_json_rejects_nonfinite():
+    with pytest.raises(DataError):
+        S.weight_from_obj({"shape": [2], "data": [1.0, float("nan")]})
+
+
 def test_weights_roundtrip_dense_and_tt(tmp_path):
     cfg = M.ModelConfig(
         visual_dims=[6, 4],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tomfn import tt
+from tomfn import serialize, tt
 from tomfn.errors import FactorizationError, ShapeError
 from tomfn.tt import (
     TTMatrix,
@@ -244,7 +244,7 @@ def test_monotone_compression():
 def test_json_roundtrip():
     rng = np.random.default_rng(21)
     t = random_tt(rng, [2, 4], [4, 2])
-    back = tt.from_json_obj(tt.to_json_obj(t))
+    back = serialize.weight_from_obj(serialize.weight_to_obj(t))
     assert back.row_modes == t.row_modes
     assert back.ranks == t.ranks
     for a, b in zip(back.cores, t.cores):
