@@ -28,10 +28,10 @@ print(f"norm preserved: |y| - |x| = {np.linalg.norm(P.mesh_matrix(net) @ x) - np
 print()
 print("=== rectangular weights via an SVD triple ===")
 w = rng.normal(size=(4, 6))
-triple = P.svd_map(w[None])[0]
-print(f"global scale {triple.global_scale:.3f}, on-chip amplitudes "
-      f"{np.round(triple.diag, 3)} (all <= 1)")
-print(f"reconstruction error: {np.linalg.norm(P.svd_matrix(triple) - w):.2e}")
+core = P.svd_map(w[None])  # a stack of one slice
+print(f"global scale {core.scale[0]:.3f}, on-chip amplitudes "
+      f"{np.round(core.diag[0], 3)} (all <= 1)")
+print(f"reconstruction error: {np.linalg.norm(P.core_matrices(core)[0] - w):.2e}")
 
 print()
 print("=== a 32x32 TT layer mapped to small cores ===")
@@ -42,6 +42,7 @@ print(f"TT ranks {t.ranks} -> WDM channels: {plan.wdm_channels}")
 print(f"core histogram: {P.core_histogram([plan])}")
 print(f"MZIs: {P.mzi_count(plan)}, cascaded stages: {P.stage_depth(plan)}")
 x = rng.normal(size=32)
+print("bond slices per core:", [len(core.mesh_u) for core in plan.cores])
 realized = P.realize_plan(plan)  # each core read back from its bond-slice meshes
 err = np.max(np.abs(tt.tt_matvec(realized, x) - tt.tt_matvec(t, x)))
 print(f"realized optical plan vs TT contraction: max error {err:.2e}")

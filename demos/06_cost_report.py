@@ -39,7 +39,7 @@ report = C.build_report(
     totals["wdm_channels"], pm,
     n_inputs=cfg.visual_dims[0] + cfg.audio_dims[0] + cfg.text.d_model,
     n_outputs=cfg.heads * 2, f_hz=10e9,
-    dense_mzis=C.dense_mzi_estimate(M.block_dims(cfg)),
+    dense_mzis=P.dense_mzi_estimate(M.block_dims(cfg)),
 )
 print(C.format_table(report))
 

@@ -190,7 +190,7 @@ def cmd_describe(args) -> int:
     report = cost_mod.build_report(
         params, macs, totals["mzis"], totals["stages"], totals["core_histogram"],
         totals["wdm_channels"], pm, n_inputs, n_outputs, args.freq,
-        dense_mzis=cost_mod.dense_mzi_estimate(dims),
+        dense_mzis=photonic.dense_mzi_estimate(dims),
     )
     comparison = None
     if args.compare:

@@ -167,14 +167,6 @@ def build_report(param_counts: dict, macs: dict, mzis: int, stages: int,
     )
 
 
-def dense_mzi_estimate(block_dims: dict) -> int:
-    """Hypothetical MZI count if every logical matrix ran as one big SVD triple."""
-    total = 0
-    for m, n in block_dims.values():
-        total += m * (m - 1) // 2 + n * (n - 1) // 2 + min(m, n)
-    return total
-
-
 def format_table(report: CostReport, compare_result: dict | None = None) -> str:
     """Fixed-width summary mirroring the published comparison columns."""
     rows = [

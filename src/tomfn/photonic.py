@@ -21,19 +21,20 @@ is absorbed as
 so no separate output phase column is needed.
 
 Rectangular matrices go through an SVD triple (mesh_V, attenuating
-diagonal, mesh_U) with a digital `global_scale` chosen so every on-chip
+diagonal, mesh_U) with a digital global scale chosen so every on-chip
 amplitude stays in [0, 1].  A TT layer maps core by core: fixing both
 bond indices of core k yields r_{k-1} * r_k small m_k x n_k operators,
 each realized as its own SVD triple, with bond channels carried on WDM
 wavelengths and summed digitally after detection.
 
-Decomposition works on stacks.  The elimination order, and so the packing
-of rotations into the grid, depends on N alone, so `givens_decompose`
-takes a (K, N, N) stack and runs each elimination and sign-folding step on
-all K matrices at once; `svd_map` takes a (K, m, n) stack, such as one TT
-core's r_{k-1} * r_k bond slices, through one batched SVD.  A single
-matrix is a stack of one.  Every check (finite entries, orthogonality, the
-sign diagonal, a negative 1 x 1) still holds matrix by matrix.
+A core is one stack (`CorePlan`): its K = r_{k-1} * r_k slices, row-major
+over the bond pair, as K U meshes, K V meshes, (K, min(m, n)) amplitudes and
+(K,) scales; a dense weight is a core of one slice.  The elimination order,
+and so the grid packing, depends on N alone, so `givens_decompose` runs each
+step on a whole (K, N, N) stack and `svd_map` maps a core through one batched
+SVD.  Every check (finite entries, orthogonality, the sign diagonal, a
+negative 1 x 1) still holds matrix by matrix.  Only the JSON codec splits a
+core into per-slice objects, its on-disk "triples".
 
 A mesh (`MeshNetlist`) holds its MZIs in physical order as four flat
 arrays, `col` (non-decreasing), `row`, `theta` and `phi`, beside its `size`
@@ -239,18 +240,24 @@ def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seed: int) -> MeshN
 
 
 @dataclass
-class SVDTriple:
-    """W = global_scale * U diag(amplitudes) V^T with amplitudes in [0, 1]."""
+class CorePlan:
+    """K same-shape (m, n) operators, slice k = scale[k] * U_k diag(diag[k]) V_k^T.
 
-    mesh_u: MeshNetlist
-    diag: np.ndarray
-    global_scale: float
-    mesh_v: MeshNetlist
+    U_k is mesh_u[k], V_k^T is mesh_v[k], and diag[k] holds min(m, n)
+    attenuator amplitudes in [0, 1].  A TT core holds its r_{k-1} * r_k bond
+    slices row-major over the bond pair (alpha, beta); a dense weight is one
+    slice.
+    """
+
     m: int
     n: int
+    mesh_u: list[MeshNetlist]
+    mesh_v: list[MeshNetlist]
+    diag: np.ndarray  # (K, min(m, n))
+    scale: np.ndarray  # (K,) digital global scales, each >= 1
 
 
-def svd_map(w: np.ndarray) -> list[SVDTriple]:
+def svd_map(w: np.ndarray) -> CorePlan:
     """Realize a (K, m, n) stack of real matrices as meshes plus attenuators.
 
     One batched SVD covers the stack.  Each matrix's digital global scale
@@ -276,24 +283,17 @@ def svd_map(w: np.ndarray) -> list[SVDTriple]:
         vt[flip] = -vt[flip]
         u[flip, :, 0] = -u[flip, :, 0]
     scale = np.maximum(s[:, 0], 1.0)
-    parts = zip(givens_decompose(u), s / scale[:, None], scale, givens_decompose(vt))
-    return [SVDTriple(mesh_u=mu, diag=d, global_scale=float(g), mesh_v=mv, m=m, n=n)
-            for mu, d, g, mv in parts]
+    return CorePlan(m, n, givens_decompose(u), givens_decompose(vt), s / scale[:, None], scale)
 
 
-def _triple_matrices(triples: list[SVDTriple]) -> np.ndarray:
-    """The (K, m, n) matrices of K same-shape triples, each mesh side run as a stack."""
-    m, n = triples[0].m, triples[0].n
-    t = _apply_meshes([tr.mesh_v for tr in triples], np.broadcast_to(np.eye(n), (len(triples), n, n)))
+def core_matrices(core: CorePlan) -> np.ndarray:
+    """The (K, m, n) matrices of a core's slices, each mesh side run as a stack."""
+    count, m, n = len(core.mesh_u), core.m, core.n
+    t = _apply_meshes(core.mesh_v, np.broadcast_to(np.eye(n), (count, n, n)))
     k = min(m, n)
-    z = np.zeros((len(triples), m, n))
-    z[:, :k] = np.array([tr.diag for tr in triples])[:, :, None] * t[:, :k]
-    scale = np.array([tr.global_scale for tr in triples])
-    return scale[:, None, None] * _apply_meshes([tr.mesh_u for tr in triples], z)
-
-
-def svd_matrix(triple: SVDTriple) -> np.ndarray:
-    return _triple_matrices([triple])[0]
+    z = np.zeros((count, m, n))
+    z[:, :k] = core.diag[:, :, None] * t[:, :k]
+    return core.scale[:, None, None] * _apply_meshes(core.mesh_u, z)
 
 
 # --- layer shapes, plans and accounting --------------------------------------------
@@ -318,13 +318,6 @@ class LayerShape:
     def wdm_channels(self) -> int:
         """Bond channels ride WDM wavelengths, so the widest bond sets the count."""
         return max(self.ranks)
-
-
-@dataclass
-class CorePlan:
-    m: int
-    n: int
-    triples: list[list[SVDTriple]]  # indexed [alpha][beta] over bond ranks
 
 
 @dataclass
@@ -359,14 +352,9 @@ def layer_shape(w, logical_out: int | None = None, logical_in: int | None = None
 
 
 def _map_cores(shape: LayerShape, cores) -> LayerPlan:
-    """Map each (r_in, m, n, r_out) core's bond slices as one stack of SVD triples."""
-    core_plans = []
-    for core in cores:
-        r_in, mk, nk, r_out = core.shape
-        triples = svd_map(core.transpose(0, 3, 1, 2).reshape(r_in * r_out, mk, nk))
-        core_plans.append(CorePlan(m=mk, n=nk, triples=[triples[a * r_out:(a + 1) * r_out]
-                                                         for a in range(r_in)]))
-    return LayerPlan(**vars(shape), cores=core_plans)
+    """Map each (r_in, m, n, r_out) core's bond slices, row-major over (alpha, beta), as one stack."""
+    return LayerPlan(**vars(shape), cores=[svd_map(c.transpose(0, 3, 1, 2).reshape(-1, *c.shape[1:3]))
+                                           for c in cores])
 
 
 def map_dense_layer(w: np.ndarray) -> LayerPlan:
@@ -388,6 +376,11 @@ def mzi_count(shape: LayerShape) -> int:
     """Two meshes plus min(m, n) attenuator MZIs per sub-matrix."""
     return sum((m * (m - 1) // 2 + n * (n - 1) // 2 + min(m, n)) * slices
                for m, n, slices in _core_shapes(shape))
+
+
+def dense_mzi_estimate(block_dims: dict) -> int:
+    """Hypothetical MZI count if every logical (m, n) matrix ran as one big SVD triple."""
+    return sum(mzi_count(LayerShape("dense", [m], [n], [1, 1], m, n)) for m, n in block_dims.values())
 
 
 def stage_depth(shape: LayerShape) -> int:
@@ -444,21 +437,6 @@ def totals(config: ModelConfig, shapes: dict) -> dict:
     }
 
 
-def perturb_plan(plan: LayerPlan, phase_sigma: float, bits: int, seed: int) -> LayerPlan:
-    """Perturb every netlist in the plan; seeds fan out per mesh."""
-    seq = np.random.SeedSequence(seed)
-
-    def perturbed(tr: SVDTriple) -> SVDTriple:
-        s_u, s_v = seq.spawn(2)
-        return replace(tr, mesh_u=perturb(tr.mesh_u, phase_sigma, bits, s_u.generate_state(1)[0]),
-                       diag=tr.diag.copy(),
-                       mesh_v=perturb(tr.mesh_v, phase_sigma, bits, s_v.generate_state(1)[0]))
-
-    return replace(plan, cores=[replace(core, triples=[[perturbed(tr) for tr in row]
-                                                       for row in core.triples])
-                                for core in plan.cores])
-
-
 # --- whole-model compilation and realization -------------------------------------
 
 
@@ -489,12 +467,8 @@ def model_shapes(model) -> dict[str, LayerShape]:
 
 def compile_model(model) -> ModelBundle:
     """Map every weight (dense or TT) onto photonic core plans."""
-    plans = {}
-    for name, op, (out_dim, in_dim) in _operators(model):
-        if isinstance(op, tt_mod.TTMatrix):
-            plans[name] = map_tt_layer(op, out_dim, in_dim)
-        else:
-            plans[name] = map_dense_layer(np.asarray(op))
+    plans = {name: map_tt_layer(op, *dims) if isinstance(op, tt_mod.TTMatrix)
+             else map_dense_layer(np.asarray(op)) for name, op, dims in _operators(model)}
     return ModelBundle(config=model.config, plans=plans)
 
 
@@ -502,14 +476,11 @@ def realize_plan(plan: LayerPlan):
     """The operator a (possibly perturbed) plan computes, read back from its meshes.
 
     A dense plan gives its (m, n) matrix.  A TT plan gives a TTMatrix whose
-    core k holds, at bond pair (a, b), the matrix of triple [a][b]: the
+    core k holds, at bond pair (a, b), the matrix of slice a * r_k + b: the
     digital sum over bond channels after detection is exactly the TT sweep.
     """
-    cores = []
-    for core in plan.cores:
-        r_in, r_out = len(core.triples), len(core.triples[0])
-        mats = _triple_matrices([t for row in core.triples for t in row])
-        cores.append(mats.reshape(r_in, r_out, core.m, core.n).transpose(0, 2, 3, 1))
+    cores = [core_matrices(c).reshape(r_in, r_out, c.m, c.n).transpose(0, 2, 3, 1)
+             for c, r_in, r_out in zip(plan.cores, plan.ranks, plan.ranks[1:])]
     if plan.kind == "dense":
         return cores[0][0, :, :, 0]
     return tt_mod.TTMatrix(plan.row_modes, plan.col_modes, plan.ranks, cores)
@@ -531,12 +502,23 @@ def realize(bundle: ModelBundle, plans: dict | None = None) -> TOMFNModel:
 
 
 def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int) -> dict:
-    """Perturbed copies of every plan, seeded per layer for determinism."""
+    """Perturbed copies of every plan (attenuators shared, meshes new), seeded for determinism.
+
+    Layers take the children of SeedSequence(seed) in sorted name order, and
+    each seeds a SeedSequence of its own; core by core, slice by slice, that
+    one spawns two children, whose states seed the U mesh and the V mesh.
+    """
     seq = np.random.SeedSequence(seed)
     out = {}
     for name in sorted(bundle.plans):
-        child = seq.spawn(1)[0]
-        out[name] = perturb_plan(bundle.plans[name], phase_sigma, bits, child.generate_state(1)[0])
+        layer = np.random.SeedSequence(seq.spawn(1)[0].generate_state(1)[0])
+        cores = []
+        for core in bundle.plans[name].cores:
+            seeds = [[child.generate_state(1)[0] for child in layer.spawn(2)] for _ in core.mesh_u]
+            mesh_u = [perturb(net, phase_sigma, bits, s) for net, (s, _) in zip(core.mesh_u, seeds)]
+            mesh_v = [perturb(net, phase_sigma, bits, s) for net, (_, s) in zip(core.mesh_v, seeds)]
+            cores.append(replace(core, mesh_u=mesh_u, mesh_v=mesh_v))
+        out[name] = replace(bundle.plans[name], cores=cores)
     return out
 
 
@@ -560,17 +542,6 @@ def netlist_from_obj(obj: dict) -> MeshNetlist:
     return MeshNetlist(size, len(columns), col.astype(np.intp), row.astype(np.intp), theta, phi)
 
 
-def _triple_to_obj(tr: SVDTriple) -> dict:
-    return {
-        "mesh_u": netlist_to_obj(tr.mesh_u),
-        "diag": tr.diag.tolist(),
-        "scale": tr.global_scale,
-        "mesh_v": netlist_to_obj(tr.mesh_v),
-        "m": tr.m,
-        "n": tr.n,
-    }
-
-
 def _check_size(obj: dict, m: int, n: int, what: str):
     """A core or triple must have the size (m, n) that its plan's modes give."""
     got = tuple(integer(field(obj, key, what), f"{what} {key}", 1) for key in "mn")
@@ -578,49 +549,41 @@ def _check_size(obj: dict, m: int, n: int, what: str):
         raise DataError(f"{what} is {got[0]}x{got[1]} where the plan's modes give {m}x{n}")
 
 
-def _triple_from_obj(obj: dict, m: int, n: int) -> SVDTriple:
+def _core_to_obj(core: CorePlan, r_out: int) -> dict:
+    """On disk a core nests its slices as "triples" [alpha][beta], one object per slice."""
+    triples = [{"mesh_u": netlist_to_obj(mu), "diag": d, "scale": g, "mesh_v": netlist_to_obj(mv),
+                "m": core.m, "n": core.n}
+               for mu, d, g, mv in zip(core.mesh_u, core.diag.tolist(), core.scale.tolist(), core.mesh_v)]
+    rows = [triples[a:a + r_out] for a in range(0, len(triples), r_out)]
+    return {"m": core.m, "n": core.n, "triples": rows}
+
+
+def _triple_from_obj(obj: dict, m: int, n: int) -> tuple:
+    """(mesh_u, diag, scale, mesh_v) of one slice."""
     _check_size(obj, m, n, "triple")
     mesh_u = netlist_from_obj(field(obj, "mesh_u", "triple"))
     mesh_v = netlist_from_obj(field(obj, "mesh_v", "triple"))
     if (mesh_u.size, mesh_v.size) != (m, n):
         raise DataError(f"meshes of sizes {mesh_u.size}, {mesh_v.size} in a {m}x{n} triple")
     diag = [number(v, "diag entry") for v in json_list(field(obj, "diag", "triple"), "diag", min(m, n))]
-    return SVDTriple(
-        mesh_u=mesh_u,
-        diag=np.asarray(diag, dtype=np.float64),
-        global_scale=number(field(obj, "scale", "triple"), "scale"),
-        mesh_v=mesh_v,
-        m=m,
-        n=n,
-    )
+    return mesh_u, diag, number(field(obj, "scale", "triple"), "scale"), mesh_v
 
 
 def _core_from_obj(obj: dict, m: int, n: int, r_in: int, r_out: int) -> CorePlan:
-    """A core of modes (m, n) holding r_in x r_out triples of that size."""
+    """A core of modes (m, n) holding r_in x r_out triples of that size, as one stack."""
     _check_size(obj, m, n, "core")
-    triples = [[_triple_from_obj(t, m, n) for t in json_list(row, "row of core triples", r_out)]
-               for row in json_list(field(obj, "triples", "core"), "core triples", r_in)]
-    return CorePlan(m=m, n=n, triples=triples)
+    triples = [_triple_from_obj(t, m, n)
+               for row in json_list(field(obj, "triples", "core"), "core triples", r_in)
+               for t in json_list(row, "row of core triples", r_out)]
+    mesh_u, diag, scale, mesh_v = zip(*triples)
+    return CorePlan(m, n, list(mesh_u), list(mesh_v), np.array(diag, dtype=np.float64), np.array(scale))
 
 
 def plan_to_obj(plan: LayerPlan) -> dict:
-    return {
-        "kind": plan.kind,
-        "row_modes": plan.row_modes,
-        "col_modes": plan.col_modes,
-        "ranks": plan.ranks,
-        "wdm_channels": plan.wdm_channels,
-        "logical_out": plan.logical_out,
-        "logical_in": plan.logical_in,
-        "cores": [
-            {
-                "m": c.m,
-                "n": c.n,
-                "triples": [[_triple_to_obj(t) for t in row] for row in c.triples],
-            }
-            for c in plan.cores
-        ],
-    }
+    """The LayerShape fields, `wdm_channels`, and the cores."""
+    shape = {key: value for key, value in vars(plan).items() if key != "cores"}
+    return {**shape, "wdm_channels": plan.wdm_channels,
+            "cores": [_core_to_obj(c, r_out) for c, r_out in zip(plan.cores, plan.ranks[1:])]}
 
 
 def plan_from_obj(obj: dict) -> LayerPlan:
@@ -639,15 +602,8 @@ def plan_from_obj(obj: dict) -> LayerPlan:
         raise DataError(f"a {kind} plan cannot have ranks {ranks}")
     cores = [_core_from_obj(c, row_modes[k], col_modes[k], ranks[k], ranks[k + 1])
              for k, c in enumerate(json_list(field(obj, "cores", "plan"), "plan cores", d))]
-    return LayerPlan(
-        kind=kind,
-        row_modes=row_modes,
-        col_modes=col_modes,
-        ranks=ranks,
-        logical_out=integer(field(obj, "logical_out", "plan"), "logical_out", 1),
-        logical_in=integer(field(obj, "logical_in", "plan"), "logical_in", 1),
-        cores=cores,
-    )
+    logical = [integer(field(obj, key, "plan"), key, 1) for key in ("logical_out", "logical_in")]
+    return LayerPlan(kind, row_modes, col_modes, ranks, *logical, cores=cores)
 
 
 def bundle_to_obj(bundle: ModelBundle) -> dict:

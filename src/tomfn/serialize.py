@@ -26,13 +26,19 @@ from .errors import DataError
 
 
 def dumps(obj) -> str:
-    """One line of JSON, keys sorted for stable bytes and no whitespace.
+    """One line of strict JSON, keys sorted for stable bytes and no whitespace.
+
+    A NaN or an infinity is a DataError: it would not be JSON, and it means
+    the run that computed it failed.
 
     Only `json.dumps` of a flat layout runs on CPython's C encoder;
     `json.dump` to a file, or a pretty-printed layout, falls back to the
     pure-Python encoder, which is several times slower on a compiled bundle.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"refusing to write a number that is not finite ({exc})") from exc
 
 
 def dump_json(obj, path: str):

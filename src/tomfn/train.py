@@ -177,14 +177,14 @@ def load_jsonl(path: str) -> Dataset:
 # --- training ------------------------------------------------------------------
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class TrainOpts:
     epochs: int = 200
     lr: float = 1e-3
     batch_size: int = 8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     shuffle: bool = True
     target_accuracy: float | None = None  # early exit once train accuracy reaches this
@@ -198,7 +198,7 @@ class Adam:
         self.t = 0
 
     def step(self, leaves, grads):
-        o = self.opts
+        lr = self.opts.lr
         self.t += 1
         for key, w in leaves:
             g = grads[key]
@@ -208,31 +208,43 @@ class Adam:
                 self.m[key] = m
                 self.v[key] = np.zeros_like(w)
             v = self.v[key]
-            m += (1 - o.beta1) * (g - m)
-            v += (1 - o.beta2) * (g * g - v)
-            m_hat = m / (1 - o.beta1**self.t)
-            v_hat = v / (1 - o.beta2**self.t)
-            w -= o.lr * m_hat / (np.sqrt(v_hat) + o.eps)
+            m += (1 - BETA1) * (g - m)
+            v += (1 - BETA2) * (g * g - v)
+            m_hat = m / (1 - BETA1**self.t)
+            v_hat = v / (1 - BETA2**self.t)
+            w -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def _diverged(epoch: int, batch: int, what: str) -> DataError:
+    return DataError(f"training diverged in epoch {epoch + 1}, batch {batch + 1}: {what}; "
+                     f"scale the data down or lower --lr")
 
 
 def train_model(model: TOMFNModel, ds: Dataset, opts: TrainOpts | None = None):
-    """Train in place; returns (model, per-epoch mean loss history)."""
+    """Train in place; returns (model, per-epoch mean loss history).
+
+    A loss or weight that is not finite stops training with a DataError."""
     if len(ds) == 0:
         raise DataError("cannot train on an empty dataset")
     opts = opts or TrainOpts()
     optimizer = Adam(opts)
     rng = np.random.default_rng(opts.seed)
     history = []
-    for _ in range(opts.epochs):
+    for epoch in range(opts.epochs):
         order = rng.permutation(len(ds)) if opts.shuffle else np.arange(len(ds))
         losses = []
-        for start in range(0, len(ds), opts.batch_size):
+        for batch, start in enumerate(range(0, len(ds), opts.batch_size)):
             idx = order[start : start + opts.batch_size]
-            loss, grads = model_mod.loss_and_grad(
-                model, ds.visual[idx], ds.audio[idx], ds.text[idx], ds.labels[idx]
-            )
-            optimizer.step(list(model.leaves()), grads)
+            with np.errstate(all="ignore"):  # divergence is reported once, below, not warned about
+                loss, grads = model_mod.loss_and_grad(
+                    model, ds.visual[idx], ds.audio[idx], ds.text[idx], ds.labels[idx]
+                )
+                if not math.isfinite(loss):
+                    raise _diverged(epoch, batch, f"the loss is {loss}")
+                optimizer.step(list(model.leaves()), grads)
             losses.append(loss)
+        if not all(np.isfinite(w).all() for _, w in model.leaves()):
+            raise _diverged(epoch, batch, "a weight is not finite")
         history.append(float(np.mean(losses)))
         if opts.target_accuracy is not None:
             if evaluate(model, ds)["accuracy"] >= opts.target_accuracy:

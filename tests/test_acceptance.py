@@ -127,8 +127,8 @@ def test_criterion_6_mesh_suite():
             w = rng.normal(size=(m, n))
             if m == n == 1:
                 w = np.abs(w)  # an empty mesh cannot carry the sign of a scalar
-            triple = P.svd_map(w[None])[0]
-            rel = np.linalg.norm(P.svd_matrix(triple) - w) / np.linalg.norm(w)
+            core = P.svd_map(w[None])
+            rel = np.linalg.norm(P.core_matrices(core)[0] - w) / np.linalg.norm(w)
             assert rel < 1e-9
 
 

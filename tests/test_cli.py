@@ -324,6 +324,23 @@ def test_unreadable_input_file_exits_with_its_code(tmp_path, tiny_config, capsys
     assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("synthetic, flags", [
+    ("n=8,L=3,gamma=1e200", ["--epochs", "1"]),
+    ("n=8,L=3", ["--epochs", "3", "--lr", "1e300"]),
+    ("n=8,L=3,gamma=1e80,scale=1e80", ["--epochs", "1"]),  # finite loss, NaN weights
+], ids=["loss_overflows", "lr_overflows", "weights_overflow"])
+def test_train_diverging_exits_3(tmp_path, tiny_config, capsys, synthetic, flags):
+    weights = tmp_path / "w.json"
+    capsys.readouterr()
+    assert run(["train", "--config", tiny_config, "--synthetic", synthetic, *flags,
+                "--out", str(weights)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("tomfn train: data: training diverged in epoch ") and err.count("\n") == 1
+    assert "--lr" in err and "Traceback" not in err and captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 def test_train_missing_data_exits_3(tiny_config):
     assert run(["train", "--config", tiny_config, "--data", "/missing.jsonl"]) == 3
 
@@ -534,7 +551,10 @@ def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect
     else:
         ds.visual[1, 2] = np.nan
     data = tmp_path / "bad.jsonl"
-    T.save_jsonl(ds, str(data))
+    # Written with json.dumps, not save_jsonl: tomfn itself writes no NaN.
+    data.write_text("".join(json.dumps({key: getattr(ds, key)[i].tolist() for key in
+                                        ("visual", "audio", "text", "labels")}) + "\n"
+                            for i in range(len(ds))))
     argv = [command, "--config", tiny_config, "--data", str(data)]
     if command != "train":
         argv += ["--weights", make_trained(tmp_path, tiny_config)]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tomfn import cost as C
+from tomfn import photonic as P
 from tomfn.errors import ShapeError
 
 
@@ -110,4 +111,4 @@ def test_uncalibrated_flag():
 
 def test_dense_mzi_estimate():
     dims = {"a": (4, 4), "b": (2, 2)}
-    assert C.dense_mzi_estimate(dims) == (6 + 6 + 4) + (1 + 1 + 2)
+    assert P.dense_mzi_estimate(dims) == (6 + 6 + 4) + (1 + 1 + 2)

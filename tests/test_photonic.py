@@ -135,11 +135,12 @@ def test_svd_map_stack_matches_single():
         stack = rng.normal(size=(5,) + shape)
         if shape == (1, 1):
             stack = np.abs(stack)
-        for w, tr in zip(stack, P.svd_map(stack)):
-            single = P.svd_map(w[None])[0]
-            for mesh, want in ((tr.mesh_u, single.mesh_u), (tr.mesh_v, single.mesh_v)):
+        core = P.svd_map(stack)
+        for k, w in enumerate(stack):
+            single = P.svd_map(w[None])
+            for mesh, want in ((core.mesh_u[k], single.mesh_u[0]), (core.mesh_v[k], single.mesh_v[0])):
                 assert P.netlist_to_obj(mesh) == P.netlist_to_obj(want)
-            assert np.array_equal(tr.diag, single.diag) and tr.global_scale == single.global_scale
+            assert np.array_equal(core.diag[k], single.diag[0]) and core.scale[k] == single.scale[0]
     stack = np.ones((3, 1, 1))
     stack[2, 0, 0] = -1.0
     with pytest.raises(MappingError, match="matrix 2"):
@@ -255,26 +256,26 @@ def test_perturb_deterministic_and_error_grows():
 
 
 def test_svd_map_identity():
-    tr = P.svd_map(np.eye(3)[None])[0]
-    assert tr.global_scale == 1.0
-    assert np.allclose(tr.diag, 1.0, atol=1e-12)
-    assert np.allclose(P.svd_matrix(tr), np.eye(3), atol=1e-10)
+    core = P.svd_map(np.eye(3)[None])
+    assert core.scale[0] == 1.0
+    assert np.allclose(core.diag[0], 1.0, atol=1e-12)
+    assert np.allclose(P.core_matrices(core)[0], np.eye(3), atol=1e-10)
 
 
 def test_svd_map_scaling():
-    tr = P.svd_map(2.0 * np.eye(2)[None])[0]
-    assert abs(tr.global_scale - 2.0) < 1e-12
-    assert np.allclose(tr.diag, [1.0, 1.0], atol=1e-12)
-    assert np.allclose(P.svd_matrix(tr), 2.0 * np.eye(2), atol=1e-10)
+    core = P.svd_map(2.0 * np.eye(2)[None])
+    assert abs(core.scale[0] - 2.0) < 1e-12
+    assert np.allclose(core.diag[0], [1.0, 1.0], atol=1e-12)
+    assert np.allclose(P.core_matrices(core)[0], 2.0 * np.eye(2), atol=1e-10)
 
 
 def test_svd_map_rectangular():
     rng = np.random.default_rng(8)
     for shape in ((4, 6), (6, 4), (1, 5), (5, 1), (3, 3)):
         w = rng.normal(size=shape)
-        tr = P.svd_map(w[None])[0]
-        assert np.all(tr.diag >= 0) and np.all(tr.diag <= 1 + 1e-12)
-        rel = np.linalg.norm(P.svd_matrix(tr) - w) / np.linalg.norm(w)
+        core = P.svd_map(w[None])
+        assert np.all(core.diag[0] >= 0) and np.all(core.diag[0] <= 1 + 1e-12)
+        rel = np.linalg.norm(P.core_matrices(core)[0] - w) / np.linalg.norm(w)
         assert rel < 1e-9, shape
 
 
@@ -286,11 +287,11 @@ def test_svd_map_negative_scalar_rejected():
 def test_svd_output_norm_bound():
     rng = np.random.default_rng(9)
     w = rng.normal(size=(5, 3))
-    tr = P.svd_map(w[None])[0]
+    core = P.svd_map(w[None])
     for _ in range(5):
         x = rng.normal(size=3)
-        bound = tr.global_scale * np.linalg.norm(x) * tr.diag.max()
-        assert np.linalg.norm(P.svd_matrix(tr) @ x) <= bound + 1e-9
+        bound = core.scale[0] * np.linalg.norm(x) * core.diag[0].max()
+        assert np.linalg.norm(P.core_matrices(core)[0] @ x) <= bound + 1e-9
 
 
 # --- layer plans -----------------------------------------------------------------
@@ -300,7 +301,7 @@ def test_map_identity_tt():
     t = tt_mod.tt_from_dense(np.eye(4), [2, 2], [2, 2], max_rank=16, tol=0.0)
     plan = P.map_tt_layer(t)
     assert plan.wdm_channels == 1
-    assert [len(c.triples) * len(c.triples[0]) for c in plan.cores] == [1, 1]
+    assert [len(c.mesh_u) for c in plan.cores] == [1, 1]
     assert P.core_histogram([plan]) == {"2x2": 2}
     x = np.array([0.5, -1.0, 2.0, 3.0])
     assert np.allclose(tt_mod.tt_matvec(P.realize_plan(plan), x), x, atol=1e-10)
@@ -313,7 +314,7 @@ def test_map_32x32_rank2():
     t = tt_mod.TTMatrix([4, 8], [4, 8], ranks, cores)
     plan = P.map_tt_layer(t)
     assert plan.wdm_channels == 2
-    counts = [len(c.triples) * len(c.triples[0]) for c in plan.cores]
+    counts = [len(c.mesh_u) for c in plan.cores]
     assert counts == [2, 2]
     assert P.core_histogram([plan]) == {"4x4": 2, "8x8": 2}
 
@@ -481,14 +482,16 @@ def test_shape_totals_equal_compiled_totals(case):
     bundle = P.compile_model(model)
     assert P.totals(cfg, shapes) == P.totals(cfg, bundle.plans)
     # Counted from the compiled meshes themselves, not from modes and ranks.
-    triples = [t for plan in bundle.plans.values() for core in plan.cores
-               for row in core.triples for t in row]
-    mzis = sum(t.mesh_u.mzi_count() + t.mesh_v.mzi_count() + t.diag.size for t in triples)
+    cores = [(core, plan.ranks[k], plan.ranks[k + 1])
+             for plan in bundle.plans.values() for k, core in enumerate(plan.cores)]
+    for core, r_in, r_out in cores:
+        assert len(core.mesh_u) == len(core.mesh_v) == len(core.diag) == len(core.scale) == r_in * r_out
+    mzis = sum(net.mzi_count() for core, _, _ in cores for net in core.mesh_u + core.mesh_v)
+    mzis += sum(core.diag.size for core, _, _ in cores)
     hist = {}
-    for t in triples:
-        hist[f"{t.m}x{t.n}"] = hist.get(f"{t.m}x{t.n}", 0) + 1
-    wdm = max(max(len(core.triples), len(core.triples[0]))
-              for plan in bundle.plans.values() for core in plan.cores)
+    for core, _, _ in cores:
+        hist[f"{core.m}x{core.n}"] = hist.get(f"{core.m}x{core.n}", 0) + len(core.mesh_u)
+    wdm = max(max(r_in, r_out) for _, r_in, r_out in cores)
     totals = P.totals(cfg, shapes)
     assert (totals["mzis"], totals["core_histogram"], totals["wdm_channels"]) == (mzis, hist, wdm)
     if case == "default":
@@ -531,3 +534,30 @@ def test_perturbed_bundle_deterministic():
     assert np.array_equal(y1, y2)
     ideal = M.forward(P.realize(bundle), sample)
     assert not np.array_equal(y1, ideal)
+
+
+def test_perturb_bundle_noise_stream():
+    """Which seed perturbs which mesh, walked on the bundle's on-disk layout: layers in
+    sorted name order, each seeded by the next child of SeedSequence(seed); within a
+    layer, core by core, slices [alpha][beta] row-major, each spawning two seeds, U then V."""
+    from tomfn import model as M
+
+    bundle = P.compile_model(M.build(tiny_config(visual=True, fusion=True, max_factor=2)))
+    assert any(r_in > 1 and r_out > 1 for plan in bundle.plans.values()
+               for r_in, r_out in zip(plan.ranks, plan.ranks[1:]))  # slice order matters
+    seed, sigma, bits = 5, 0.02, 6
+    got = P.perturb_bundle(bundle, sigma, bits, seed)
+    assert list(got) == sorted(bundle.plans)
+    trial = np.random.SeedSequence(seed)
+    for name in sorted(bundle.plans):
+        layer = np.random.SeedSequence(trial.spawn(1)[0].generate_state(1)[0])
+        want_cores = P.plan_to_obj(bundle.plans[name])["cores"]
+        got_cores = P.plan_to_obj(got[name])["cores"]
+        for want_core, got_core in zip(want_cores, got_cores, strict=True):
+            for want_row, got_row in zip(want_core["triples"], got_core["triples"], strict=True):
+                for want, perturbed in zip(want_row, got_row, strict=True):
+                    s_u, s_v = (child.generate_state(1)[0] for child in layer.spawn(2))
+                    for key, s in (("mesh_u", s_u), ("mesh_v", s_v)):
+                        net = P.perturb(P.netlist_from_obj(want[key]), sigma, bits, s)
+                        assert perturbed[key] == P.netlist_to_obj(net), (name, key)
+                    assert (perturbed["diag"], perturbed["scale"]) == (want["diag"], want["scale"])

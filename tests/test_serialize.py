@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -61,6 +62,15 @@ def test_dump_is_compact_sorted_one_line(tmp_path):
                                  + "\n").encode()
     assert text == S.dumps(obj) + "\n" and text.count("\n") == 1
     assert S.load_json(str(path)) == obj
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_dumps_refuses_non_finite(tmp_path, value):
+    with pytest.raises(DataError, match="not finite"):
+        S.dumps({"loss_history": [0.5, value]})
+    with pytest.raises(DataError, match="not finite"):
+        S.dump_json([value], str(tmp_path / "out.json"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_dump_leaves_no_temp_files(tmp_path):
