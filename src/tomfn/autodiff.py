@@ -2,6 +2,9 @@
 
 A `Var` records its value and, for non-leaf nodes, a vector-Jacobian
 callback that maps the upstream gradient to gradients for its parents.
+A callback may return `None` for a parent that needs no gradient, and
+`matmul`'s does, so a product with a constant operand (the input
+features) never computes that operand's gradient.
 An op node needs a gradient exactly when one of its parents does; a node
 that needs none keeps no parents or callback, so a graph built only from
 constants records no tape and frees each intermediate once it is used.
@@ -86,7 +89,12 @@ def matmul(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
     if (av.ndim, bv.ndim) not in {(2, 2), (3, 3)}:
         raise ShapeError(f"unsupported matmul arity {(av.ndim, bv.ndim)}")
-    return Var(av @ bv, (a, b), lambda g: (g @ bv.swapaxes(-1, -2), av.swapaxes(-1, -2) @ g))
+
+    def vjp(g):
+        return (g @ bv.swapaxes(-1, -2) if a.requires_grad else None,
+                av.swapaxes(-1, -2) @ g if b.requires_grad else None)
+
+    return Var(av @ bv, (a, b), vjp)
 
 
 def add(a: Var, b: Var) -> Var:

@@ -192,6 +192,10 @@ def cmd_describe(args) -> int:
         totals["wdm_channels"], pm, n_inputs, n_outputs, args.freq,
         dense_mzis=photonic.dense_mzi_estimate(dims),
     )
+    if not (math.isfinite(report.energy_per_inference_j) and math.isfinite(report.mac_per_j)):
+        raise CliError(EXIT_CONFIG, f"--freq {args.freq:g} and a power of {report.power_w:g} W "
+                       f"(--power-override) give {report.energy_per_inference_j:g} J and "
+                       f"{report.mac_per_j:g} MAC/J; both must be finite")
     comparison = None
     if args.compare:
         try:

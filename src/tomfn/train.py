@@ -191,6 +191,14 @@ class TrainOpts:
 
 
 class Adam:
+    """Adam (Kingma & Ba, ICLR 2015), updated in place.
+
+    `step` writes `m`, `v` and each weight through `out=` with two scratch
+    arrays per leaf, in the textbook's order of operations, so results are
+    bit-identical to the out-of-place form.  It never writes into a gradient:
+    gradients may alias (`add` hands one array to both parents) or be views
+    (`reshape`)."""
+
     def __init__(self, opts: TrainOpts):
         self.opts = opts
         self.m: dict = {}
@@ -200,6 +208,7 @@ class Adam:
     def step(self, leaves, grads):
         lr = self.opts.lr
         self.t += 1
+        c1, c2 = 1 - BETA1**self.t, 1 - BETA2**self.t  # bias corrections
         for key, w in leaves:
             g = grads[key]
             m = self.m.get(key)
@@ -208,11 +217,20 @@ class Adam:
                 self.m[key] = m
                 self.v[key] = np.zeros_like(w)
             v = self.v[key]
-            m += (1 - BETA1) * (g - m)
-            v += (1 - BETA2) * (g * g - v)
-            m_hat = m / (1 - BETA1**self.t)
-            v_hat = v / (1 - BETA2**self.t)
-            w -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+            s = np.subtract(g, m)
+            s *= 1 - BETA1
+            m += s
+            np.multiply(g, g, out=s)
+            s -= v
+            s *= 1 - BETA2
+            v += s
+            np.divide(v, c2, out=s)
+            np.sqrt(s, out=s)
+            s += EPS
+            update = np.divide(m, c1)
+            update *= lr
+            update /= s
+            w -= update
 
 
 def _diverged(epoch: int, batch: int, what: str) -> DataError:
@@ -262,12 +280,19 @@ def f1_score(tp: int, fp: int, fn: int) -> float:
 
 
 def probabilities(model: TOMFNModel, ds: Dataset, batch_size: int = 64) -> np.ndarray:
-    """Per-head class probabilities for every sample, (n, heads, 2), a batch at a time."""
-    return np.concatenate([
-        model_mod.forward_batch(model, ds.visual[s : s + batch_size], ds.audio[s : s + batch_size],
-                                ds.text[s : s + batch_size])
-        for s in range(0, len(ds), batch_size)
-    ])
+    """Per-head class probabilities for every sample, (n, heads, 2), a batch at a time.
+
+    Outputs that are not finite raise a DataError instead of a warning."""
+    with np.errstate(all="ignore"):  # an overflow is reported once, below
+        probs = np.concatenate([
+            model_mod.forward_batch(model, ds.visual[s : s + batch_size],
+                                    ds.audio[s : s + batch_size], ds.text[s : s + batch_size])
+            for s in range(0, len(ds), batch_size)
+        ])
+    if not np.isfinite(probs).all():
+        raise DataError("the model's outputs are not finite: its weights or inputs are on "
+                        "too large a scale")
+    return probs
 
 
 def predictions(model: TOMFNModel, ds: Dataset, batch_size: int = 64) -> np.ndarray:

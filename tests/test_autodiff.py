@@ -53,6 +53,28 @@ def test_matmul_3d_3d():
     check(lambda a, b: ad.matmul(a, b), (2, 3, 4), (2, 4, 5))
 
 
+@pytest.mark.parametrize("constant_index", [0, 1], ids=["constant_left", "constant_right"])
+def test_matmul_skips_the_constant_operand(constant_index):
+    rng = np.random.default_rng(4)
+    arrays = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
+    operands = [ad.leaf(a.copy()) for a in arrays]
+    operands[constant_index] = ad.constant(arrays[constant_index])
+    out = ad.matmul(*operands)
+    assert out.vjp(np.ones(out.shape))[constant_index] is None
+    ad.backward(ad.sum_all(out))
+    assert operands[constant_index].grad is None
+
+    learned = 1 - constant_index
+
+    def f(x):
+        vals = list(arrays)
+        vals[learned] = x
+        return ad.sum_all(ad.matmul(ad.constant(vals[0]), ad.constant(vals[1]))).value.item()
+
+    expect = numeric_grad(f, arrays[learned].copy())
+    assert np.allclose(operands[learned].grad, expect, atol=1e-7)
+
+
 def test_add_mul_scale():
     check(lambda a, b: ad.scale(ad.mul(ad.add(a, b), b), 0.7), (3, 3), (3, 3))
 

@@ -88,9 +88,9 @@ def test_describe_compare_against_computed_model(tmp_path, tiny_config):
 @pytest.mark.parametrize("flags", [
     ["--freq", "0"], ["--freq", "-1"], ["--freq", "nan"], ["--freq", "inf"],
     ["--power-override", "0"], ["--power-override", "-3"], ["--power-override", "nan"],
-    ["--power-override", "inf"],
+    ["--power-override", "inf"], ["--power-override", "5e-324"], ["--freq", "1e308"],
 ], ids=["freq_0", "freq_negative", "freq_nan", "freq_inf", "power_0", "power_negative",
-        "power_nan", "power_inf"])
+        "power_nan", "power_inf", "power_subnormal", "freq_huge"])
 def test_describe_bad_numeric_args_exit_2(tmp_path, tiny_config, capsys, flags):
     out = tmp_path / "r.json"
     capsys.readouterr()
@@ -324,21 +324,45 @@ def test_unreadable_input_file_exits_with_its_code(tmp_path, tiny_config, capsys
     assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("synthetic, flags", [
-    ("n=8,L=3,gamma=1e200", ["--epochs", "1"]),
-    ("n=8,L=3", ["--epochs", "3", "--lr", "1e300"]),
-    ("n=8,L=3,gamma=1e80,scale=1e80", ["--epochs", "1"]),  # finite loss, NaN weights
-], ids=["loss_overflows", "lr_overflows", "weights_overflow"])
-def test_train_diverging_exits_3(tmp_path, tiny_config, capsys, synthetic, flags):
+DIVERGED = "training diverged in epoch "
+NOT_FINITE = "the model's outputs are not finite"
+
+
+@pytest.mark.parametrize("synthetic, flags, message", [
+    ("n=8,L=3,gamma=1e200", ["--epochs", "1"], DIVERGED),
+    ("n=8,L=3", ["--epochs", "3", "--lr", "1e300"], DIVERGED),
+    ("n=8,L=3,gamma=1e80,scale=1e80", ["--epochs", "1"], DIVERGED),  # finite loss, NaN weights
+    # One step: the weights stay finite near 1e300, and the closing evaluation overflows.
+    ("n=8,L=3", ["--epochs", "1", "--lr", "1e300"], NOT_FINITE),
+], ids=["loss_overflows", "lr_overflows", "weights_overflow", "outputs_overflow"])
+def test_train_diverging_exits_3(tmp_path, tiny_config, capsys, synthetic, flags, message):
     weights = tmp_path / "w.json"
     capsys.readouterr()
     assert run(["train", "--config", tiny_config, "--synthetic", synthetic, *flags,
                 "--out", str(weights)]) == 3
     captured = capsys.readouterr()
     err = captured.err
-    assert err.startswith("tomfn train: data: training diverged in epoch ") and err.count("\n") == 1
-    assert "--lr" in err and "Traceback" not in err and captured.out == ""
+    assert err.startswith("tomfn train: data: " + message) and err.count("\n") == 1
+    assert "Traceback" not in err and captured.out == ""
+    if message == DIVERGED:
+        assert "--lr" in err
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_outputs_not_finite_exits_3(tmp_path, tiny_config, capsys, command):
+    cfg = M.ModelConfig.from_dict(TINY)
+    weights, samples = tmp_path / "w.json", tmp_path / "s.jsonl"
+    dump_json(serialize.weights_to_obj({k: w * 1e300 for k, w in M.build(cfg).weights.items()}),
+              str(weights))
+    T.save_jsonl(T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), cfg), str(samples))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run([command, "--config", tiny_config, "--weights", str(weights),
+                "--data", str(samples), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"tomfn {command}: data: " + NOT_FINITE)
+    assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
 
 def test_train_missing_data_exits_3(tiny_config):

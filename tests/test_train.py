@@ -107,6 +107,36 @@ def test_zero_lr_is_identity():
         assert np.array_equal(before[k], w)
 
 
+def adam_oracle(w, m, v, g, t, lr):
+    """The textbook Adam step, out of place: returns the new (w, m, v)."""
+    m = m + (1 - T.BETA1) * (g - m)
+    v = v + (1 - T.BETA2) * (g * g - v)
+    m_hat = m / (1 - T.BETA1**t)
+    v_hat = v / (1 - T.BETA2**t)
+    return w - lr * m_hat / (np.sqrt(v_hat) + T.EPS), m, v
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own_grads", "shared_grad"])
+def test_adam_step_matches_textbook_oracle(shared):
+    rng = np.random.default_rng(7)
+    shapes = {"a": (3, 4), "b": (3, 4), "c": (5,), "d": (2, 3, 2)}
+    weights = {k: rng.normal(size=s) for k, s in shapes.items()}
+    expect = {k: (w.copy(), np.zeros_like(w), np.zeros_like(w)) for k, w in weights.items()}
+    opt = T.Adam(T.TrainOpts(lr=0.05))
+    for t in range(1, 5):
+        grads = {k: rng.normal(scale=10.0 ** (t - 2), size=s) for k, s in shapes.items()}
+        if shared:  # as add's VJP hands one array to both parents
+            grads["b"] = grads["a"]
+        before = {k: g.copy() for k, g in grads.items()}
+        opt.step(list(weights.items()), grads)
+        for k, w in weights.items():
+            expect[k] = adam_oracle(*expect[k], before[k], t, 0.05)
+            assert np.array_equal(grads[k], before[k])
+            assert np.array_equal(w, expect[k][0])
+            assert np.array_equal(opt.m[k], expect[k][1])
+            assert np.array_equal(opt.v[k], expect[k][2])
+
+
 def test_loss_decreases_on_separable_data():
     m = M.build(small_config(seed=1))
     ds = small_synth(n=40, seed=1)
