@@ -18,12 +18,12 @@ rng = np.random.default_rng(3)
 print("=== a 6x6 orthogonal matrix as a mesh ===")
 q, r = np.linalg.qr(rng.normal(size=(6, 6)))
 u = q * np.sign(np.diag(r))
-net = P.givens_decompose(u[None])[0]
+net = P.givens_decompose(u[None])  # a stack of one mesh
 print(f"MZIs: {net.mzi_count()} (= 6*5/2), depth: {net.depth} columns")
 print("MZIs per column:", np.bincount(net.col, minlength=net.depth).tolist())
-print(f"reconstruction error: {np.linalg.norm(P.mesh_matrix(net) - u):.2e}")
+print(f"reconstruction error: {np.linalg.norm(P.mesh_matrix(net)[0] - u):.2e}")
 x = rng.normal(size=6)
-print(f"norm preserved: |y| - |x| = {np.linalg.norm(P.mesh_matrix(net) @ x) - np.linalg.norm(x):.2e}")
+print(f"norm preserved: |y| - |x| = {np.linalg.norm(P.mesh_matrix(net)[0] @ x) - np.linalg.norm(x):.2e}")
 
 print()
 print("=== rectangular weights via an SVD triple ===")
@@ -42,7 +42,7 @@ print(f"TT ranks {t.ranks} -> WDM channels: {plan.wdm_channels}")
 print(f"core histogram: {P.core_histogram([plan])}")
 print(f"MZIs: {P.mzi_count(plan)}, cascaded stages: {P.stage_depth(plan)}")
 x = rng.normal(size=32)
-print("bond slices per core:", [len(core.mesh_u) for core in plan.cores])
+print("bond slices per core:", [len(core.mesh_u.theta) for core in plan.cores])
 realized = P.realize_plan(plan)  # each core read back from its bond-slice meshes
 err = np.max(np.abs(tt.tt_matvec(realized, x) - tt.tt_matvec(t, x)))
 print(f"realized optical plan vs TT contraction: max error {err:.2e}")
@@ -50,8 +50,8 @@ print(f"realized optical plan vs TT contraction: max error {err:.2e}")
 print()
 print("=== phase noise and quantization ===")
 x6 = rng.normal(size=6)
-ideal = P.mesh_matrix(net) @ x6
+ideal = P.mesh_matrix(net)[0] @ x6
 for sigma in (0.001, 0.01, 0.05):
-    noisy_net = P.perturb(net, phase_sigma=sigma, bits=8, seed=7)
-    err = np.max(np.abs(P.mesh_matrix(noisy_net) @ x6 - ideal))
+    noisy_net = P.perturb(net, phase_sigma=sigma, bits=8, seeds=[7])
+    err = np.max(np.abs(P.mesh_matrix(noisy_net)[0] @ x6 - ideal))
     print(f"  sigma={sigma:<6} 8-bit phases: max output error {err:.3e}")

@@ -308,7 +308,7 @@ def cmd_simulate(args) -> int:
         model = _load_weights_into(config, args.weights)
         try:
             bundle = photonic.compile_model(model)
-        except MappingError as exc:
+        except (MappingError, DecompositionError) as exc:
             raise CliError(EXIT_COMPILE, str(exc)) from exc
     if not args.data:
         raise CliError(EXIT_DATA, "simulate requires --data with input samples")

@@ -28,18 +28,17 @@ each realized as its own SVD triple, with bond channels carried on WDM
 wavelengths and summed digitally after detection.
 
 A core is one stack (`CorePlan`): its K = r_{k-1} * r_k slices, row-major
-over the bond pair, as K U meshes, K V meshes, (K, min(m, n)) amplitudes and
-(K,) scales; a dense weight is a core of one slice.  The elimination order,
-and so the grid packing, depends on N alone, so `givens_decompose` runs each
-step on a whole (K, N, N) stack and `svd_map` maps a core through one batched
-SVD.  Every check (finite entries, orthogonality, the sign diagonal, a
-negative 1 x 1) still holds matrix by matrix.  Only the JSON codec splits a
-core into per-slice objects, its on-disk "triples".
-
-A mesh (`MeshNetlist`) holds its MZIs in physical order as four flat
-arrays, `col` (non-decreasing), `row`, `theta` and `phi`, beside its `size`
-and `depth` (columns, empty ones included).  `perturb` is one array
-operation; only the JSON codec visits MZIs one at a time.
+over the bond pair, as a U and a V mesh stack, (K, min(m, n)) amplitudes
+and (K,) scales; a dense weight is a core of one slice.  The elimination
+order, and so the grid packing, depends on N alone, so the K meshes of a
+side share one grid: a mesh stack (`MeshNetlist`) holds the MZIs in
+physical order as `col` (non-decreasing) and `row`, the (K, MZI) angles
+`theta` and `phi`, the `size` and the `depth` (columns, empty ones
+included).  `givens_decompose` runs each step on a whole (K, N, N) stack,
+`svd_map` maps a core through one batched SVD, and the mesh apply,
+`perturb` and the bundle codec take a stack as whole arrays.  Every check
+(finite entries, orthogonality, the sign diagonal, a negative 1 x 1) still
+holds matrix by matrix.
 
 Accounting (MZIs, stages, WDM channels, the core-size histogram) reads
 only each layer's modes and bond ranks, so `describe` counts from the
@@ -49,11 +48,8 @@ Simulation does not re-implement the network.  For fixed phases a
 compiled plan is a linear map, so `realize_plan` reads each (possibly
 perturbed) plan back into the TT core or dense weight it computes, and
 `realize` assembles those into a model that the one batched forward pass
-(`model.forward_batch`) runs.  The meshes of one core run as a stack, one
-MZI of every mesh per step; a mesh with fewer MZIs is padded with identity
-MZIs (theta = phi = 0, exact), so meshes of any valid structure, such as
-those of a bundle loaded from JSON, take the same path.  Phase errors from
-`perturb` are static per trial: one draw per noisy copy of the bundle.
+(`model.forward_batch`) runs.  Phase errors from `perturb` are static per
+trial: one draw per noisy copy of the bundle.
 Per-shot detector noise, if ever added, varies from one input to the next
 and must be injected at the detection points inside the forward pass, not
 folded into the realized weights.
@@ -69,9 +65,10 @@ import numpy as np
 from . import tt as tt_mod
 from .model import ROW_APPLIED, ModelConfig, TOMFNModel, block_dims
 from .errors import DataError, DecompositionError, MappingError, ShapeError
-from .serialize import field, integer, json_list, number, sizes
+from .serialize import field, integer, json_list, numbers, sizes
 
 CORE_SIZE_CAP = 8
+BUNDLE_FORMAT = 2  # the on-disk layout `bundle_to_obj` writes and `bundle_from_obj` reads
 
 
 # --- netlists -------------------------------------------------------------------
@@ -79,7 +76,8 @@ CORE_SIZE_CAP = 8
 
 @dataclass
 class MeshNetlist:
-    """MZI i sits in column col[i] on waveguides (row[i], row[i] + 1)."""
+    """K meshes on one grid: MZI i of every mesh sits in column col[i] on
+    waveguides (row[i], row[i] + 1); mesh k sets it to theta[k, i], phi[k, i]."""
 
     size: int
     depth: int
@@ -92,38 +90,29 @@ class MeshNetlist:
         return len(self.col)
 
 
-def _apply_meshes(nets: list[MeshNetlist], x: np.ndarray) -> np.ndarray:
-    """Apply mesh k of `nets` to the rows of x[k], for an x of shape (K, N, C).
+def _apply_meshes(net: MeshNetlist, x: np.ndarray) -> np.ndarray:
+    """Apply mesh k of the stack to the rows of x[k], for an x of shape (K, N, C).
 
-    Step j applies the j-th MZI of every mesh (physical order), so the
-    meshes advance together; shorter meshes are padded with identity MZIs.
+    Step j applies MZI j (physical order) of all K meshes at once.
     """
     y = np.array(x, dtype=np.float64)
-    counts = np.array([net.mzi_count() for net in nets])
-    filled = np.arange(counts.max(initial=0)) < counts[:, None]  # (mesh, step)
-    table = np.zeros((3,) + filled.shape)
-    for t, field in zip(table, ("row", "theta", "phi")):
-        t[filled] = np.concatenate([getattr(net, field) for net in nets])
-    rows = table[0].astype(np.intp)
-    cos_t, sin_t, cos_p = np.cos(table[1]), np.sin(table[1]), np.cos(table[2])
-    ks = np.arange(len(nets))
-    for j in range(filled.shape[1]):
-        r = rows[:, j]
-        top = cos_p[:, j, None] * y[ks, r]
-        bot = y[ks, r + 1]
+    cos_t, sin_t, cos_p = np.cos(net.theta), np.sin(net.theta), np.cos(net.phi)
+    for j, r in enumerate(net.row.tolist()):
+        top = cos_p[:, j, None] * y[:, r]
+        bot = y[:, r + 1]
         c, s = cos_t[:, j, None], sin_t[:, j, None]
-        y[ks, r] = c * top - s * bot
-        y[ks, r + 1] = s * top + c * bot
+        y[:, r] = c * top - s * bot
+        y[:, r + 1] = s * top + c * bot
     return y
 
 
 def mesh_matrix(net: MeshNetlist) -> np.ndarray:
-    """The matrix the netlist realizes (mesh applied to identity columns)."""
-    return _apply_meshes([net], np.eye(net.size)[None])[0]
+    """The (K, N, N) matrices the stack realizes (each mesh applied to identity columns)."""
+    return _apply_meshes(net, np.broadcast_to(np.eye(net.size), (len(net.theta), net.size, net.size)))
 
 
-def givens_decompose(u: np.ndarray) -> list[MeshNetlist]:
-    """Decompose a (K, N, N) stack of real orthogonal matrices into rectangular meshes.
+def givens_decompose(u: np.ndarray) -> MeshNetlist:
+    """Decompose a (K, N, N) stack of real orthogonal matrices into K rectangular meshes.
 
     Two-sided Givens elimination (alternating column and row sweeps)
     reduces each matrix to a +-1 diagonal; the rotations are packed into
@@ -143,7 +132,7 @@ def givens_decompose(u: np.ndarray) -> list[MeshNetlist]:
         if (bad := np.flatnonzero(u[:, 0, 0] < 0)).size:
             raise DecompositionError(f"matrix {bad[0]}: a 1x1 mesh has no MZI to carry a negative sign")
         empty = np.zeros(0, dtype=np.intp)
-        return [MeshNetlist(1, 0, empty, empty, np.zeros(0), np.zeros(0)) for _ in range(count)]
+        return MeshNetlist(1, 0, empty, empty, np.zeros((count, 0)), np.zeros((count, 0)))
 
     v = u.copy()
     left: list[tuple[int, np.ndarray]] = []  # G(k, theta) applied as V <- G V
@@ -207,9 +196,8 @@ def givens_decompose(u: np.ndarray) -> list[MeshNetlist]:
         raise DecompositionError(f"matrix {bad[0]}: unabsorbed output sign; the mesh misses a row")
 
     layout = np.lexsort((ks, cols))  # physical order: by column, then row
-    phis = np.where(sigma_flip[layout], np.pi, 0.0).T
-    return [MeshNetlist(n, n, cols[layout], ks[layout], theta, phi)
-            for theta, phi in zip(th[layout].T, phis)]
+    return MeshNetlist(n, n, cols[layout], ks[layout], th[layout].T,
+                       np.where(sigma_flip[layout], np.pi, 0.0).T)
 
 
 def check_noise(phase_sigma: float, bits: int):
@@ -222,18 +210,19 @@ def check_noise(phase_sigma: float, bits: int):
         raise ShapeError(f"bits must be between 0 and 53, got {bits}")
 
 
-def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seed: int) -> MeshNetlist:
+def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seeds) -> MeshNetlist:
     """Quantize angles to a 2*pi / 2**bits grid (bits=0: none), then add
-    N(0, phase_sigma^2) jitter.  Deterministic under `seed`: the draws are
-    theta's, then phi's, for each MZI in physical order."""
+    N(0, phase_sigma^2) jitter.  Mesh k draws from default_rng(seeds[k]):
+    theta's draw, then phi's, for each MZI in physical order."""
     check_noise(phase_sigma, bits)
-    angles = np.stack([net.theta, net.phi], axis=1)  # (MZI, 2)
+    angles = np.stack([net.theta, net.phi], axis=2)  # (K, MZI, 2)
     if bits >= 1:
         step = 2 * np.pi / 2**bits
         angles = np.round(angles / step) * step
     if phase_sigma > 0:
-        angles = angles + np.random.default_rng(seed).normal(0.0, phase_sigma, angles.shape)
-    return replace(net, theta=angles[:, 0], phi=angles[:, 1])
+        draws = [np.random.default_rng(s).normal(0.0, phase_sigma, angles.shape[1:]) for s in seeds]
+        angles = angles + np.stack(draws)
+    return replace(net, theta=angles[..., 0], phi=angles[..., 1])
 
 
 # --- SVD mapping -----------------------------------------------------------------
@@ -243,16 +232,16 @@ def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seed: int) -> MeshN
 class CorePlan:
     """K same-shape (m, n) operators, slice k = scale[k] * U_k diag(diag[k]) V_k^T.
 
-    U_k is mesh_u[k], V_k^T is mesh_v[k], and diag[k] holds min(m, n)
-    attenuator amplitudes in [0, 1].  A TT core holds its r_{k-1} * r_k bond
-    slices row-major over the bond pair (alpha, beta); a dense weight is one
-    slice.
+    U_k is mesh k of the stack `mesh_u` (m waveguides), V_k^T mesh k of
+    `mesh_v` (n waveguides), and diag[k] holds min(m, n) attenuator
+    amplitudes in [0, 1].  A TT core holds its r_{k-1} * r_k bond slices
+    row-major over the bond pair (alpha, beta); a dense weight is one slice.
     """
 
     m: int
     n: int
-    mesh_u: list[MeshNetlist]
-    mesh_v: list[MeshNetlist]
+    mesh_u: MeshNetlist  # a stack of K meshes
+    mesh_v: MeshNetlist  # a stack of K meshes
     diag: np.ndarray  # (K, min(m, n))
     scale: np.ndarray  # (K,) digital global scales, each >= 1
 
@@ -273,6 +262,8 @@ def svd_map(w: np.ndarray) -> CorePlan:
     if m == 1 and n == 1 and (bad := np.flatnonzero(w[:, 0, 0] < 0)).size:
         raise MappingError(f"matrix {bad[0]}: no MZI can carry the sign of a negative 1x1 weight")
     u, s, vt = np.linalg.svd(w, full_matrices=True)
+    if (bad := np.flatnonzero(~np.isfinite(s).all(axis=1))).size:
+        raise MappingError(f"matrix {bad[0]}: singular values are not finite")
     # A 1 x 1 mesh cannot carry a sign: push it into the larger factor.
     if m == 1 and n > 1:
         flip = u[:, 0, 0] < 0
@@ -288,11 +279,9 @@ def svd_map(w: np.ndarray) -> CorePlan:
 
 def core_matrices(core: CorePlan) -> np.ndarray:
     """The (K, m, n) matrices of a core's slices, each mesh side run as a stack."""
-    count, m, n = len(core.mesh_u), core.m, core.n
-    t = _apply_meshes(core.mesh_v, np.broadcast_to(np.eye(n), (count, n, n)))
-    k = min(m, n)
-    z = np.zeros((count, m, n))
-    z[:, :k] = core.diag[:, :, None] * t[:, :k]
+    k = min(core.m, core.n)
+    z = np.zeros((len(core.scale), core.m, core.n))
+    z[:, :k] = core.diag[:, :, None] * mesh_matrix(core.mesh_v)[:, :k]
     return core.scale[:, None, None] * _apply_meshes(core.mesh_u, z)
 
 
@@ -505,8 +494,9 @@ def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int
     """Perturbed copies of every plan (attenuators shared, meshes new), seeded for determinism.
 
     Layers take the children of SeedSequence(seed) in sorted name order, and
-    each seeds a SeedSequence of its own; core by core, slice by slice, that
-    one spawns two children, whose states seed the U mesh and the V mesh.
+    each seeds a SeedSequence of its own; core by core, slice by slice (row-major
+    over the bond pair), that one spawns two children, whose states seed the
+    slice's U mesh and V mesh.
     """
     seq = np.random.SeedSequence(seed)
     out = {}
@@ -514,10 +504,10 @@ def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int
         layer = np.random.SeedSequence(seq.spawn(1)[0].generate_state(1)[0])
         cores = []
         for core in bundle.plans[name].cores:
-            seeds = [[child.generate_state(1)[0] for child in layer.spawn(2)] for _ in core.mesh_u]
-            mesh_u = [perturb(net, phase_sigma, bits, s) for net, (s, _) in zip(core.mesh_u, seeds)]
-            mesh_v = [perturb(net, phase_sigma, bits, s) for net, (_, s) in zip(core.mesh_v, seeds)]
-            cores.append(replace(core, mesh_u=mesh_u, mesh_v=mesh_v))
+            seeds = [[child.generate_state(1)[0] for child in layer.spawn(2)] for _ in core.scale]
+            u_seeds, v_seeds = zip(*seeds)
+            cores.append(replace(core, mesh_u=perturb(core.mesh_u, phase_sigma, bits, u_seeds),
+                                 mesh_v=perturb(core.mesh_v, phase_sigma, bits, v_seeds)))
         out[name] = replace(bundle.plans[name], cores=cores)
     return out
 
@@ -526,68 +516,55 @@ def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int
 
 
 def netlist_to_obj(net: MeshNetlist) -> dict:
-    columns = [[] for _ in range(net.depth)]
-    for c, r, t, p in zip(net.col.tolist(), net.row.tolist(), net.theta.tolist(), net.phi.tolist()):
-        columns[c].append({"row": r, "theta": t, "phi": p})
-    return {"size": net.size, "columns": columns}
+    return {"size": net.size, "depth": net.depth, "col": net.col.tolist(), "row": net.row.tolist(),
+            "theta": net.theta.tolist(), "phi": net.phi.tolist()}
 
 
-def netlist_from_obj(obj: dict) -> MeshNetlist:
-    size = integer(field(obj, "size", "mesh"), "mesh size", 1)
-    columns = json_list(field(obj, "columns", "mesh"), "mesh columns")
-    mzis = [(ci, integer(field(m, "row", "MZI"), "MZI row", 0, size - 2),
-             number(field(m, "theta", "MZI"), "MZI theta"), number(field(m, "phi", "MZI"), "MZI phi"))
-            for ci, col in enumerate(columns) for m in json_list(col, "mesh column")]
-    col, row, theta, phi = np.array(mzis, dtype=np.float64).reshape(-1, 4).T
-    return MeshNetlist(size, len(columns), col.astype(np.intp), row.astype(np.intp), theta, phi)
+def netlist_from_obj(obj: dict, size: int, count: int) -> MeshNetlist:
+    """A stack of `count` meshes on `size` waveguides, its MZIs in physical order."""
+    integer(field(obj, "size", "mesh"), "mesh size", size, size)
+    depth = integer(field(obj, "depth", "mesh"), "mesh depth", 0)
+    col, row = (numbers(field(obj, key, "mesh"), f"mesh {key}", 1, np.intp) for key in ("col", "row"))
+    theta, phi = (numbers(field(obj, key, "mesh"), f"mesh {key}", 2) for key in ("theta", "phi"))
+    if row.shape != col.shape or not theta.shape == phi.shape == (count, len(col)):
+        raise DataError(f"mesh row, theta and phi are {row.shape}, {theta.shape} and {phi.shape}; "
+                        f"{count} meshes of {len(col)} MZIs need ({len(col)},) and ({count}, {len(col)})")
+    if np.any(np.diff(col) < 0) or np.any(col < 0) or np.any(col >= depth):
+        raise DataError(f"mesh col must be non-decreasing and lie in [0, {depth - 1}]")
+    if np.any(row < 0) or np.any(row > size - 2):
+        raise DataError(f"mesh row must lie in [0, {size - 2}]")
+    return MeshNetlist(size, depth, col, row, theta, phi)
 
 
-def _check_size(obj: dict, m: int, n: int, what: str):
-    """A core or triple must have the size (m, n) that its plan's modes give."""
-    got = tuple(integer(field(obj, key, what), f"{what} {key}", 1) for key in "mn")
+def _core_to_obj(core: CorePlan) -> dict:
+    return {"m": core.m, "n": core.n, "mesh_u": netlist_to_obj(core.mesh_u),
+            "mesh_v": netlist_to_obj(core.mesh_v), "diag": core.diag.tolist(),
+            "scale": core.scale.tolist()}
+
+
+def _core_from_obj(obj: dict, m: int, n: int, count: int) -> CorePlan:
+    """A core of modes (m, n) holding `count` slices of that size, as one stack."""
+    got = tuple(integer(field(obj, key, "core"), f"core {key}", 1) for key in "mn")
     if got != (m, n):
-        raise DataError(f"{what} is {got[0]}x{got[1]} where the plan's modes give {m}x{n}")
-
-
-def _core_to_obj(core: CorePlan, r_out: int) -> dict:
-    """On disk a core nests its slices as "triples" [alpha][beta], one object per slice."""
-    triples = [{"mesh_u": netlist_to_obj(mu), "diag": d, "scale": g, "mesh_v": netlist_to_obj(mv),
-                "m": core.m, "n": core.n}
-               for mu, d, g, mv in zip(core.mesh_u, core.diag.tolist(), core.scale.tolist(), core.mesh_v)]
-    rows = [triples[a:a + r_out] for a in range(0, len(triples), r_out)]
-    return {"m": core.m, "n": core.n, "triples": rows}
-
-
-def _triple_from_obj(obj: dict, m: int, n: int) -> tuple:
-    """(mesh_u, diag, scale, mesh_v) of one slice."""
-    _check_size(obj, m, n, "triple")
-    mesh_u = netlist_from_obj(field(obj, "mesh_u", "triple"))
-    mesh_v = netlist_from_obj(field(obj, "mesh_v", "triple"))
-    if (mesh_u.size, mesh_v.size) != (m, n):
-        raise DataError(f"meshes of sizes {mesh_u.size}, {mesh_v.size} in a {m}x{n} triple")
-    diag = [number(v, "diag entry") for v in json_list(field(obj, "diag", "triple"), "diag", min(m, n))]
-    return mesh_u, diag, number(field(obj, "scale", "triple"), "scale"), mesh_v
-
-
-def _core_from_obj(obj: dict, m: int, n: int, r_in: int, r_out: int) -> CorePlan:
-    """A core of modes (m, n) holding r_in x r_out triples of that size, as one stack."""
-    _check_size(obj, m, n, "core")
-    triples = [_triple_from_obj(t, m, n)
-               for row in json_list(field(obj, "triples", "core"), "core triples", r_in)
-               for t in json_list(row, "row of core triples", r_out)]
-    mesh_u, diag, scale, mesh_v = zip(*triples)
-    return CorePlan(m, n, list(mesh_u), list(mesh_v), np.array(diag, dtype=np.float64), np.array(scale))
+        raise DataError(f"core is {got[0]}x{got[1]} where the plan's modes give {m}x{n}")
+    diag = numbers(field(obj, "diag", "core"), "core diag", 2)
+    scale = numbers(field(obj, "scale", "core"), "core scale")
+    if diag.shape != (count, min(m, n)) or scale.shape != (count,):
+        raise DataError(f"core diag and scale are {diag.shape} and {scale.shape}; {count} slices "
+                        f"of {m}x{n} need ({count}, {min(m, n)}) and ({count},)")
+    return CorePlan(m, n, netlist_from_obj(field(obj, "mesh_u", "core"), m, count),
+                    netlist_from_obj(field(obj, "mesh_v", "core"), n, count), diag, scale)
 
 
 def plan_to_obj(plan: LayerPlan) -> dict:
     """The LayerShape fields, `wdm_channels`, and the cores."""
     shape = {key: value for key, value in vars(plan).items() if key != "cores"}
     return {**shape, "wdm_channels": plan.wdm_channels,
-            "cores": [_core_to_obj(c, r_out) for c, r_out in zip(plan.cores, plan.ranks[1:])]}
+            "cores": [_core_to_obj(c) for c in plan.cores]}
 
 
 def plan_from_obj(obj: dict) -> LayerPlan:
-    """A plan whose cores, triples and meshes chain by its modes and ranks.
+    """A plan whose cores and mesh stacks chain by its modes and ranks.
 
     `wdm_channels` is not read: it follows from the ranks.
     """
@@ -600,7 +577,7 @@ def plan_from_obj(obj: dict) -> LayerPlan:
     ranks = sizes(field(obj, "ranks", "plan"), "ranks", d + 1)
     if ranks[0] != 1 or ranks[-1] != 1 or (kind == "dense" and d != 1):
         raise DataError(f"a {kind} plan cannot have ranks {ranks}")
-    cores = [_core_from_obj(c, row_modes[k], col_modes[k], ranks[k], ranks[k + 1])
+    cores = [_core_from_obj(c, row_modes[k], col_modes[k], ranks[k] * ranks[k + 1])
              for k, c in enumerate(json_list(field(obj, "cores", "plan"), "plan cores", d))]
     logical = [integer(field(obj, key, "plan"), key, 1) for key in ("logical_out", "logical_in")]
     return LayerPlan(kind, row_modes, col_modes, ranks, *logical, cores=cores)
@@ -608,6 +585,7 @@ def plan_from_obj(obj: dict) -> LayerPlan:
 
 def bundle_to_obj(bundle: ModelBundle) -> dict:
     return {
+        "format": BUNDLE_FORMAT,
         "config": bundle.config.to_dict(),
         "plans": {name: plan_to_obj(p) for name, p in bundle.plans.items()},
     }
@@ -615,6 +593,10 @@ def bundle_to_obj(bundle: ModelBundle) -> dict:
 
 def bundle_from_obj(obj: dict) -> ModelBundle:
     """A bundle with one plan per weight of its config, each of the weight's logical size."""
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if type(fmt) is not int or fmt != BUNDLE_FORMAT:
+        raise DataError(f"not a format-{BUNDLE_FORMAT} bundle (format {fmt!r:.40}); "
+                        "recompile it with `tomfn compile`")
     config = ModelConfig.from_dict(field(obj, "config", "bundle"))
     plans_obj = field(obj, "plans", "bundle")
     dims = block_dims(config)

@@ -42,11 +42,16 @@ def dumps(obj) -> str:
 
 
 def dump_json(obj, path: str):
-    """Write `dumps(obj)` and a newline atomically (temp file + rename)."""
+    """Write `dumps(obj)` and a newline atomically (temp file + rename).
+
+    A path that cannot be written (a missing directory, a directory, no
+    permission) is a DataError, and no temp file is left behind.
+    """
     text = dumps(obj)
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
             f.write(text)
             f.write("\n")
@@ -55,10 +60,11 @@ def dump_json(obj, path: str):
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def load_json(path: str):

@@ -486,6 +486,51 @@ def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect
     assert err.startswith(f"tomfn {command}: weights: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_weights_whose_singular_values_overflow_exit_4(tmp_path, tiny_config, capsys, command):
+    # Finite entries near the float limit: the largest singular value of a weight is inf.
+    cfg = M.ModelConfig.from_dict(TINY)
+    weights, samples, out = tmp_path / "w.json", tmp_path / "s.jsonl", tmp_path / "out.json"
+    dump_json(serialize.weights_to_obj({k: w * 1.7e308 for k, w in M.build(cfg).weights.items()}),
+              str(weights))
+    T.save_jsonl(T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), cfg), str(samples))
+    argv = [command, "--config", tiny_config, "--weights", str(weights), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--data", str(samples)]
+    capsys.readouterr()
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"tomfn {command}: matrix ")
+    assert "singular values are not finite" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["describe", "train", "eval", "compile", "simulate"])
+@pytest.mark.parametrize("kind", ["missing_directory", "a_directory"])
+def test_unwritable_out_exits_3(tmp_path, tiny_config, capsys, command, kind):
+    argv = [command, "--config", tiny_config]
+    if command in ("eval", "simulate"):
+        samples = tmp_path / "s.jsonl"
+        T.save_jsonl(T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1),
+                                     M.ModelConfig.from_dict(TINY)), str(samples))
+        argv += ["--weights", make_trained(tmp_path, tiny_config), "--data", str(samples)]
+    elif command == "train":
+        argv += ["--synthetic", "n=8,L=3", "--epochs", "1"]
+    target = tmp_path / "out"
+    if kind == "a_directory":
+        target.mkdir()
+    else:
+        target = target / "r.json"
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert run(argv + ["--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"tomfn {command}: data: cannot write {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before  # no stray temp file
+    assert kind == "missing_directory" or os.listdir(target) == []
+
+
 def test_simulate_noiseless_bitexact_and_matches_forward(tmp_path, tiny_config):
     weights = make_trained(tmp_path, tiny_config)
     bundle = tmp_path / "bundle.json"
@@ -667,9 +712,10 @@ def test_weights_fuzz_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("defect", [
-    "theta_not_a_number", "row_out_of_range", "diag_too_short", "columns_not_a_list",
+    "theta_not_a_number", "row_out_of_range", "diag_too_short", "col_not_a_list",
     "plans_a_list", "diag_not_a_list", "ranks_not_a_list", "plans_empty", "plan_too_small",
-    "mode_above_cap", "triples_missing", "core_size_a_float", "theta_huge_integer",
+    "mode_above_cap", "mesh_u_missing", "core_size_a_float", "theta_huge_integer",
+    "col_decreasing", "col_beyond_depth", "theta_rows_wrong", "mesh_size_not_m", "old_layout",
 ])
 def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     weights = make_trained(tmp_path, tiny_config)
@@ -677,32 +723,42 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     run(["compile", "--config", tiny_config, "--weights", weights, "--out", str(bundle)])
     doc = load_json(str(bundle))
     plan = doc["plans"]["visual.fc0"]
-    triple = plan["cores"][0]["triples"][0][0]  # 4x8, mesh_u of size 4
-    mzi = triple["mesh_u"]["columns"][0][0]
+    core = plan["cores"][0]  # one 4x8 slice, mesh_u a stack of one mesh on 4 waveguides
+    mesh = core["mesh_u"]
     if defect == "theta_not_a_number":
-        mzi["theta"] = "abc"
+        mesh["theta"][0][0] = "abc"
     elif defect == "row_out_of_range":
-        mzi["row"] = 99
+        mesh["row"][0] = 99
     elif defect == "diag_too_short":
-        triple["diag"] = triple["diag"][:1]
-    elif defect == "columns_not_a_list":
-        triple["mesh_u"]["columns"] = 5
+        core["diag"] = [d[:1] for d in core["diag"]]
+    elif defect == "col_not_a_list":
+        mesh["col"] = 5
     elif defect == "plans_a_list":
         doc["plans"] = []
     elif defect == "diag_not_a_list":
-        triple["diag"] = 3
+        core["diag"] = 3
     elif defect == "ranks_not_a_list":
         plan["ranks"] = "x"
     elif defect == "plans_empty":
         doc["plans"] = {}
     elif defect == "mode_above_cap":
         plan["row_modes"] = [10**9]
-    elif defect == "triples_missing":
-        plan["cores"][0]["triples"] = []
+    elif defect == "mesh_u_missing":
+        del core["mesh_u"]
     elif defect == "core_size_a_float":
-        plan["cores"][0]["m"] = 4.0
+        core["m"] = 4.0
     elif defect == "theta_huge_integer":
-        mzi["theta"] = 10**400  # no float holds it
+        mesh["theta"][0][0] = 10**400  # no float holds it
+    elif defect == "col_decreasing":
+        mesh["col"] = mesh["col"][::-1]
+    elif defect == "col_beyond_depth":
+        mesh["col"][-1] = mesh["depth"]
+    elif defect == "theta_rows_wrong":
+        mesh["theta"] = mesh["theta"] * 2  # two meshes' angles in a core of one slice
+    elif defect == "mesh_size_not_m":
+        core["mesh_u"] = core["mesh_v"]  # a valid stack on 8 waveguides where m is 4
+    elif defect == "old_layout":
+        del doc["format"]
     else:  # a self-consistent plan of another weight (head.0, 2x4) where 4x8 is needed
         doc["plans"]["visual.fc0"] = doc["plans"]["head.0"]
     dump_json(doc, str(bundle))
@@ -713,6 +769,8 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1
+    if defect == "old_layout":
+        assert "`tomfn compile`" in err
 
 
 def _bundle_fields(node, path=(), label=""):

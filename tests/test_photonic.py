@@ -13,6 +13,11 @@ def random_orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
+def one_mesh(stack, k):
+    """Mesh k of a stack, as a stack of one."""
+    return replace(stack, theta=stack.theta[k:k + 1], phi=stack.phi[k:k + 1])
+
+
 def rotation(alpha):
     c, s = np.cos(alpha), np.sin(alpha)
     return np.array([[c, -s], [s, c]])
@@ -22,36 +27,36 @@ def rotation(alpha):
 
 
 def test_identity_mesh():
-    net = P.givens_decompose(np.eye(4)[None])[0]
+    net = P.givens_decompose(np.eye(4)[None])
     assert net.mzi_count() == 6
     assert net.depth == 4
     assert np.all(net.theta == 0.0) and np.all(net.phi == 0.0)
-    assert np.allclose(P.mesh_matrix(net), np.eye(4), atol=1e-12)
+    assert np.allclose(P.mesh_matrix(net)[0], np.eye(4), atol=1e-12)
 
 
 def test_two_by_two_rotation_single_mzi():
     alpha = 0.7
-    net = P.givens_decompose(rotation(alpha)[None])[0]
+    net = P.givens_decompose(rotation(alpha)[None])
     assert net.mzi_count() == 1
     assert net.depth == 2  # rectangular grid keeps N columns (one is empty)
     assert (net.col.tolist(), net.row.tolist()) == ([0], [0])
-    assert abs(net.theta[0] - alpha) < 1e-12
-    assert np.allclose(P.mesh_matrix(net), rotation(alpha), atol=1e-12)
+    assert abs(net.theta[0, 0] - alpha) < 1e-12
+    assert np.allclose(P.mesh_matrix(net)[0], rotation(alpha), atol=1e-12)
 
 
 def test_two_by_two_reflection():
     refl = np.array([[1.0, 0.0], [0.0, -1.0]])
-    net = P.givens_decompose(refl[None])[0]
-    assert np.allclose(P.mesh_matrix(net), refl, atol=1e-12)
+    net = P.givens_decompose(refl[None])
+    assert np.allclose(P.mesh_matrix(net)[0], refl, atol=1e-12)
 
 
 def test_random_6x6():
     rng = np.random.default_rng(0)
     u = random_orthogonal(rng, 6)
-    net = P.givens_decompose(u[None])[0]
+    net = P.givens_decompose(u[None])
     assert net.mzi_count() == 15
     assert net.depth == 6
-    assert np.linalg.norm(P.mesh_matrix(net) - u) < 1e-10
+    assert np.linalg.norm(P.mesh_matrix(net)[0] - u) < 1e-10
 
 
 def test_roundtrip_many_orthogonal():
@@ -61,16 +66,16 @@ def test_roundtrip_many_orthogonal():
         u = random_orthogonal(rng, n)
         if rng.random() < 0.5:
             u[:, 0] = -u[:, 0]  # force det -1 half the time
-        net = P.givens_decompose(u[None])[0]
+        net = P.givens_decompose(u[None])
         assert net.mzi_count() == n * (n - 1) // 2
         assert net.depth == n
-        assert np.linalg.norm(P.mesh_matrix(net) - u) < 1e-10
+        assert np.linalg.norm(P.mesh_matrix(net)[0] - u) < 1e-10
 
 
 def test_column_structure_is_rectangular():
     rng = np.random.default_rng(2)
     u = random_orthogonal(rng, 5)
-    net = P.givens_decompose(u[None])[0]
+    net = P.givens_decompose(u[None])
     assert np.all(np.diff(net.col) >= 0) and np.all(net.col < net.depth)  # physical order
     for ci in range(net.depth):
         rows = net.row[net.col == ci].tolist()
@@ -85,10 +90,10 @@ def test_column_structure_is_rectangular():
 def test_norm_preservation():
     rng = np.random.default_rng(3)
     u = random_orthogonal(rng, 7)
-    net = P.givens_decompose(u[None])[0]
+    net = P.givens_decompose(u[None])
     for _ in range(10):
         x = rng.normal(size=7)
-        assert abs(np.linalg.norm(P.mesh_matrix(net) @ x) - np.linalg.norm(x)) < 1e-12
+        assert abs(np.linalg.norm(P.mesh_matrix(net)[0] @ x) - np.linalg.norm(x)) < 1e-12
 
 
 def test_rejects_non_orthogonal():
@@ -97,7 +102,7 @@ def test_rejects_non_orthogonal():
 
 
 def test_one_by_one():
-    net = P.givens_decompose(np.array([[1.0]])[None])[0]
+    net = P.givens_decompose(np.array([[1.0]])[None])
     assert net.mzi_count() == 0
     with pytest.raises(DecompositionError):
         P.givens_decompose(np.array([[-1.0]])[None])
@@ -109,11 +114,12 @@ def test_stacked_decomposition_matches_single(n):
     stack = np.stack([random_orthogonal(rng, n) for _ in range(6)])
     stack[::2, :, 0] *= -1  # det -1 for half of them
     nets = P.givens_decompose(stack)
-    assert len(nets) == len(stack)
-    for u, net in zip(stack, nets):
-        assert np.linalg.norm(P.mesh_matrix(net) - u) < 1e-12
-        single = P.givens_decompose(u[None])[0]
-        assert P.netlist_to_obj(net) == P.netlist_to_obj(single)  # bit-identical angles and layout
+    assert nets.theta.shape[0] == nets.phi.shape[0] == len(stack)
+    for k, u in enumerate(stack):
+        assert np.linalg.norm(P.mesh_matrix(nets)[k] - u) < 1e-12
+        single = P.givens_decompose(u[None])
+        # Bit-identical angles and layout.
+        assert P.netlist_to_obj(one_mesh(nets, k)) == P.netlist_to_obj(single)
 
 
 def test_stacked_decomposition_checks_every_matrix():
@@ -138,8 +144,8 @@ def test_svd_map_stack_matches_single():
         core = P.svd_map(stack)
         for k, w in enumerate(stack):
             single = P.svd_map(w[None])
-            for mesh, want in ((core.mesh_u[k], single.mesh_u[0]), (core.mesh_v[k], single.mesh_v[0])):
-                assert P.netlist_to_obj(mesh) == P.netlist_to_obj(want)
+            for side, want in ((core.mesh_u, single.mesh_u), (core.mesh_v, single.mesh_v)):
+                assert P.netlist_to_obj(one_mesh(side, k)) == P.netlist_to_obj(want)
             assert np.array_equal(core.diag[k], single.diag[0]) and core.scale[k] == single.scale[0]
     stack = np.ones((3, 1, 1))
     stack[2, 0, 0] = -1.0
@@ -151,10 +157,10 @@ def test_svd_map_stack_matches_single():
         P.svd_map(stack)
 
 
-def reference_mesh_matrix(net):
-    """One mesh applied MZI by MZI to identity columns: the oracle for the stacked apply."""
+def reference_mesh_matrix(net, k):
+    """Mesh k of a stack applied MZI by MZI to identity columns: the oracle for the stacked apply."""
     y = np.eye(net.size)
-    for r, theta, phi in zip(net.row, net.theta, net.phi):
+    for r, theta, phi in zip(net.row, net.theta[k], net.phi[k]):
         top = np.cos(phi) * y[r]
         bot = y[r + 1]
         c, s = np.cos(theta), np.sin(theta)
@@ -166,24 +172,28 @@ def reference_mesh_matrix(net):
 MZI_FIELDS = ("col", "row", "theta", "phi")
 
 
-def test_stacked_apply_pads_meshes_of_any_structure():
+def test_stacked_apply_matches_mzi_by_mzi_oracle():
+    """Every mesh of a stack, compiled or on a hand-built grid that a loaded bundle
+    may hold, perturbed or not, equals the MZI-by-MZI oracle bit for bit."""
     rng = np.random.default_rng(42)
-    nets = [P.givens_decompose(random_orthogonal(rng, 5)[None])[0] for _ in range(3)]
+    net = P.givens_decompose(np.stack([random_orthogonal(rng, 5) for _ in range(3)]))
     # One MZI fewer (the last of column 2).
-    drop = np.flatnonzero(nets[0].col == 2)[-1]
-    nets[0] = replace(nets[0], **{f: np.delete(getattr(nets[0], f), drop) for f in MZI_FIELDS})
+    drop = np.flatnonzero(net.col == 2)[-1]
+    dropped = replace(net, col=np.delete(net.col, drop), row=np.delete(net.row, drop),
+                      theta=np.delete(net.theta, drop, axis=1), phi=np.delete(net.phi, drop, axis=1))
     # The columns in reverse order: another order of rows per step.
-    nets[1] = replace(nets[1], col=nets[1].depth - 1 - nets[1].col[::-1],
-                      **{f: getattr(nets[1], f)[::-1] for f in MZI_FIELDS[1:]})
+    reversed_ = replace(net, col=net.depth - 1 - net.col[::-1], row=net.row[::-1],
+                        theta=net.theta[:, ::-1], phi=net.phi[:, ::-1])
     # An extra column of two overlapping MZIs.
-    extra = {"col": [5, 5], "row": [1, 2], "theta": [0.3, -0.4], "phi": [0.2, 3.0]}
-    nets[2] = replace(nets[2], depth=6,
-                      **{f: np.append(getattr(nets[2], f), extra[f]) for f in MZI_FIELDS})
-    perturbed = [P.perturb(net, 0.05, 0, seed=i) for i, net in enumerate(nets)]
-    for group in (nets, perturbed):
-        stacked = P._apply_meshes(group, np.broadcast_to(np.eye(5), (3, 5, 5)))
-        for net, got in zip(group, stacked):
-            assert np.array_equal(got, reference_mesh_matrix(net))
+    extra = replace(net, depth=6, col=np.append(net.col, [5, 5]), row=np.append(net.row, [1, 2]),
+                    theta=np.hstack([net.theta, [[0.3, -0.4], [1.1, 2.0], [-2.5, 0.0]]]),
+                    phi=np.hstack([net.phi, [[0.2, 3.0], [0.0, np.pi], [-1.0, 0.5]]]))
+    for grid in (net, dropped, reversed_, extra):
+        for stack in (grid, P.perturb(grid, 0.05, 0, seeds=[0, 1, 2])):
+            assert not np.array_equal(stack.theta[0], stack.theta[1])
+            got = P.mesh_matrix(stack)
+            for k in range(3):
+                assert np.array_equal(got[k], reference_mesh_matrix(stack, k))
 
 
 # --- perturb ---------------------------------------------------------------------
@@ -191,8 +201,8 @@ def test_stacked_apply_pads_meshes_of_any_structure():
 
 def test_perturb_noop():
     rng = np.random.default_rng(5)
-    net = P.givens_decompose(random_orthogonal(rng, 4)[None])[0]
-    same = P.perturb(net, phase_sigma=0.0, bits=0, seed=1)
+    net = P.givens_decompose(random_orthogonal(rng, 4)[None])
+    same = P.perturb(net, phase_sigma=0.0, bits=0, seeds=[1])
     for f in MZI_FIELDS:
         assert np.array_equal(getattr(same, f), getattr(net, f))
     assert (same.size, same.depth) == (net.size, net.depth)
@@ -200,8 +210,8 @@ def test_perturb_noop():
 
 def test_perturb_quantization_bound():
     rng = np.random.default_rng(6)
-    net = P.givens_decompose(random_orthogonal(rng, 4)[None])[0]
-    q = P.perturb(net, phase_sigma=0.0, bits=8, seed=1)
+    net = P.givens_decompose(random_orthogonal(rng, 4)[None])
+    q = P.perturb(net, phase_sigma=0.0, bits=8, seeds=[1])
     assert np.max(np.abs(q.theta - net.theta)) <= np.pi / 2**8 + 1e-15
     assert np.max(np.abs(q.phi - net.phi)) <= np.pi / 2**8 + 1e-15
 
@@ -213,18 +223,18 @@ def test_perturb_matches_per_mzi_draws():
     u = random_orthogonal(rng, 6)
     if np.linalg.det(u) > 0:
         u[:, 0] = -u[:, 0]  # det -1: some MZI carries phi = pi, which quantization moves
-    net = P.givens_decompose(u[None])[0]
+    net = P.givens_decompose(u[None])
     assert np.any(net.phi != 0)
     sigma, bits, seed = 0.05, 8, 9
-    got = P.perturb(net, sigma, bits, seed)
+    got = P.perturb(net, sigma, bits, [seed])
     draws = np.random.default_rng(seed)
     step = 2 * np.pi / 2**bits
     for i in range(net.mzi_count()):
-        theta = round(float(net.theta[i]) / step) * step
-        phi = round(float(net.phi[i]) / step) * step
+        theta = round(float(net.theta[0, i]) / step) * step
+        phi = round(float(net.phi[0, i]) / step) * step
         theta += draws.normal(0.0, sigma)
         phi += draws.normal(0.0, sigma)
-        assert (got.theta[i], got.phi[i]) == (theta, phi)
+        assert (got.theta[0, i], got.phi[0, i]) == (theta, phi)
     assert np.array_equal(got.col, net.col) and np.array_equal(got.row, net.row)
 
 
@@ -232,21 +242,21 @@ def test_perturb_matches_per_mzi_draws():
     (-0.1, 0), (float("nan"), 0), (float("inf"), 0), (0.01, -2), (0.01, 54), (0.0, 1100),
 ])
 def test_perturb_rejects_bad_noise(sigma, bits):
-    net = P.givens_decompose(np.eye(3)[None])[0]
+    net = P.givens_decompose(np.eye(3)[None])
     with pytest.raises(ShapeError):
-        P.perturb(net, sigma, bits, seed=0)
+        P.perturb(net, sigma, bits, seeds=[0])
 
 
 def test_perturb_deterministic_and_error_grows():
     rng = np.random.default_rng(7)
     u = random_orthogonal(rng, 4)
-    net = P.givens_decompose(u[None])[0]
+    net = P.givens_decompose(u[None])
     x = rng.normal(size=4)
     errs = []
     for sigma in (0.001, 0.01, 0.1):
-        p1 = P.perturb(net, sigma, 0, seed=42)
-        p2 = P.perturb(net, sigma, 0, seed=42)
-        y1, y2 = P.mesh_matrix(p1) @ x, P.mesh_matrix(p2) @ x
+        p1 = P.perturb(net, sigma, 0, seeds=[42])
+        p2 = P.perturb(net, sigma, 0, seeds=[42])
+        y1, y2 = P.mesh_matrix(p1)[0] @ x, P.mesh_matrix(p2)[0] @ x
         assert np.array_equal(y1, y2)
         errs.append(np.max(np.abs(y1 - u @ x)))
     assert errs[0] < errs[-1]
@@ -301,7 +311,7 @@ def test_map_identity_tt():
     t = tt_mod.tt_from_dense(np.eye(4), [2, 2], [2, 2], max_rank=16, tol=0.0)
     plan = P.map_tt_layer(t)
     assert plan.wdm_channels == 1
-    assert [len(c.mesh_u) for c in plan.cores] == [1, 1]
+    assert [len(c.mesh_u.theta) for c in plan.cores] == [1, 1]
     assert P.core_histogram([plan]) == {"2x2": 2}
     x = np.array([0.5, -1.0, 2.0, 3.0])
     assert np.allclose(tt_mod.tt_matvec(P.realize_plan(plan), x), x, atol=1e-10)
@@ -314,7 +324,7 @@ def test_map_32x32_rank2():
     t = tt_mod.TTMatrix([4, 8], [4, 8], ranks, cores)
     plan = P.map_tt_layer(t)
     assert plan.wdm_channels == 2
-    counts = [len(c.mesh_u) for c in plan.cores]
+    counts = [len(c.mesh_u.theta) for c in plan.cores]
     assert counts == [2, 2]
     assert P.core_histogram([plan]) == {"4x4": 2, "8x8": 2}
 
@@ -352,7 +362,7 @@ def test_mzi_count_formulas():
 def test_full_mesh_mzi_count():
     rng = np.random.default_rng(14)
     for n in range(2, 9):
-        net = P.givens_decompose(random_orthogonal(rng, n)[None])[0]
+        net = P.givens_decompose(random_orthogonal(rng, n)[None])
         assert net.mzi_count() == n * (n - 1) // 2
 
 
@@ -390,9 +400,9 @@ def test_plan_serialization_roundtrip():
 def test_netlist_serialization_roundtrip():
     rng = np.random.default_rng(18)
     u = random_orthogonal(rng, 4)
-    net = P.givens_decompose(u[None])[0]
-    back = P.netlist_from_obj(P.netlist_to_obj(net))
-    assert np.allclose(P.mesh_matrix(back), P.mesh_matrix(net), atol=0)
+    net = P.givens_decompose(u[None])
+    back = P.netlist_from_obj(P.netlist_to_obj(net), net.size, 1)
+    assert np.allclose(P.mesh_matrix(back)[0], P.mesh_matrix(net)[0], atol=0)
 
 
 # --- whole-model compile + realize -------------------------------------------------
@@ -485,12 +495,13 @@ def test_shape_totals_equal_compiled_totals(case):
     cores = [(core, plan.ranks[k], plan.ranks[k + 1])
              for plan in bundle.plans.values() for k, core in enumerate(plan.cores)]
     for core, r_in, r_out in cores:
-        assert len(core.mesh_u) == len(core.mesh_v) == len(core.diag) == len(core.scale) == r_in * r_out
-    mzis = sum(net.mzi_count() for core, _, _ in cores for net in core.mesh_u + core.mesh_v)
+        slices = (len(core.mesh_u.theta), len(core.mesh_v.theta), len(core.diag), len(core.scale))
+        assert slices == (r_in * r_out,) * 4
+    mzis = sum(net.theta.size for core, _, _ in cores for net in (core.mesh_u, core.mesh_v))
     mzis += sum(core.diag.size for core, _, _ in cores)
     hist = {}
     for core, _, _ in cores:
-        hist[f"{core.m}x{core.n}"] = hist.get(f"{core.m}x{core.n}", 0) + len(core.mesh_u)
+        hist[f"{core.m}x{core.n}"] = hist.get(f"{core.m}x{core.n}", 0) + len(core.mesh_u.theta)
     wdm = max(max(r_in, r_out) for _, r_in, r_out in cores)
     totals = P.totals(cfg, shapes)
     assert (totals["mzis"], totals["core_histogram"], totals["wdm_channels"]) == (mzis, hist, wdm)
@@ -537,9 +548,9 @@ def test_perturbed_bundle_deterministic():
 
 
 def test_perturb_bundle_noise_stream():
-    """Which seed perturbs which mesh, walked on the bundle's on-disk layout: layers in
-    sorted name order, each seeded by the next child of SeedSequence(seed); within a
-    layer, core by core, slices [alpha][beta] row-major, each spawning two seeds, U then V."""
+    """Which seed perturbs which mesh: layers in sorted name order, each seeded by the
+    next child of SeedSequence(seed); within a layer, core by core, slice k of each
+    stack in turn (slices [alpha][beta] row-major), each spawning two seeds, U then V."""
     from tomfn import model as M
 
     bundle = P.compile_model(M.build(tiny_config(visual=True, fusion=True, max_factor=2)))
@@ -551,13 +562,12 @@ def test_perturb_bundle_noise_stream():
     trial = np.random.SeedSequence(seed)
     for name in sorted(bundle.plans):
         layer = np.random.SeedSequence(trial.spawn(1)[0].generate_state(1)[0])
-        want_cores = P.plan_to_obj(bundle.plans[name])["cores"]
-        got_cores = P.plan_to_obj(got[name])["cores"]
-        for want_core, got_core in zip(want_cores, got_cores, strict=True):
-            for want_row, got_row in zip(want_core["triples"], got_core["triples"], strict=True):
-                for want, perturbed in zip(want_row, got_row, strict=True):
-                    s_u, s_v = (child.generate_state(1)[0] for child in layer.spawn(2))
-                    for key, s in (("mesh_u", s_u), ("mesh_v", s_v)):
-                        net = P.perturb(P.netlist_from_obj(want[key]), sigma, bits, s)
-                        assert perturbed[key] == P.netlist_to_obj(net), (name, key)
-                    assert (perturbed["diag"], perturbed["scale"]) == (want["diag"], want["scale"])
+        for want, perturbed in zip(bundle.plans[name].cores, got[name].cores, strict=True):
+            for k in range(len(want.scale)):
+                s_u, s_v = (child.generate_state(1)[0] for child in layer.spawn(2))
+                for key, s in (("mesh_u", s_u), ("mesh_v", s_v)):
+                    net = P.perturb(one_mesh(getattr(want, key), k), sigma, bits, [s])
+                    got_mesh = one_mesh(getattr(perturbed, key), k)
+                    assert P.netlist_to_obj(got_mesh) == P.netlist_to_obj(net), (name, key)
+            assert np.array_equal(perturbed.diag, want.diag)
+            assert np.array_equal(perturbed.scale, want.scale)
