@@ -52,7 +52,7 @@ print("appended bias 1 keeps unimodal and bimodal terms alive:")
 h_silent = low_rank(factors, {m: np.zeros_like(z[m]) for m in modalities})
 print(f"  all-zero inputs still fuse to h = {np.round(h_silent, 3)}")
 silent = {"visual": np.zeros(16), "audio": np.zeros(12), "text": np.zeros((3, 8))}
-logits = np.stack([h_silent @ model.weights[f"head.{j}"] for j in range(cfg.heads)])
+logits = np.stack([model.weights[f"head.{j}"] @ h_silent for j in range(cfg.heads)])
 probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
 print(f"  M.forward on an all-zero sample vs the class heads on that h: "
       f"max difference {np.max(np.abs(M.forward(model, silent) - probs)):.2e}")

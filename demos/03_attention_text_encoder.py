@@ -35,7 +35,7 @@ def sample(tokens):
 print("=== attention rows are convex mixtures of value rows ===")
 w = tiny(4).weights
 x = rng.normal(size=(4, d_model))
-q, k, v = (x @ w[f"text.head0.{p}"] for p in "qkv")
+q, k, v = (x @ w[f"text.head0.{p}"].T for p in "qkv")
 scores = q @ k.T / np.sqrt(d_head)
 weights = np.exp(scores - scores.max(axis=1, keepdims=True))
 weights /= weights.sum(axis=1, keepdims=True)

@@ -114,8 +114,8 @@ def scale(a: Var, c: float) -> Var:
 
 
 def relu(a: Var) -> Var:
-    mask = a.value > 0
-    return Var(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+    # NaN stays NaN, so an overflow upstream still reaches the output checks.
+    return Var(np.where(a.value <= 0, 0.0, a.value), (a,), lambda g: (g * (a.value > 0),))
 
 
 def reshape(a: Var, shape) -> Var:

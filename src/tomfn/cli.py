@@ -94,22 +94,21 @@ def _load_weights_into(config, path: str) -> model_mod.TOMFNModel:
             f"weights/config mismatch: missing {missing[:4]}, unexpected {extra[:4]}",
         )
     for name, w in weights.items():
+        # Every weight is an (out, in) operator; a TT one may be zero-padded upward.
         out_dim, in_dim = expected[name]
         if hasattr(w, "cores"):
-            # TT weights are (out, in) operators, possibly zero-padded upward.
             if w.nrows < out_dim or w.ncols < in_dim:
                 raise CliError(
                     EXIT_COMPILE,
                     f"weights/config mismatch on '{name}': TT operator "
                     f"{w.nrows}x{w.ncols} cannot cover {out_dim}x{in_dim}",
                 )
-        else:
-            want = (in_dim, out_dim) if name.startswith(model_mod.ROW_APPLIED) else (out_dim, in_dim)
-            if w.shape != want:
-                raise CliError(
-                    EXIT_COMPILE,
-                    f"weights/config mismatch on '{name}': {w.shape} vs expected {want}",
-                )
+        elif w.shape != (out_dim, in_dim):
+            raise CliError(
+                EXIT_COMPILE,
+                f"weights/config mismatch on '{name}': dense operator of shape {w.shape} "
+                f"is not {out_dim}x{in_dim} (out x in)",
+            )
     return model_mod.TOMFNModel(config, weights)
 
 
@@ -325,7 +324,10 @@ def cmd_simulate(args) -> int:
         raise CliError(EXIT_SIMULATE, f"samples do not fit the compiled model: {exc}") from exc
     errors = []
     for trial in range(args.trials):
-        plans = photonic.perturb_bundle(bundle, args.phase_sigma, args.bits, seed + trial)
+        try:
+            plans = photonic.perturb_bundle(bundle, args.phase_sigma, args.bits, seed + trial)
+        except ShapeError as exc:
+            raise CliError(EXIT_SIMULATE, str(exc)) from exc
         errors.append(np.abs(train_mod.probabilities(photonic.realize(bundle, plans), dataset) - ideal))
     errors = np.asarray(errors)
     doc = {

@@ -1,14 +1,15 @@
 """Full multimodal network: subnetworks, fusion, classification heads.
 
 Weights live in a flat name -> array/TTMatrix map so the optimizer, the
-serializer, and the photonic compiler all see the same inventory:
+serializer, and the photonic compiler all see the same inventory.  Every
+weight, dense or TT, is an (out, in) operator that maps a column vector,
+as a mesh computes y = W x (`block_dims` gives each one's dims):
 
-    visual.fc{k}, audio.fc{k}    (out, in) matrices of the FC stacks
-    text.head{h}.{q|k|v}         (d_model, d_head) dense, or a TT operator
-                                 with row modes over d_head
-    text.ff                      (d_model, d_out) dense, or a TT operator
+    visual.fc{k}, audio.fc{k}    (dims[k + 1], dims[k]) FC stack layers
+    text.head{h}.{q|k|v}         (d_head, d_model) attention projections
+    text.ff                      (d_out, d_model) feed-forward
     fusion.{v|a|t}.{i}           (d_h, d_m + 1) factor for rank term i
-    head.{j}                     (d_h, 2) per-emotion softmax head
+    head.{j}                     (2, d_h) per-emotion softmax head
 
 `_Graph` is the package's one forward pass, batched over samples on one
 reverse-mode graph (see `autodiff`); training, evaluation and the
@@ -43,13 +44,9 @@ import numpy as np
 from . import autodiff as ad
 from . import tt as tt_mod
 from .errors import ConfigError, DataError, ShapeError
-from .serialize import flag, integer, integers, number, string
+from .serialize import FILE_TRANSPOSED, flag, integer, integers, number, string
 
 EMOTIONS = ("happy", "sad", "angry", "neutral")
-
-# Dense weights under these name prefixes are stored (in, out) and applied
-# to a row as x @ W; every other dense weight is an (out, in) operator.
-ROW_APPLIED = ("text.", "head.")
 
 
 # --- configuration ------------------------------------------------------------
@@ -207,20 +204,22 @@ def _to_tt_operator(w_op: np.ndarray, tt_cfg: TTConfig) -> tt_mod.TTMatrix:
 
 def build(config: ModelConfig) -> TOMFNModel:
     """Draw every weight of `block_dims`, in its order (Glorot-uniform, seeded), and
-    tensorize the flagged blocks.  ROW_APPLIED dense weights are drawn (in, out),
-    the rest (out, in); the TT-SVD draws nothing, so a TT and a dense model from
-    the same seed start from identical matrices."""
+    tensorize the flagged blocks.  A FILE_TRANSPOSED weight is drawn (in, out), as
+    a weights file lays it out, and kept as the (out, in) view of that draw, so
+    every seed gives the weights it always has.  The TT-SVD draws nothing, so a
+    TT and a dense model from the same seed start from identical matrices."""
     rng = np.random.default_rng(config.seed)
     tt_cfg = config.tt
     flags = {"visual": tt_cfg.visual, "audio": tt_cfg.audio, "text": tt_cfg.text,
              "fusion": tt_cfg.fusion, "head": tt_cfg.class_heads}
     w: dict = {}
     for name, (out_dim, in_dim) in block_dims(config).items():
-        row_applied = name.startswith(ROW_APPLIED)
-        w[name] = _glorot(rng, out_dim, in_dim, (in_dim, out_dim) if row_applied else (out_dim, in_dim))
+        if name.startswith(FILE_TRANSPOSED):
+            w[name] = _glorot(rng, out_dim, in_dim, (in_dim, out_dim)).T
+        else:
+            w[name] = _glorot(rng, out_dim, in_dim, (out_dim, in_dim))
         if flags[name.split(".")[0]]:
-            # TT weights are always (out, in) operators.
-            w[name] = _to_tt_operator(w[name].T if row_applied else w[name], tt_cfg)
+            w[name] = _to_tt_operator(w[name], tt_cfg)
     return TOMFNModel(config, w)
 
 
@@ -243,11 +242,10 @@ class _Graph:
 
         A TT weight is rebuilt from its core leaves as its dense operator,
         cut down to the logical (out_dim, in) block, so every weight goes
-        through the same one matmul.
+        through the same one matmul, x @ W^T.
         """
         w = self.model.weights[name]
-        is_tt = isinstance(w, tt_mod.TTMatrix)
-        if is_tt:
+        if isinstance(w, tt_mod.TTMatrix):
             cores = [self.leaves[f"{name}/core{k}"] for k in range(len(w.cores))]
             op = tt_mod.contract_cores(cores, w)
             for axis, dim in enumerate((out_dim, x.shape[1])):
@@ -255,9 +253,7 @@ class _Graph:
                     op = ad.slice_axis(op, axis, 0, dim)
         else:
             op = self.leaves[name]
-        if is_tt or not name.startswith(ROW_APPLIED):
-            op = ad.transpose(op, (1, 0))
-        return ad.matmul(x, op)
+        return ad.matmul(x, ad.transpose(op, (1, 0)))
 
     def _fc_stack(self, stack: str, dims: list[int], x: ad.Var) -> ad.Var:
         h = x
@@ -371,14 +367,6 @@ def loss_and_grad(model: TOMFNModel, visual, audio, text, labels):
     grads = {key: v.grad if v.grad is not None else np.zeros_like(v.value)
              for key, v in graph.leaves.items()}
     return float(loss.value), grads
-
-
-def batch_loss(model: TOMFNModel, visual, audio, text, labels) -> float:
-    """Loss only; used by finite-difference checks."""
-    visual, audio, text = (np.asarray(a, dtype=np.float64) for a in (visual, audio, text))
-    labels = np.asarray(labels, dtype=np.int64)
-    _, loss = _Graph(model, requires_grad=False).outputs(visual, audio, text, labels)
-    return float(loss.value)
 
 
 # --- counting ------------------------------------------------------------------

@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tt as tt_mod
-from .model import ROW_APPLIED, ModelConfig, TOMFNModel, block_dims
+from .model import ModelConfig, TOMFNModel, block_dims
 from .errors import DataError, DecompositionError, MappingError, ShapeError
 from .serialize import field, integer, json_list, numbers, sizes
 
@@ -213,7 +213,8 @@ def check_noise(phase_sigma: float, bits: int):
 def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seeds) -> MeshNetlist:
     """Quantize angles to a 2*pi / 2**bits grid (bits=0: none), then add
     N(0, phase_sigma^2) jitter.  Mesh k draws from default_rng(seeds[k]):
-    theta's draw, then phi's, for each MZI in physical order."""
+    theta's draw, then phi's, for each MZI in physical order.  A phase that
+    leaves the float range is a ShapeError."""
     check_noise(phase_sigma, bits)
     angles = np.stack([net.theta, net.phi], axis=2)  # (K, MZI, 2)
     if bits >= 1:
@@ -222,6 +223,8 @@ def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seeds) -> MeshNetli
     if phase_sigma > 0:
         draws = [np.random.default_rng(s).normal(0.0, phase_sigma, angles.shape[1:]) for s in seeds]
         angles = angles + np.stack(draws)
+        if not np.isfinite(angles).all():
+            raise ShapeError(f"phase_sigma {phase_sigma:g} draws phases beyond the float range")
     return replace(net, theta=angles[..., 0], phi=angles[..., 1])
 
 
@@ -437,27 +440,17 @@ class ModelBundle:
     plans: dict[str, LayerPlan]
 
 
-def _operators(model):
-    """(name, operator, logical (out, in)) per weight.
-
-    Dense weights stored in row-applied orientation (text projections,
-    class heads) are transposed, so each operator multiplies a column vector.
-    """
-    dims = block_dims(model.config)
-    for name, w in model.weights.items():
-        dense_row = not isinstance(w, tt_mod.TTMatrix) and name.startswith(ROW_APPLIED)
-        yield name, (w.T if dense_row else w), dims[name]
-
-
 def model_shapes(model) -> dict[str, LayerShape]:
     """The LayerShape of every weight, cap check included, without compiling a mesh."""
-    return {name: layer_shape(op, *dims) for name, op, dims in _operators(model)}
+    dims = block_dims(model.config)
+    return {name: layer_shape(w, *dims[name]) for name, w in model.weights.items()}
 
 
 def compile_model(model) -> ModelBundle:
     """Map every weight (dense or TT) onto photonic core plans."""
-    plans = {name: map_tt_layer(op, *dims) if isinstance(op, tt_mod.TTMatrix)
-             else map_dense_layer(np.asarray(op)) for name, op, dims in _operators(model)}
+    dims = block_dims(model.config)
+    plans = {name: map_tt_layer(w, *dims[name]) if isinstance(w, tt_mod.TTMatrix)
+             else map_dense_layer(np.asarray(w)) for name, w in model.weights.items()}
     return ModelBundle(config=model.config, plans=plans)
 
 
@@ -479,15 +472,10 @@ def realize(bundle: ModelBundle, plans: dict | None = None) -> TOMFNModel:
     """A model whose weights are the operators the bundle's plans realize.
 
     `plans` (default: the bundle's own) may be perturbed copies from
-    `perturb_bundle`.  Row-applied dense weights are transposed back to
-    their stored (in, out) orientation, undoing `compile_model`.
+    `perturb_bundle`.
     """
     plans = bundle.plans if plans is None else plans
-    weights = {}
-    for name, plan in plans.items():
-        w = realize_plan(plan)
-        weights[name] = w.T if plan.kind == "dense" and name.startswith(ROW_APPLIED) else w
-    return TOMFNModel(bundle.config, weights)
+    return TOMFNModel(bundle.config, {name: realize_plan(plan) for name, plan in plans.items()})
 
 
 def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int) -> dict:
@@ -552,6 +540,8 @@ def _core_from_obj(obj: dict, m: int, n: int, count: int) -> CorePlan:
     if diag.shape != (count, min(m, n)) or scale.shape != (count,):
         raise DataError(f"core diag and scale are {diag.shape} and {scale.shape}; {count} slices "
                         f"of {m}x{n} need ({count}, {min(m, n)}) and ({count},)")
+    if not (np.all((diag >= 0) & (diag <= 1)) and np.all(scale >= 1)):
+        raise DataError("core diag amplitudes must lie in [0, 1] and core scales must be >= 1")
     return CorePlan(m, n, netlist_from_obj(field(obj, "mesh_u", "core"), m, count),
                     netlist_from_obj(field(obj, "mesh_v", "core"), n, count), diag, scale)
 

@@ -6,7 +6,9 @@ JSON field, list, number, integer or numeric array is: true/false is no
 number, 1.0 is no integer, and a number is finite; a failure is a one-line
 DataError.  A dense tensor serializes as {"shape": [...], "data": [...]}
 (flat, row-major), a TT weight as {"row_modes", "col_modes", "ranks",
-"cores": [tensor, ...]}, a weights file as a flat name -> weight map.
+"cores": [tensor, ...]}, a weights file as a flat name -> weight map that
+holds the dense FILE_TRANSPOSED weights (in, out), every other one (out, in)
+as in memory; the weights codec transposes at that boundary.
 Every JSON text tomfn writes comes from `dumps`: compact, keys sorted.
 Writes go through a temp file and rename so readers never see partial
 output; the file gets the mode the umask allows, as with a plain open().
@@ -158,6 +160,15 @@ def numbers(value, what: str, ndim: int = 1, dtype=np.float64) -> np.ndarray:
 
 # --- weights ---------------------------------------------------------------------
 
+# A weights file stores the dense weights under these name prefixes as (in, out).
+FILE_TRANSPOSED = ("text.", "head.")
+
+
+def _file_layout(name: str, w):
+    """Weight `name` in the other layout: a FILE_TRANSPOSED dense weight is
+    transposed (memory <-> file, both ways), any other weight is kept."""
+    return w.T if name.startswith(FILE_TRANSPOSED) and not isinstance(w, tt_mod.TTMatrix) else w
+
 
 def weight_to_obj(w) -> dict:
     if isinstance(w, tt_mod.TTMatrix):
@@ -188,10 +199,10 @@ def weight_from_obj(obj):
 
 
 def weights_to_obj(weights: dict) -> dict:
-    return {name: weight_to_obj(w) for name, w in weights.items()}
+    return {name: weight_to_obj(_file_layout(name, w)) for name, w in weights.items()}
 
 
 def weights_from_obj(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise DataError("weights file must be a JSON object")
-    return {name: weight_from_obj(w) for name, w in obj.items()}
+    return {name: _file_layout(name, weight_from_obj(w)) for name, w in obj.items()}

@@ -3,8 +3,10 @@
 They share no code with `model._Graph`, the package's only forward pass:
 attention is a loop over query and key tokens, fusion builds the explicit
 4-way fusion tensor and contracts it, and `forward` chains them.  The
-runners at the end call the graph's own stages on hand-made weights.
-Dense weights only.
+runners at the end call the graph's own stages on hand-made weights, and
+`batch_loss` gives the graph's loss alone for the finite-difference checks.
+The oracles apply weights to token rows, as x @ W, so they take the
+transpose of the model's (out, in) text and head weights.  Dense weights only.
 """
 
 import numpy as np
@@ -79,11 +81,11 @@ def forward(model, sample):
 
     z_v = fc_stack("visual", cfg.visual_dims, np.asarray(sample["visual"]))
     z_a = fc_stack("audio", cfg.audio_dims, np.asarray(sample["audio"]))
-    heads = [tuple(w[f"text.head{h}.{p}"] for p in "qkv") for h in range(cfg.text.heads)]
-    z_t = encode_text(np.asarray(sample["text"]), heads, w["text.ff"], cfg.text.pooling)
+    heads = [tuple(w[f"text.head{h}.{p}"].T for p in "qkv") for h in range(cfg.text.heads)]
+    z_t = encode_text(np.asarray(sample["text"]), heads, w["text.ff"].T, cfg.text.pooling)
     factors = {m: [w[f"fusion.{m}.{i}"] for i in range(cfg.fusion.rank)] for m in MODALITIES}
     h = contract(fusion_tensor(factors), z_v, z_a, z_t)
-    return np.stack([softmax(h @ w[f"head.{j}"]) for j in range(cfg.heads)])
+    return np.stack([softmax(h @ w[f"head.{j}"].T) for j in range(cfg.heads)])
 
 
 # --- the shipped stages ----------------------------------------------------------
@@ -112,3 +114,11 @@ def graph_fuse(factors, z_v, z_a, z_t):
     zs = [ad.constant(np.atleast_2d(z)) for z in (z_v, z_a, z_t)]
     h = graph._fuse(*zs).value
     return h[0] if np.ndim(z_v) == 1 else h
+
+
+def batch_loss(model, visual, audio, text, labels) -> float:
+    """The graph's mean cross-entropy on a batch, without gradients."""
+    visual, audio, text = (np.asarray(a, dtype=np.float64) for a in (visual, audio, text))
+    labels = np.asarray(labels, dtype=np.int64)
+    _, loss = M._Graph(model, requires_grad=False).outputs(visual, audio, text, labels)
+    return float(loss.value)

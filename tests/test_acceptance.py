@@ -19,7 +19,7 @@ from tomfn import train as T
 from tomfn import tt as tt_mod
 from tomfn.serialize import dump_json, load_json
 
-from oracles import contract, fusion_tensor, graph_fuse
+from oracles import batch_loss, contract, fusion_tensor, graph_fuse
 
 
 @contextmanager
@@ -186,14 +186,14 @@ def test_criterion_8_gradient_check():
             _, grads = M.loss_and_grad(model, v, a, x, y)
             eps, worst = 1e-5, 0.0
             for key, arr in model.leaves():
-                flat, g = arr.ravel(), grads[key].ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + eps
-                    hi = M.batch_loss(model, v, a, x, y)
-                    flat[i] = orig - eps
-                    lo = M.batch_loss(model, v, a, x, y)
-                    flat[i] = orig
+                g = grads[key]
+                for i in np.ndindex(arr.shape):
+                    orig = arr[i]
+                    arr[i] = orig + eps
+                    hi = batch_loss(model, v, a, x, y)
+                    arr[i] = orig - eps
+                    lo = batch_loss(model, v, a, x, y)
+                    arr[i] = orig
                     numeric = (hi - lo) / (2 * eps)
                     err = abs(g[i] - numeric) / max(abs(g[i]), abs(numeric), 1.0)
                     worst = max(worst, err)

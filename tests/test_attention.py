@@ -22,18 +22,20 @@ def text_model(seed=0, d_model=6, n_heads=2, d_out=4, seq_len=5, pooling="mean")
 
 
 def heads_of(model):
+    # The oracle applies each projection to a token row, so it takes the
+    # transpose of the model's (out, in) weight.
     w = model.weights
-    return [tuple(w[f"text.head{h}.{p}"] for p in "qkv") for h in range(model.config.text.heads)]
+    return [tuple(w[f"text.head{h}.{p}"].T for p in "qkv") for h in range(model.config.text.heads)]
 
 
 def oracle(model, x):
-    return encode_text(x, heads_of(model), model.weights["text.ff"], model.config.text.pooling)
+    return encode_text(x, heads_of(model), model.weights["text.ff"].T, model.config.text.pooling)
 
 
 def values_mixed(model, x, mix):
     # The features of a token whose attention weights are `mix` in every head.
     vees = np.concatenate([mix @ (x @ w_v) for _, _, w_v in heads_of(model)])
-    return relu(vees @ model.weights["text.ff"])
+    return relu(vees @ model.weights["text.ff"].T)
 
 
 def test_single_row_passthrough():
@@ -43,8 +45,8 @@ def test_single_row_passthrough():
     x = rng.normal(size=(1, 6))
     z = graph_encode_text(m, x)
     for h in range(2):
-        m.weights[f"text.head{h}.q"] = 100 * rng.normal(size=(6, 3))
-        m.weights[f"text.head{h}.k"] = np.zeros((6, 3))
+        m.weights[f"text.head{h}.q"] = 100 * rng.normal(size=(3, 6))
+        m.weights[f"text.head{h}.k"] = np.zeros((3, 6))
     assert np.allclose(graph_encode_text(m, x), z, atol=1e-15)
 
 
@@ -53,7 +55,7 @@ def test_zero_queries_average_values():
     rng = np.random.default_rng(1)
     m = text_model(seed=1)
     for h in range(2):
-        m.weights[f"text.head{h}.q"] = np.zeros((6, 3))
+        m.weights[f"text.head{h}.q"] = np.zeros((3, 6))
     x = rng.normal(size=(4, 6))
     want = values_mixed(m, x, np.full(4, 0.25))
     assert np.allclose(graph_encode_text(m, x), want, atol=1e-12)

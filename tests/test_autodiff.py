@@ -83,6 +83,13 @@ def test_relu():
     check(lambda a: ad.relu(a), (4, 5), seed=3)
 
 
+def test_relu_keeps_nan():
+    # A NaN from an overflow upstream must reach the output checks, not become 0.
+    out = ad.relu(ad.constant(np.array([np.nan, -1.0, -0.0, 0.0, 2.0]))).value
+    assert np.isnan(out[0])
+    assert np.array_equal(out[1:], [0.0, 0.0, 0.0, 2.0])
+
+
 def test_reshape_transpose():
     check(lambda a: ad.transpose(ad.reshape(a, (2, 3, 4)), (2, 0, 1)), (6, 4))
 

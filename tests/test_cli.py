@@ -267,10 +267,11 @@ def test_train_zero_epochs_keeps_initialization(tmp_path, tiny_config):
     weights = tmp_path / "w.json"
     run(["train", "--config", tiny_config, "--synthetic", "n=8,L=3,seed=1",
          "--epochs", "0", "--out", str(weights)])
-    stored = load_json(str(weights))
+    stored = serialize.weights_from_obj(load_json(str(weights)))
     init = M.build(M.ModelConfig.from_dict(TINY))
+    assert stored.keys() == init.weights.keys()
     for name, w in init.weights.items():
-        assert np.allclose(stored[name]["data"], np.ravel(w), atol=0)
+        assert np.array_equal(stored[name], w)
 
 
 @pytest.mark.parametrize("flags, env", [
@@ -365,6 +366,22 @@ def test_outputs_not_finite_exits_3(tmp_path, tiny_config, capsys, command):
     assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
 
+def test_eval_overflow_inside_a_layer_exits_3(tmp_path, capsys):
+    # Finite TT cores whose product overflows: the NaN it leaves must reach
+    # the output check, not be zeroed by the relu after the layer.
+    cfg = M.default_config()
+    w = M.build(cfg).weights
+    w["visual.fc0"].cores[:] = [core * 1e200 for core in w["visual.fc0"].cores]
+    weights, samples, out = tmp_path / "w.json", tmp_path / "s.jsonl", tmp_path / "out.json"
+    dump_json(serialize.weights_to_obj(w), str(weights))
+    T.save_jsonl(T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=20, seed=1), cfg), str(samples))
+    capsys.readouterr()
+    assert run(["eval", "--weights", str(weights), "--data", str(samples), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("tomfn eval: data: " + NOT_FINITE)
+    assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
+
 def test_train_missing_data_exits_3(tiny_config):
     assert run(["train", "--config", tiny_config, "--data", "/missing.jsonl"]) == 3
 
@@ -443,6 +460,25 @@ def test_compile_oversized_dense_exits_4(tmp_path, capsys):
     dump_json(cfg, str(path))
     assert run(["compile", "--config", str(path)]) == 4
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, file_shape, message", [
+    ("visual.fc0", [8, 4], "dense operator of shape (8, 4) is not 4x8 (out x in)"),
+    ("text.head0.q", [4, 8], "dense operator of shape (8, 4) is not 4x8 (out x in)"),
+    ("head.1", [2, 4], "dense operator of shape (4, 2) is not 2x4 (out x in)"),
+], ids=["visual", "text", "head"])
+def test_dense_weight_of_wrong_shape_exits_4(tmp_path, tiny_config, capsys, name, file_shape,
+                                             message):
+    # A weights file stores text.* and head.* weights (in, out), so the
+    # shapes here are the operators' (out, in) shapes transposed.
+    obj = serialize.weights_to_obj(M.build(M.ModelConfig.from_dict(TINY)).weights)
+    obj[name] = {"shape": file_shape, "data": [0.5] * int(np.prod(file_shape))}
+    weights = tmp_path / "w.json"
+    dump_json(obj, str(weights))
+    capsys.readouterr()
+    assert run(["compile", "--config", tiny_config, "--weights", str(weights)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"tomfn compile: weights/config mismatch on '{name}': {message}\n"
 
 
 def test_compile_weights_mismatch_exits_4(tmp_path, tiny_config):
@@ -607,6 +643,26 @@ def test_simulate_bad_noise_exits_5(tmp_path, tiny_config, capsys, flags):
     assert err.startswith("tomfn simulate: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sigma, code", [("1e308", 5), ("1e307", 0), ("1e300", 0), ("10", 0)])
+def test_simulate_phase_sigma_whose_draws_overflow_exits_5(tmp_path, tiny_config, capsys, sigma,
+                                                          code):
+    # sigma * z leaves the float range at 1e308; a warning would fail the test.
+    weights = make_trained(tmp_path, tiny_config)
+    bundle, data, out = tmp_path / "b.json", tmp_path / "s.jsonl", tmp_path / "out.json"
+    assert run(["compile", "--config", tiny_config, "--weights", weights, "--out", str(bundle)]) == 0
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
+    T.save_jsonl(ds, str(data))
+    capsys.readouterr()
+    assert run(["simulate", "--bundle", str(bundle), "--data", str(data), "--trials", "1",
+                "--phase-sigma", sigma, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("tomfn simulate: phase_sigma 1e+308 ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == "" and out.exists()
+
+
 @pytest.mark.parametrize("command, defect", [
     ("train", "visual_width"), ("eval", "visual_width"), ("train", "label_count"),
     ("train", "nan_feature"), ("simulate", "nan_feature"),
@@ -716,6 +772,7 @@ def test_weights_fuzz_exits_4(tmp_path, capsys):
     "plans_a_list", "diag_not_a_list", "ranks_not_a_list", "plans_empty", "plan_too_small",
     "mode_above_cap", "mesh_u_missing", "core_size_a_float", "theta_huge_integer",
     "col_decreasing", "col_beyond_depth", "theta_rows_wrong", "mesh_size_not_m", "old_layout",
+    "diag_and_scale_below_range", "diag_and_scale_huge",
 ])
 def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     weights = make_trained(tmp_path, tiny_config)
@@ -759,6 +816,10 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
         core["mesh_u"] = core["mesh_v"]  # a valid stack on 8 waveguides where m is 4
     elif defect == "old_layout":
         del doc["format"]
+    elif defect in ("diag_and_scale_below_range", "diag_and_scale_huge"):
+        low = defect == "diag_and_scale_below_range"
+        core["diag"] = [[-3.0 if low else 1e308] * len(d) for d in core["diag"]]
+        core["scale"] = [0.5 if low else 1e308] * len(core["scale"])
     else:  # a self-consistent plan of another weight (head.0, 2x4) where 4x8 is needed
         doc["plans"]["visual.fc0"] = doc["plans"]["head.0"]
     dump_json(doc, str(bundle))

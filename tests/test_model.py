@@ -175,15 +175,14 @@ def finite_difference_check(m, rng, eps=1e-5, tol=1e-5):
     _, grads = M.loss_and_grad(m, v, a, t, y)
     worst = 0.0
     for key, arr in m.leaves():
-        flat = arr.ravel()
-        g = grads[key].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = M.batch_loss(m, v, a, t, y)
-            flat[i] = orig - eps
-            lo = M.batch_loss(m, v, a, t, y)
-            flat[i] = orig
+        g = grads[key]
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + eps
+            hi = oracles.batch_loss(m, v, a, t, y)
+            arr[i] = orig - eps
+            lo = oracles.batch_loss(m, v, a, t, y)
+            arr[i] = orig
             worst = max(worst, relative_grad_error(g[i], (hi - lo) / (2 * eps)))
     assert worst < tol, f"worst relative gradient error {worst:.3e}"
 

@@ -45,6 +45,28 @@ def test_weights_roundtrip_dense_and_tt(tmp_path):
     assert np.array_equal(M.forward(m, sample), M.forward(restored, sample))
 
 
+def test_weights_file_stores_text_and_head_weights_in_out(tmp_path):
+    # With one head the text projections are square, so only the codec's
+    # transpose tells the file's (in, out) layout from the (out, in) operator.
+    cfg = M.ModelConfig(
+        visual_dims=[3, 2], audio_dims=[3, 2],
+        text=M.TextConfig(d_model=3, heads=1, d_head=3, d_out=2, seq_len=2),
+        fusion=M.FusionConfig(rank=1, d_h=2), heads=1,
+        tt=M.TTConfig(visual=False, audio=False, text=False, fusion=False, class_heads=False),
+    )
+    obj = S.weights_to_obj(M.build(cfg).weights)
+    stored = np.arange(9.0).reshape(3, 3)  # (in, out), asymmetric
+    obj["text.head0.q"] = {"shape": [3, 3], "data": stored.ravel().tolist()}
+    path = tmp_path / "w.json"
+    S.dump_json(obj, str(path))
+    loaded = S.weights_from_obj(S.load_json(str(path)))
+    assert np.array_equal(loaded["text.head0.q"], stored.T)
+    assert np.array_equal(loaded["visual.fc0"], np.reshape(obj["visual.fc0"]["data"], (2, 3)))
+    again = tmp_path / "again.json"
+    S.dump_json(S.weights_to_obj(loaded), str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_dump_is_stable_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     obj = {"z": [1.0, 2.5], "a": {"nested": 3}}
