@@ -22,10 +22,9 @@ so no separate output phase column is needed.
 
 Rectangular matrices go through an SVD triple (mesh_V, attenuating
 diagonal, mesh_U) with a digital global scale chosen so every on-chip
-amplitude stays in [0, 1].  A TT layer maps core by core: fixing both
-bond indices of core k yields r_{k-1} * r_k small m_k x n_k operators,
-each realized as its own SVD triple, with bond channels carried on WDM
-wavelengths and summed digitally after detection.
+amplitude stays in [0, 1].  Fixing both bond indices of TT core k yields
+r_{k-1} * r_k small m_k x n_k operators, each its own SVD triple; the bond
+channels ride WDM wavelengths and are summed digitally after detection.
 
 A core is one stack (`CorePlan`): its K = r_{k-1} * r_k slices, row-major
 over the bond pair, as a U and a V mesh stack, (K, min(m, n)) amplitudes
@@ -34,25 +33,26 @@ order, and so the grid packing, depends on N alone, so the K meshes of a
 side share one grid: a mesh stack (`MeshNetlist`) holds the MZIs in
 physical order as `col` (non-decreasing) and `row`, the (K, MZI) angles
 `theta` and `phi`, the `size` and the `depth` (columns, empty ones
-included).  `givens_decompose` runs each step on a whole (K, N, N) stack,
-`svd_map` maps a core through one batched SVD, and the mesh apply,
-`perturb` and the bundle codec take a stack as whole arrays.  Every check
-(finite entries, orthogonality, the sign diagonal, a negative 1 x 1) still
-holds matrix by matrix.
+included).  The batching is model-wide: `compile_model` maps the slices of
+all cores of one shape (m, n), whatever their weight, through one `svd_map`
+(one batched SVD, one `givens_decompose` a side) and splits the stack back;
+`realize` reads every V stack, then every U stack, back in one mesh apply
+per grid (size, row).  Every check (finite entries, orthogonality, the sign
+diagonal, a negative 1 x 1) still holds matrix by matrix, and a refusal
+names the weight, the core and the slice.
 
 Accounting (MZIs, stages, WDM channels, the core-size histogram) reads
 only each layer's modes and bond ranks, so `describe` counts from the
 `LayerShape` records of the built model and never decomposes a mesh.
 
 Simulation does not re-implement the network.  For fixed phases a
-compiled plan is a linear map, so `realize_plan` reads each (possibly
-perturbed) plan back into the TT core or dense weight it computes, and
-`realize` assembles those into a model that the one batched forward pass
+compiled plan is a linear map, so `realize` reads every (possibly
+perturbed) plan back into the TT cores or dense weight it computes, and
+builds from those a model that the one batched forward pass
 (`model.forward_batch`) runs.  Phase errors from `perturb` are static per
-trial: one draw per noisy copy of the bundle.
-Per-shot detector noise, if ever added, varies from one input to the next
-and must be injected at the detection points inside the forward pass, not
-folded into the realized weights.
+trial: one draw per noisy copy of the bundle.  Per-shot detector noise, if
+ever added, varies from one input to the next and must be injected at the
+detection points inside the forward pass, not folded into the realized weights.
 """
 
 from __future__ import annotations
@@ -111,14 +111,14 @@ def mesh_matrix(net: MeshNetlist) -> np.ndarray:
     return _apply_meshes(net, np.broadcast_to(np.eye(net.size), (len(net.theta), net.size, net.size)))
 
 
-def givens_decompose(u: np.ndarray) -> MeshNetlist:
+def givens_decompose(u: np.ndarray, name="matrix {}".format) -> MeshNetlist:
     """Decompose a (K, N, N) stack of real orthogonal matrices into K rectangular meshes.
 
     Two-sided Givens elimination (alternating column and row sweeps)
     reduces each matrix to a +-1 diagonal; the rotations are packed into
     the N-column rectangular grid and the diagonal is folded into the MZI
     angles/signs as described in the module docstring.  Every step runs on
-    the whole stack; the checks name the first matrix that fails them.
+    the whole stack; the checks name the first failing matrix k as name(k).
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 3 or u.shape[1] != u.shape[2]:
@@ -127,10 +127,10 @@ def givens_decompose(u: np.ndarray) -> MeshNetlist:
     residual = np.linalg.norm(np.swapaxes(u, 1, 2) @ u - np.eye(n), axis=(1, 2))
     if (bad := np.flatnonzero(~(residual < 1e-8))).size:
         raise DecompositionError(
-            f"matrix {bad[0]} is not orthogonal: ||U^T U - I||_F = {residual[bad[0]]:.3e}")
+            f"{name(bad[0])} is not orthogonal: ||U^T U - I||_F = {residual[bad[0]]:.3e}")
     if n == 1:
         if (bad := np.flatnonzero(u[:, 0, 0] < 0)).size:
-            raise DecompositionError(f"matrix {bad[0]}: a 1x1 mesh has no MZI to carry a negative sign")
+            raise DecompositionError(f"{name(bad[0])}: a 1x1 mesh has no MZI to carry a negative sign")
         empty = np.zeros(0, dtype=np.intp)
         return MeshNetlist(1, 0, empty, empty, np.zeros((count, 0)), np.zeros((count, 0)))
 
@@ -161,7 +161,7 @@ def givens_decompose(u: np.ndarray) -> MeshNetlist:
     signs[signs == 0] = 1.0
     off = np.linalg.norm(v - signs[:, :, None] * np.eye(n), axis=(1, 2))
     if (bad := np.flatnonzero(~(off <= 1e-7))).size:
-        raise DecompositionError(f"matrix {bad[0]}: elimination failed to reach a sign diagonal")
+        raise DecompositionError(f"{name(bad[0])}: elimination failed to reach a sign diagonal")
 
     # U = L1^T..Lp^T D Rq^T..R1^T.  Pull D to the front: conjugating a
     # rotation by the sign diagonal multiplies its angle by s_k * s_{k+1}.
@@ -193,7 +193,7 @@ def givens_decompose(u: np.ndarray) -> MeshNetlist:
     th = (th + np.pi) % (2 * np.pi) - np.pi  # wrap to (-pi, pi]
     th = np.where(th == -np.pi, np.pi, th)
     if (bad := np.flatnonzero(np.any(signs[:, last < 0] < 0, axis=1))).size:
-        raise DecompositionError(f"matrix {bad[0]}: unabsorbed output sign; the mesh misses a row")
+        raise DecompositionError(f"{name(bad[0])}: unabsorbed output sign; the mesh misses a row")
 
     layout = np.lexsort((ks, cols))  # physical order: by column, then row
     return MeshNetlist(n, n, cols[layout], ks[layout], th[layout].T,
@@ -249,24 +249,24 @@ class CorePlan:
     scale: np.ndarray  # (K,) digital global scales, each >= 1
 
 
-def svd_map(w: np.ndarray) -> CorePlan:
+def svd_map(w: np.ndarray, name="matrix {}".format) -> CorePlan:
     """Realize a (K, m, n) stack of real matrices as meshes plus attenuators.
 
     One batched SVD covers the stack.  Each matrix's digital global scale
     is max(its largest singular value, 1), so the on-chip diagonal never
-    amplifies.
+    amplifies.  A refusal names matrix k as `name(k)`.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 3:
         raise ShapeError(f"svd_map takes a (K, m, n) stack, got shape {w.shape}")
     if (bad := np.flatnonzero(~np.isfinite(w).all(axis=(1, 2)))).size:
-        raise ShapeError(f"matrix {bad[0]}: svd_map requires finite entries")
+        raise ShapeError(f"{name(bad[0])}: svd_map requires finite entries")
     m, n = w.shape[1:]
     if m == 1 and n == 1 and (bad := np.flatnonzero(w[:, 0, 0] < 0)).size:
-        raise MappingError(f"matrix {bad[0]}: no MZI can carry the sign of a negative 1x1 weight")
+        raise MappingError(f"{name(bad[0])}: no MZI can carry the sign of a negative 1x1 weight")
     u, s, vt = np.linalg.svd(w, full_matrices=True)
     if (bad := np.flatnonzero(~np.isfinite(s).all(axis=1))).size:
-        raise MappingError(f"matrix {bad[0]}: singular values are not finite")
+        raise MappingError(f"{name(bad[0])}: singular values are not finite")
     # A 1 x 1 mesh cannot carry a sign: push it into the larger factor.
     if m == 1 and n > 1:
         flip = u[:, 0, 0] < 0
@@ -277,15 +277,35 @@ def svd_map(w: np.ndarray) -> CorePlan:
         vt[flip] = -vt[flip]
         u[flip, :, 0] = -u[flip, :, 0]
     scale = np.maximum(s[:, 0], 1.0)
-    return CorePlan(m, n, givens_decompose(u), givens_decompose(vt), s / scale[:, None], scale)
+    return CorePlan(m, n, givens_decompose(u, name), givens_decompose(vt, name), s / scale[:, None], scale)
+
+
+def _core_stacks(cores: list[CorePlan]) -> list[np.ndarray]:
+    """The (K, m, n) matrices of every core's slices, V sides then U sides, one pass per grid.
+    Zero-padding a grid's inputs changes no bit kept: every MZI acts on each column alone."""
+    xs = [np.broadcast_to(np.eye(c.n), (len(c.scale), c.n, c.n)) for c in cores]
+    for side in ("mesh_v", "mesh_u"):
+        grids: dict[tuple, list[int]] = {}
+        for i, net in enumerate(getattr(c, side) for c in cores):
+            grids.setdefault((net.size, net.row.tobytes()), []).append(i)
+        for grid in grids.values():
+            nets = [getattr(cores[i], side) for i in grid]
+            bounds = np.cumsum([0] + [len(xs[i]) for i in grid])
+            x = np.zeros((bounds[-1], nets[0].size, max(xs[i].shape[2] for i in grid)))
+            for i, lo, hi in zip(grid, bounds, bounds[1:]):
+                x[lo:hi, :xs[i].shape[1], :xs[i].shape[2]] = xs[i]
+            y = _apply_meshes(replace(nets[0], theta=np.concatenate([net.theta for net in nets]),
+                                      phi=np.concatenate([net.phi for net in nets])), x)
+            for i, lo, hi in zip(grid, bounds, bounds[1:]):
+                xs[i] = y[lo:hi, :, :xs[i].shape[2]]
+        if side == "mesh_v":
+            xs = [c.diag[:, :, None] * v[:, :min(c.m, c.n)] for c, v in zip(cores, xs)]
+    return [c.scale[:, None, None] * u for c, u in zip(cores, xs)]
 
 
 def core_matrices(core: CorePlan) -> np.ndarray:
-    """The (K, m, n) matrices of a core's slices, each mesh side run as a stack."""
-    k = min(core.m, core.n)
-    z = np.zeros((len(core.scale), core.m, core.n))
-    z[:, :k] = core.diag[:, :, None] * mesh_matrix(core.mesh_v)[:, :k]
-    return core.scale[:, None, None] * _apply_meshes(core.mesh_u, z)
+    """The (K, m, n) matrices of a core's slices."""
+    return _core_stacks([core])[0]
 
 
 # --- layer shapes, plans and accounting --------------------------------------------
@@ -343,15 +363,30 @@ def layer_shape(w, logical_out: int | None = None, logical_in: int | None = None
     return shape
 
 
-def _map_cores(shape: LayerShape, cores) -> LayerPlan:
-    """Map each (r_in, m, n, r_out) core's bond slices, row-major over (alpha, beta), as one stack."""
-    return LayerPlan(**vars(shape), cores=[svd_map(c.transpose(0, 3, 1, 2).reshape(-1, *c.shape[1:3]))
-                                           for c in cores])
+def _map_layers(weights: dict, shapes: dict[str, LayerShape]) -> dict[str, LayerPlan]:
+    """Map every weight, one `svd_map` per core shape (m, n): each (r_in, m, n, r_out)
+    core's bond slices, row-major over (alpha, beta), join the stack of its shape."""
+    groups: dict[tuple, list] = {}  # (m, n) -> [(weight, core index, its slices)]
+    for name, w in weights.items():
+        for k, c in enumerate(w.cores if shapes[name].kind == "tt" else [np.asarray(w)[None, :, :, None]]):
+            slices = c.transpose(0, 3, 1, 2).reshape(-1, *c.shape[1:3])
+            groups.setdefault(slices.shape[1:], []).append((name, k, slices))
+    plans = {name: LayerPlan(**vars(shape), cores=[None] * (len(shape.ranks) - 1))
+             for name, shape in shapes.items()}
+    for group in groups.values():
+        owners = [(j, name, k) for name, k, slices in group for j in range(len(slices))]
+        core = svd_map(np.concatenate([slices for *_, slices in group]),
+                       lambda i: "matrix {} of '{}' core {}".format(*owners[i]))
+        bounds = np.cumsum([0] + [len(slices) for *_, slices in group])
+        for (name, k, _), lo, hi in zip(group, bounds, bounds[1:]):
+            u, v = (replace(t, theta=t.theta[lo:hi], phi=t.phi[lo:hi]) for t in (core.mesh_u, core.mesh_v))
+            plans[name].cores[k] = CorePlan(core.m, core.n, u, v, core.diag[lo:hi], core.scale[lo:hi])
+    return plans
 
 
 def map_dense_layer(w: np.ndarray) -> LayerPlan:
     """One SVD triple for a small dense operator (both dims <= CORE_SIZE_CAP)."""
-    return _map_cores(layer_shape(w), [w[None, :, :, None]])
+    return _map_layers({"dense": w}, {"dense": layer_shape(w)})["dense"]
 
 
 def map_tt_layer(tt: tt_mod.TTMatrix, logical_out: int | None = None,
@@ -361,7 +396,7 @@ def map_tt_layer(tt: tt_mod.TTMatrix, logical_out: int | None = None,
     Core k contributes r_{k-1} * r_k sub-matrices of shape m_k x n_k; the
     bond index rides a WDM channel, so the plan needs max_k r_k channels.
     """
-    return _map_cores(layer_shape(tt, logical_out, logical_in), tt.cores)
+    return _map_layers({"tt": tt}, {"tt": layer_shape(tt, logical_out, logical_in)})["tt"]
 
 
 def mzi_count(shape: LayerShape) -> int:
@@ -447,25 +482,27 @@ def model_shapes(model) -> dict[str, LayerShape]:
 
 
 def compile_model(model) -> ModelBundle:
-    """Map every weight (dense or TT) onto photonic core plans."""
-    dims = block_dims(model.config)
-    plans = {name: map_tt_layer(w, *dims[name]) if isinstance(w, tt_mod.TTMatrix)
-             else map_dense_layer(np.asarray(w)) for name, w in model.weights.items()}
-    return ModelBundle(config=model.config, plans=plans)
+    """Map every weight (dense or TT) onto photonic core plans, after the cap check of all."""
+    return ModelBundle(config=model.config, plans=_map_layers(model.weights, model_shapes(model)))
+
+
+def _realize_plans(plans: dict) -> dict:
+    """What each (possibly perturbed) plan computes: a dense plan's (m, n) matrix, or a
+    TTMatrix whose core k holds, at bond pair (a, b), the matrix of slice a * r_k + b
+    (the digital sum over bond channels after detection is exactly the TT sweep)."""
+    stacks = iter(_core_stacks([c for plan in plans.values() for c in plan.cores]))
+    ops = {}
+    for name, plan in plans.items():
+        cores = [next(stacks).reshape(r_in, r_out, c.m, c.n).transpose(0, 2, 3, 1)
+                 for c, r_in, r_out in zip(plan.cores, plan.ranks, plan.ranks[1:])]
+        ops[name] = cores[0][0, :, :, 0] if plan.kind == "dense" else tt_mod.TTMatrix(
+            plan.row_modes, plan.col_modes, plan.ranks, cores)
+    return ops
 
 
 def realize_plan(plan: LayerPlan):
-    """The operator a (possibly perturbed) plan computes, read back from its meshes.
-
-    A dense plan gives its (m, n) matrix.  A TT plan gives a TTMatrix whose
-    core k holds, at bond pair (a, b), the matrix of slice a * r_k + b: the
-    digital sum over bond channels after detection is exactly the TT sweep.
-    """
-    cores = [core_matrices(c).reshape(r_in, r_out, c.m, c.n).transpose(0, 2, 3, 1)
-             for c, r_in, r_out in zip(plan.cores, plan.ranks, plan.ranks[1:])]
-    if plan.kind == "dense":
-        return cores[0][0, :, :, 0]
-    return tt_mod.TTMatrix(plan.row_modes, plan.col_modes, plan.ranks, cores)
+    """The operator a (possibly perturbed) plan computes, read back from its meshes."""
+    return _realize_plans({"": plan})[""]
 
 
 def realize(bundle: ModelBundle, plans: dict | None = None) -> TOMFNModel:
@@ -474,8 +511,7 @@ def realize(bundle: ModelBundle, plans: dict | None = None) -> TOMFNModel:
     `plans` (default: the bundle's own) may be perturbed copies from
     `perturb_bundle`.
     """
-    plans = bundle.plans if plans is None else plans
-    return TOMFNModel(bundle.config, {name: realize_plan(plan) for name, plan in plans.items()})
+    return TOMFNModel(bundle.config, _realize_plans(bundle.plans if plans is None else plans))
 
 
 def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int) -> dict:

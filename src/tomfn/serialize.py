@@ -75,7 +75,7 @@ def load_json(path: str):
             return json.load(f)
     except FileNotFoundError as exc:
         raise DataError(f"file not found: {path}") from exc
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, not JSON, too deep
         raise DataError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -158,7 +158,7 @@ def load_jsonl(path: str) -> Dataset:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, or nested too deep
             raise DataError(f"{path}:{lineno}: bad sample record ({exc})") from exc
         where = f"{path}:{lineno}: sample"
         for key, (ndim, dtype) in _SAMPLE_FIELDS.items():

@@ -307,22 +307,39 @@ def test_train_bad_synthetic_values_exit_3(tmp_path, tiny_config, capsys, spec):
     assert not metrics.exists()
 
 
-@pytest.mark.parametrize("command, flag, code", [
-    ("describe", "--config", 2), ("train", "--data", 3),
+READ_BY_EVERY_KIND = [("describe", "--config", 2), ("train", "--data", 3)]
+# Each input file a command reads, with its documented exit code.
+READ_AS_JSON = READ_BY_EVERY_KIND + [
+    ("compile", "--weights", 4), ("simulate", "--bundle", 3), ("describe", "--compare", 3),
+    ("simulate", "--data", 3),
+]
+
+
+@pytest.mark.parametrize("kind, command, flag, code", [
+    *[(kind, *row) for kind in ("a_directory", "not_utf8") for row in READ_BY_EVERY_KIND],
+    *[("too_deep", *row) for row in READ_AS_JSON],
 ])
-@pytest.mark.parametrize("kind", ["a_directory", "not_utf8"])
 def test_unreadable_input_file_exits_with_its_code(tmp_path, tiny_config, capsys, command, flag,
                                                    code, kind):
     path = tmp_path / "input"
     if kind == "a_directory":
         path.mkdir()
-    else:
+    elif kind == "not_utf8":
         path.write_bytes(b"\xff\xfe{")
-    argv = [command, flag, str(path)] + (["--config", tiny_config] if command == "train" else [])
+    else:  # nested deeper than the interpreter's recursion limit
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [command, flag, str(path)]
+    if command in ("train", "compile") or flag == "--data":
+        argv += ["--config", tiny_config]
+    if command == "simulate" and flag == "--data":
+        weights = tmp_path / "w.json"
+        dump_json(serialize.weights_to_obj(M.build(M.ModelConfig.from_dict(TINY)).weights), str(weights))
+        argv += ["--weights", str(weights)]
     capsys.readouterr()
     assert run(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 DIVERGED = "training diverged in epoch "
@@ -538,6 +555,26 @@ def test_weights_whose_singular_values_overflow_exit_4(tmp_path, tiny_config, ca
     captured = capsys.readouterr()
     assert captured.err.startswith(f"tomfn {command}: matrix ")
     assert "singular values are not finite" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_one_overflowing_weight_is_named(tmp_path, tiny_config, capsys, command):
+    # head.1 shares its 2x4 shape with head.0, head.2 and head.3, which compile in one stack.
+    cfg = M.ModelConfig.from_dict(TINY)
+    weights, samples, out = tmp_path / "w.json", tmp_path / "s.jsonl", tmp_path / "out.json"
+    scaled = dict(M.build(cfg).weights)
+    scaled["head.1"] = scaled["head.1"] * 1.7e308
+    dump_json(serialize.weights_to_obj(scaled), str(weights))
+    T.save_jsonl(T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), cfg), str(samples))
+    argv = [command, "--config", tiny_config, "--weights", str(weights), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--data", str(samples)]
+    capsys.readouterr()
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (f"tomfn {command}: matrix 0 of 'head.1' core 0: "
+                            "singular values are not finite\n")
     assert captured.out == "" and not out.exists()
 
 

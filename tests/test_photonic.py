@@ -157,9 +157,10 @@ def test_svd_map_stack_matches_single():
         P.svd_map(stack)
 
 
-def reference_mesh_matrix(net, k):
-    """Mesh k of a stack applied MZI by MZI to identity columns: the oracle for the stacked apply."""
-    y = np.eye(net.size)
+def reference_mesh_matrix(net, k, x=None):
+    """Mesh k of a stack applied MZI by MZI to the columns of x (default: identity
+    columns): the oracle for the stacked apply."""
+    y = np.eye(net.size) if x is None else np.array(x, dtype=np.float64)
     for r, theta, phi in zip(net.row, net.theta[k], net.phi[k]):
         top = np.cos(phi) * y[r]
         bot = y[r + 1]
@@ -172,11 +173,9 @@ def reference_mesh_matrix(net, k):
 MZI_FIELDS = ("col", "row", "theta", "phi")
 
 
-def test_stacked_apply_matches_mzi_by_mzi_oracle():
-    """Every mesh of a stack, compiled or on a hand-built grid that a loaded bundle
-    may hold, perturbed or not, equals the MZI-by-MZI oracle bit for bit."""
-    rng = np.random.default_rng(42)
-    net = P.givens_decompose(np.stack([random_orthogonal(rng, 5) for _ in range(3)]))
+def grid_variants(net, extra_theta, extra_phi):
+    """A compiled stack (size >= 4) and the same meshes on three hand-built grids
+    that a loaded bundle may hold."""
     # One MZI fewer (the last of column 2).
     drop = np.flatnonzero(net.col == 2)[-1]
     dropped = replace(net, col=np.delete(net.col, drop), row=np.delete(net.row, drop),
@@ -185,10 +184,19 @@ def test_stacked_apply_matches_mzi_by_mzi_oracle():
     reversed_ = replace(net, col=net.depth - 1 - net.col[::-1], row=net.row[::-1],
                         theta=net.theta[:, ::-1], phi=net.phi[:, ::-1])
     # An extra column of two overlapping MZIs.
-    extra = replace(net, depth=6, col=np.append(net.col, [5, 5]), row=np.append(net.row, [1, 2]),
-                    theta=np.hstack([net.theta, [[0.3, -0.4], [1.1, 2.0], [-2.5, 0.0]]]),
-                    phi=np.hstack([net.phi, [[0.2, 3.0], [0.0, np.pi], [-1.0, 0.5]]]))
-    for grid in (net, dropped, reversed_, extra):
+    extra = replace(net, depth=net.depth + 1, col=np.append(net.col, [net.depth] * 2),
+                    row=np.append(net.row, [1, 2]), theta=np.hstack([net.theta, extra_theta]),
+                    phi=np.hstack([net.phi, extra_phi]))
+    return [net, dropped, reversed_, extra]
+
+
+def test_stacked_apply_matches_mzi_by_mzi_oracle():
+    """Every mesh of a stack, compiled or on a hand-built grid that a loaded bundle
+    may hold, perturbed or not, equals the MZI-by-MZI oracle bit for bit."""
+    rng = np.random.default_rng(42)
+    net = P.givens_decompose(np.stack([random_orthogonal(rng, 5) for _ in range(3)]))
+    for grid in grid_variants(net, [[0.3, -0.4], [1.1, 2.0], [-2.5, 0.0]],
+                              [[0.2, 3.0], [0.0, np.pi], [-1.0, 0.5]]):
         for stack in (grid, P.perturb(grid, 0.05, 0, seeds=[0, 1, 2])):
             assert not np.array_equal(stack.theta[0], stack.theta[1])
             got = P.mesh_matrix(stack)
@@ -476,17 +484,25 @@ def test_bundle_totals_and_histogram():
     assert totals["stages"] == max(visual, audio, text) + fusion + heads
 
 
-@pytest.mark.parametrize("case", ["default", "tiny", "padded_tt", "pooling_last"])
-def test_shape_totals_equal_compiled_totals(case):
+def case_config(case):
     from tomfn import model as M
 
-    cfg = {
+    return {
         "default": M.default_config,
         "tiny": tiny_config,
         "padded_tt": lambda: tiny_config(visual_dims=(11, 4), visual=True, text=True,
                                          class_heads=True),
         "pooling_last": lambda: tiny_config(pooling="last", visual=True, fusion=True),
+        # visual.fc0 is one 4x8 TT core; the dense text projections are 4x8 too.
+        "tt_beside_dense": lambda: tiny_config(visual=True),
     }[case]()
+
+
+@pytest.mark.parametrize("case", ["default", "tiny", "padded_tt", "pooling_last"])
+def test_shape_totals_equal_compiled_totals(case):
+    from tomfn import model as M
+
+    cfg = case_config(case)
     model = M.build(cfg)
     shapes = P.model_shapes(model)
     bundle = P.compile_model(model)
@@ -571,3 +587,109 @@ def test_perturb_bundle_noise_stream():
                     assert P.netlist_to_obj(got_mesh) == P.netlist_to_obj(net), (name, key)
             assert np.array_equal(perturbed.diag, want.diag)
             assert np.array_equal(perturbed.scale, want.scale)
+
+
+# --- model-wide grouping -----------------------------------------------------------
+
+
+def per_core_plans(model):
+    """Every weight's plan, each core mapped by its own `svd_map` call."""
+    plans = {}
+    for name, shape in P.model_shapes(model).items():
+        w = model.weights[name]
+        cores = w.cores if shape.kind == "tt" else [w[None, :, :, None]]
+        plans[name] = P.LayerPlan(**vars(shape), cores=[
+            P.svd_map(c.transpose(0, 3, 1, 2).reshape(-1, *c.shape[1:3])) for c in cores])
+    return plans
+
+
+@pytest.mark.parametrize("case", ["default", "tiny", "padded_tt", "tt_beside_dense"])
+def test_grouped_compile_equals_per_core_mapping(case):
+    """Mapping every core shape once, model-wide, gives each plan the bits of mapping its
+    cores one by one, also where a TT core and a dense weight share a shape."""
+    from tomfn import model as M
+
+    model = M.build(case_config(case))
+    if case == "tt_beside_dense":
+        shapes = P.model_shapes(model).values()
+        tt, dense = ({(m, n) for s in shapes if s.kind == kind for m, n in zip(s.row_modes, s.col_modes)}
+                     for kind in ("tt", "dense"))
+        assert tt & dense
+    bundle = P.compile_model(model)
+    want = per_core_plans(model)
+    assert list(bundle.plans) == list(want)
+    for name, plan in bundle.plans.items():
+        assert P.plan_to_obj(plan) == P.plan_to_obj(want[name]), name
+
+
+def varied_grid_bundle():
+    """A compiled bundle (dense weights and multi-rank TT cores) whose stacks of one
+    size sit on different grids: every side of size >= 4 takes the next of
+    `grid_variants`, in turn."""
+    from tomfn import model as M
+
+    rng = np.random.default_rng(43)
+    bundle = P.compile_model(M.build(tiny_config(visual=True, fusion=True, max_factor=2)))
+    turn = 0
+    for plan in bundle.plans.values():
+        for k, core in enumerate(plan.cores):
+            sides = {}
+            for key in ("mesh_u", "mesh_v"):
+                net = getattr(core, key)
+                if net.size >= 4:
+                    extra = rng.uniform(-np.pi, np.pi, size=(2, len(net.theta), 2))
+                    sides[key] = grid_variants(net, *extra)[turn % 4]
+                    turn += 1
+            plan.cores[k] = replace(core, **sides)
+    return bundle
+
+
+def grids(plans, key):
+    return {(getattr(c, key).size, getattr(c, key).row.tobytes())
+            for plan in plans.values() for c in plan.cores}
+
+
+def test_grouped_realize_equals_mzi_by_mzi_oracle():
+    """Realize, ideal and perturbed, reads every slice back bit for bit as the
+    MZI-by-MZI oracle does, when stacks of one size sit on different grids."""
+    bundle = varied_grid_bundle()
+    sizes = [size for size, _ in grids(bundle.plans, "mesh_u")]
+    assert any(sizes.count(size) > 1 for size in sizes)
+    for plans in (bundle.plans, P.perturb_bundle(bundle, 0.05, 0, seed=3)):
+        realized = P.realize(bundle, plans).weights
+        for name, plan in plans.items():
+            for k, core in enumerate(plan.cores):
+                r_out = plan.ranks[k + 1]
+                for j in range(len(core.scale)):
+                    z = np.zeros((core.m, core.n))
+                    lead = min(core.m, core.n)
+                    z[:lead] = core.diag[j][:, None] * reference_mesh_matrix(core.mesh_v, j)[:lead]
+                    want = core.scale[j] * reference_mesh_matrix(core.mesh_u, j, z)
+                    w = realized[name]
+                    got = w if plan.kind == "dense" else w.cores[k][j // r_out, :, :, j % r_out]
+                    assert np.array_equal(got, want), (name, k, j)
+
+
+def counting(monkeypatch, name):
+    calls = []
+    inner = getattr(P, name)
+    monkeypatch.setattr(P, name, lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+def test_one_mesh_pass_per_shape_and_per_grid(monkeypatch):
+    """compile_model maps each core shape once model-wide; realize applies each grid once a side."""
+    from tomfn import model as M
+
+    cfg = M.default_config()
+    model = M.build(cfg)
+    svd, givens = counting(monkeypatch, "svd_map"), counting(monkeypatch, "givens_decompose")
+    bundle = P.compile_model(model)
+    histogram = P.totals(cfg, P.model_shapes(model))["core_histogram"]
+    assert len(svd) == len(histogram) == 17 and len(givens) == 2 * 17
+    applies = counting(monkeypatch, "_apply_meshes")
+    for b in (bundle, varied_grid_bundle()):
+        applies.clear()
+        P.realize(b)
+        assert len(applies) == len(grids(b.plans, "mesh_u")) + len(grids(b.plans, "mesh_v"))
+    assert len(grids(b.plans, "mesh_u")) > len({size for size, _ in grids(b.plans, "mesh_u")})
