@@ -37,7 +37,8 @@ included).  The batching is model-wide: `compile_model` maps the slices of
 all cores of one shape (m, n), whatever their weight, through one `svd_map`
 (one batched SVD, one `givens_decompose` a side) and splits the stack back;
 `realize` reads every V stack, then every U stack, back in one mesh apply
-per grid (size, row).  Every check (finite entries, orthogonality, the sign
+per grid (size, row), and `perturb_bundle` perturbs each grid with one
+`perturb`.  Every check (finite entries, orthogonality, the sign
 diagonal, a negative 1 x 1) still holds matrix by matrix, and a refusal
 names the weight, the core and the slice.
 
@@ -57,6 +58,7 @@ detection points inside the forward pass, not folded into the realized weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -109,6 +111,19 @@ def _apply_meshes(net: MeshNetlist, x: np.ndarray) -> np.ndarray:
 def mesh_matrix(net: MeshNetlist) -> np.ndarray:
     """The (K, N, N) matrices the stack realizes (each mesh applied to identity columns)."""
     return _apply_meshes(net, np.broadcast_to(np.eye(net.size), (len(net.theta), net.size, net.size)))
+
+
+def _by_grid(nets: list[MeshNetlist]):
+    """For each grid (size, row) among the stacks: the indices of its stacks, their meshes
+    as one stack (on the first one's columns, which neither a mesh apply nor `perturb`
+    reads), and the bounds of each stack's meshes in it."""
+    grids: dict[tuple, list[int]] = {}
+    for i, net in enumerate(nets):
+        grids.setdefault((net.size, net.row.tobytes()), []).append(i)
+    for grid in grids.values():
+        joint = replace(nets[grid[0]], theta=np.concatenate([nets[i].theta for i in grid]),
+                        phi=np.concatenate([nets[i].phi for i in grid]))
+        yield grid, joint, np.cumsum([0] + [len(nets[i].theta) for i in grid])
 
 
 def givens_decompose(u: np.ndarray, name="matrix {}".format) -> MeshNetlist:
@@ -210,19 +225,70 @@ def check_noise(phase_sigma: float, bits: int):
         raise ShapeError(f"bits must be between 0 and 53, got {bits}")
 
 
+# numpy SeedSequence's constants (numpy/random/bit_generator.pyx), as uint32 arrays: their
+# arithmetic wraps, where uint32 scalars warn.  _HASH_A[i] = INIT_A * MULT_A**i, B likewise.
+_HASH_A, _HASH_B = (np.array([init * pow(mult, i, 1 << 32) % (1 << 32) for i in range(257)], np.uint32)
+                    for init, mult in ((0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)))
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _seed_words(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """SeedSequence(...).generate_state(n_words, dtype) for each row of (up to 64) uint32 entropy
+    words: the pool of 4, zero-padded, then any spawn-key words.  Up to 256 uint32 words."""
+    e = np.asarray(entropy, dtype=np.uint32)
+
+    def hashmix(v, i, n):  # numpy's hashes i .. i + n - 1, one to a column of v
+        v = (v ^ _HASH_A[i:i + n]) * _HASH_A[i + 1:i + n + 1]
+        return v ^ (v >> _XSHIFT)
+
+    def mix(x, y):
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return r ^ (r >> _XSHIFT)
+
+    pool = hashmix(e[:, :4], 0, 4)
+    for src, dst in enumerate(np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])):
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], 4 + 3 * src, 3))
+    for src in range(4, e.shape[1]):  # each spawn-key word's hash mixes into every word
+        pool = mix(pool, hashmix(e[:, src, None], 4 * src, 4))
+    n = n_words * np.dtype(dtype).itemsize // 4
+    v = (pool[:, np.arange(n) % 4] ^ _HASH_B[:n]) * _HASH_B[1:n + 1]
+    return np.ascontiguousarray(v ^ (v >> _XSHIFT), "<u4").view(f"<u{np.dtype(dtype).itemsize}").astype(dtype)
+
+
+@functools.cache
+def _state_type() -> type:
+    """numpy's ISeedSequence handing a bit generator one SeedSequence's state words, computed
+    ahead; made on first use, so that importing tomfn does not import numpy.random."""
+
+    class State(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return State
+
+
 def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seeds) -> MeshNetlist:
     """Quantize angles to a 2*pi / 2**bits grid (bits=0: none), then add
-    N(0, phase_sigma^2) jitter.  Mesh k draws from default_rng(seeds[k]):
-    theta's draw, then phi's, for each MZI in physical order.  A phase that
-    leaves the float range is a ShapeError."""
+    N(0, phase_sigma^2) jitter.  Mesh k draws from default_rng(seeds[k]), seeds[k] in
+    [0, 2**64): theta's draw, then phi's, for each MZI in physical order.  A seed count
+    other than the K meshes, or a phase that leaves the float range, is a ShapeError."""
     check_noise(phase_sigma, bits)
+    if len(seeds) != len(net.theta):
+        raise ShapeError(f"perturb needs one seed per mesh: got {len(seeds)} for {len(net.theta)} meshes")
     angles = np.stack([net.theta, net.phi], axis=2)  # (K, MZI, 2)
     if bits >= 1:
         step = 2 * np.pi / 2**bits
         angles = np.round(angles / step) * step
     if phase_sigma > 0:
-        draws = [np.random.default_rng(s).normal(0.0, phase_sigma, angles.shape[1:]) for s in seeds]
-        angles = angles + np.stack(draws)
+        s = np.asarray(seeds, dtype=np.uint64)
+        words = _seed_words(np.stack([s & 0xFFFFFFFF, s >> 32, 0 * s, 0 * s], axis=1), 4, np.uint64)
+        seq = _state_type()
+        draws = [np.random.Generator(np.random.PCG64(seq(w))).normal(0.0, phase_sigma, angles.shape[1:])
+                 for w in words]
+        angles = angles + np.array(draws)
         if not np.isfinite(angles).all():
             raise ShapeError(f"phase_sigma {phase_sigma:g} draws phases beyond the float range")
     return replace(net, theta=angles[..., 0], phi=angles[..., 1])
@@ -285,17 +351,11 @@ def _core_stacks(cores: list[CorePlan]) -> list[np.ndarray]:
     Zero-padding a grid's inputs changes no bit kept: every MZI acts on each column alone."""
     xs = [np.broadcast_to(np.eye(c.n), (len(c.scale), c.n, c.n)) for c in cores]
     for side in ("mesh_v", "mesh_u"):
-        grids: dict[tuple, list[int]] = {}
-        for i, net in enumerate(getattr(c, side) for c in cores):
-            grids.setdefault((net.size, net.row.tobytes()), []).append(i)
-        for grid in grids.values():
-            nets = [getattr(cores[i], side) for i in grid]
-            bounds = np.cumsum([0] + [len(xs[i]) for i in grid])
-            x = np.zeros((bounds[-1], nets[0].size, max(xs[i].shape[2] for i in grid)))
+        for grid, joint, bounds in _by_grid([getattr(c, side) for c in cores]):
+            x = np.zeros((bounds[-1], joint.size, max(xs[i].shape[2] for i in grid)))
             for i, lo, hi in zip(grid, bounds, bounds[1:]):
                 x[lo:hi, :xs[i].shape[1], :xs[i].shape[2]] = xs[i]
-            y = _apply_meshes(replace(nets[0], theta=np.concatenate([net.theta for net in nets]),
-                                      phi=np.concatenate([net.phi for net in nets])), x)
+            y = _apply_meshes(joint, x)
             for i, lo, hi in zip(grid, bounds, bounds[1:]):
                 xs[i] = y[lo:hi, :, :xs[i].shape[2]]
         if side == "mesh_v":
@@ -517,23 +577,29 @@ def realize(bundle: ModelBundle, plans: dict | None = None) -> TOMFNModel:
 def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int) -> dict:
     """Perturbed copies of every plan (attenuators shared, meshes new), seeded for determinism.
 
-    Layers take the children of SeedSequence(seed) in sorted name order, and
-    each seeds a SeedSequence of its own; core by core, slice by slice (row-major
-    over the bond pair), that one spawns two children, whose states seed the
-    slice's U mesh and V mesh.
+    Layer i in sorted name order takes seed s_i, the state of child i of SeedSequence(seed).
+    Core by core, slice k (row-major over the bond pair) seeds its U mesh with the state of
+    child 2k of SeedSequence(s_i), that is of SeedSequence(s_i, spawn_key=(2k,)), and its V
+    mesh with child 2k + 1's.  One `_seed_words` call gives the trial's seeds, and one
+    `perturb` call perturbs the meshes of a grid.
     """
-    seq = np.random.SeedSequence(seed)
-    out = {}
-    for name in sorted(bundle.plans):
-        layer = np.random.SeedSequence(seq.spawn(1)[0].generate_state(1)[0])
-        cores = []
-        for core in bundle.plans[name].cores:
-            seeds = [[child.generate_state(1)[0] for child in layer.spawn(2)] for _ in core.scale]
-            u_seeds, v_seeds = zip(*seeds)
-            cores.append(replace(core, mesh_u=perturb(core.mesh_u, phase_sigma, bits, u_seeds),
-                                 mesh_v=perturb(core.mesh_v, phase_sigma, bits, v_seeds)))
-        out[name] = replace(bundle.plans[name], cores=cores)
-    return out
+    names = sorted(bundle.plans)
+    layers = [child.generate_state(1)[0] for child in np.random.SeedSequence(seed).spawn(len(names))]
+    counts = [2 * sum(len(c.scale) for c in bundle.plans[name].cores) for name in names]
+    j = np.concatenate([np.arange(n) for n in counts])  # child j of its layer
+    rows = np.stack([np.repeat(layers, counts), 0 * j, 0 * j, 0 * j, j], axis=1)  # [s_i, 0, 0, 0, j]
+    pairs = _seed_words(rows, 1).reshape(-1, 2)  # each slice's (U, V) seeds, in order
+    cores = [core for name in names for core in bundle.plans[name].cores]
+    blocks = np.split(pairs, np.cumsum([len(core.scale) for core in cores])[:-1])  # per core
+    seeds = [side for block in blocks for side in block.T]  # each core's U seeds, then V seeds
+    nets = [getattr(core, side) for core in cores for side in ("mesh_u", "mesh_v")]
+    for grid, joint, bounds in _by_grid(nets):
+        noisy = perturb(joint, phase_sigma, bits, np.concatenate([seeds[i] for i in grid]))
+        for i, lo, hi in zip(grid, bounds, bounds[1:]):
+            nets[i] = replace(nets[i], theta=noisy.theta[lo:hi], phi=noisy.phi[lo:hi])
+    sides = iter(nets)  # each core's perturbed U, then V, in order
+    return {name: replace(bundle.plans[name], cores=[replace(core, mesh_u=next(sides), mesh_v=next(sides))
+                                                     for core in bundle.plans[name].cores]) for name in names}
 
 
 # --- serialization -----------------------------------------------------------------

@@ -5,9 +5,12 @@ attention is a loop over query and key tokens, fusion builds the explicit
 4-way fusion tensor and contracts it, and `forward` chains them.  The
 runners at the end call the graph's own stages on hand-made weights, and
 `batch_loss` gives the graph's loss alone for the finite-difference checks.
+`perturb_bundle` seeds a noisy trial object by object, one generator per mesh.
 The oracles apply weights to token rows, as x @ W, so they take the
 transpose of the model's (out, in) text and head weights.  Dense weights only.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -122,3 +125,36 @@ def batch_loss(model, visual, audio, text, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     _, loss = M._Graph(model, requires_grad=False).outputs(visual, audio, text, labels)
     return float(loss.value)
+
+
+# --- the noise stream --------------------------------------------------------------
+
+
+def perturb_meshes(net, phase_sigma, bits, seeds):
+    """Quantize a mesh stack's angles, then add mesh k's draws from default_rng(seeds[k])."""
+    angles = np.stack([net.theta, net.phi], axis=2)  # (K, MZI, 2)
+    if bits >= 1:
+        step = 2 * np.pi / 2**bits
+        angles = np.round(angles / step) * step
+    if phase_sigma > 0:
+        draws = [np.random.default_rng(s).normal(0.0, phase_sigma, angles.shape[1:]) for s in seeds]
+        angles = angles + np.stack(draws)
+    return replace(net, theta=angles[..., 0], phi=angles[..., 1])
+
+
+def perturb_bundle(bundle, phase_sigma, bits, seed):
+    """A noisy trial's plans, seeded through numpy's objects: each layer, in sorted name
+    order, seeds a SeedSequence from the next child of SeedSequence(seed); slice by slice,
+    that one spawns two children, whose states seed the slice's U mesh and V mesh."""
+    trial = np.random.SeedSequence(seed)
+    out = {}
+    for name in sorted(bundle.plans):
+        layer = np.random.SeedSequence(trial.spawn(1)[0].generate_state(1)[0])
+        cores = []
+        for core in bundle.plans[name].cores:
+            seeds = [[child.generate_state(1)[0] for child in layer.spawn(2)] for _ in core.scale]
+            u_seeds, v_seeds = zip(*seeds)
+            cores.append(replace(core, mesh_u=perturb_meshes(core.mesh_u, phase_sigma, bits, u_seeds),
+                                 mesh_v=perturb_meshes(core.mesh_v, phase_sigma, bits, v_seeds)))
+        out[name] = replace(bundle.plans[name], cores=cores)
+    return out

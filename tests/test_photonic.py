@@ -7,6 +7,8 @@ from tomfn import photonic as P
 from tomfn import tt as tt_mod
 from tomfn.errors import DecompositionError, MappingError, ShapeError
 
+import oracles
+
 
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
@@ -244,6 +246,42 @@ def test_perturb_matches_per_mzi_draws():
         phi += draws.normal(0.0, sigma)
         assert (got.theta[0, i], got.phi[0, i]) == (theta, phi)
     assert np.array_equal(got.col, net.col) and np.array_equal(got.row, net.row)
+
+
+def test_perturb_draws_any_64_bit_seed_like_default_rng():
+    """Each mesh of a stack draws the stream of default_rng(its seed), seeds of 33 to 64 bits too."""
+    net = P.givens_decompose(np.stack([random_orthogonal(np.random.default_rng(24), 4)] * 4))
+    seeds = [0, 2**32 - 1, 2**32 + 5, 2**64 - 1]
+    got = P.perturb(net, 0.05, 0, seeds)
+    for k, seed in enumerate(seeds):
+        draws = np.random.default_rng(seed).normal(0.0, 0.05, (net.mzi_count(), 2))
+        assert np.array_equal(got.theta[k], net.theta[k] + draws[:, 0])
+        assert np.array_equal(got.phi[k], net.phi[k] + draws[:, 1])
+
+
+@pytest.mark.parametrize("seeds", [[5], [5, 6], [5, 6, 7, 8]])
+def test_perturb_needs_one_seed_per_mesh(seeds):
+    net = P.givens_decompose(np.stack([random_orthogonal(np.random.default_rng(25), 3)] * 3))
+    with pytest.raises(ShapeError, match=f"got {len(seeds)} for 3 meshes"):
+        P.perturb(net, 0.05, 0, seeds)
+
+
+ENTROPY_WORDS = [0, 1, 2**31, 2**32 - 1, *np.random.default_rng(26).integers(0, 2**32, 20).tolist()]
+
+
+@pytest.mark.parametrize("spawn_key", [None, 0, 1, 2**16, 2**32 - 1])
+def test_seed_words_equal_numpy_seed_sequence(spawn_key):
+    """The array SeedSequence gives numpy's own state words, with and without a spawn key."""
+    if spawn_key is None:
+        rows = [[word, 0, 0, 0] for word in ENTROPY_WORDS]
+        seqs = [np.random.SeedSequence(word) for word in ENTROPY_WORDS]
+    else:
+        rows = [[word, 0, 0, 0, spawn_key] for word in ENTROPY_WORDS]
+        seqs = [np.random.SeedSequence(word, spawn_key=(spawn_key,)) for word in ENTROPY_WORDS]
+    assert np.array_equal(P._seed_words(rows, 1), [seq.generate_state(1) for seq in seqs])
+    got = P._seed_words(rows, 4, np.uint64)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, [seq.generate_state(4, np.uint64) for seq in seqs])
 
 
 @pytest.mark.parametrize("sigma, bits", [
@@ -589,6 +627,38 @@ def test_perturb_bundle_noise_stream():
             assert np.array_equal(perturbed.scale, want.scale)
 
 
+@pytest.fixture(scope="module")
+def default_bundle():
+    from tomfn import model as M
+
+    return P.compile_model(M.build(M.default_config()))
+
+
+def assert_same_perturbed_plans(got, want):
+    """Plan by plan, every mesh stack's grid and angles bit for bit, attenuators shared."""
+    assert list(got) == list(want)
+    for name in want:
+        for core, ref in zip(got[name].cores, want[name].cores, strict=True):
+            for key in ("mesh_u", "mesh_v"):
+                net, ref_net = getattr(core, key), getattr(ref, key)
+                assert (net.size, net.depth) == (ref_net.size, ref_net.depth), (name, key)
+                for f in MZI_FIELDS:
+                    a, b = getattr(net, f), getattr(ref_net, f)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, key, f)
+            assert core.diag is ref.diag and core.scale is ref.scale
+
+
+@pytest.mark.parametrize("sigma, bits", [(0.01, 8), (0.3, 0), (0.0, 4)])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+def test_perturb_bundle_equals_per_mesh_seeding_on_default_config(default_bundle, seed, sigma, bits):
+    """The trial's seeds, computed on arrays, perturb the default bundle (29 layers, ranks up
+    to 8) bit for bit as a SeedSequence and a default_rng per mesh do."""
+    assert len(default_bundle.plans) == 29
+    assert max(max(plan.ranks) for plan in default_bundle.plans.values()) == 8
+    assert_same_perturbed_plans(P.perturb_bundle(default_bundle, sigma, bits, seed),
+                                oracles.perturb_bundle(default_bundle, sigma, bits, seed))
+
+
 # --- model-wide grouping -----------------------------------------------------------
 
 
@@ -677,8 +747,17 @@ def counting(monkeypatch, name):
     return calls
 
 
+def test_perturb_bundle_equals_per_mesh_seeding_on_varied_grids():
+    """Meshes perturbed a grid at a time keep their own grids and draws where stacks of
+    one size sit on different grids."""
+    bundle = varied_grid_bundle()
+    assert_same_perturbed_plans(P.perturb_bundle(bundle, 0.05, 6, seed=11),
+                                oracles.perturb_bundle(bundle, 0.05, 6, seed=11))
+
+
 def test_one_mesh_pass_per_shape_and_per_grid(monkeypatch):
-    """compile_model maps each core shape once model-wide; realize applies each grid once a side."""
+    """compile_model maps each core shape once model-wide; realize applies each grid once a
+    side, and perturb_bundle perturbs each grid once."""
     from tomfn import model as M
 
     cfg = M.default_config()
@@ -687,9 +766,11 @@ def test_one_mesh_pass_per_shape_and_per_grid(monkeypatch):
     bundle = P.compile_model(model)
     histogram = P.totals(cfg, P.model_shapes(model))["core_histogram"]
     assert len(svd) == len(histogram) == 17 and len(givens) == 2 * 17
-    applies = counting(monkeypatch, "_apply_meshes")
+    applies, perturbs = counting(monkeypatch, "_apply_meshes"), counting(monkeypatch, "perturb")
     for b in (bundle, varied_grid_bundle()):
         applies.clear()
-        P.realize(b)
+        perturbs.clear()
+        P.realize(b, P.perturb_bundle(b, 0.01, 0, seed=1))
         assert len(applies) == len(grids(b.plans, "mesh_u")) + len(grids(b.plans, "mesh_v"))
+        assert len(perturbs) == len(grids(b.plans, "mesh_u") | grids(b.plans, "mesh_v"))
     assert len(grids(b.plans, "mesh_u")) > len({size for size, _ in grids(b.plans, "mesh_u")})
