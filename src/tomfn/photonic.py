@@ -67,10 +67,10 @@ import numpy as np
 from . import tt as tt_mod
 from .model import ModelConfig, TOMFNModel, block_dims
 from .errors import DataError, DecompositionError, MappingError, ShapeError
-from .serialize import field, integer, json_list, numbers, sizes
+from .serialize import field, floats_from_obj, floats_to_obj, integer, json_list, numbers, sizes
 
 CORE_SIZE_CAP = 8
-BUNDLE_FORMAT = 2  # the on-disk layout `bundle_to_obj` writes and `bundle_from_obj` reads
+BUNDLE_FORMAT = 3  # the on-disk layout `bundle_to_obj` writes and `bundle_from_obj` reads
 
 
 # --- netlists -------------------------------------------------------------------
@@ -333,15 +333,9 @@ def svd_map(w: np.ndarray, name="matrix {}".format) -> CorePlan:
     u, s, vt = np.linalg.svd(w, full_matrices=True)
     if (bad := np.flatnonzero(~np.isfinite(s).all(axis=1))).size:
         raise MappingError(f"{name(bad[0])}: singular values are not finite")
-    # A 1 x 1 mesh cannot carry a sign: push it into the larger factor.
-    if m == 1 and n > 1:
-        flip = u[:, 0, 0] < 0
-        u[flip] = -u[flip]
-        vt[flip, 0] = -vt[flip, 0]
-    if n == 1 and m > 1:
-        flip = vt[:, 0, 0] < 0
-        vt[flip] = -vt[flip]
-        u[flip, :, 0] = -u[flip, :, 0]
+    if min(m, n) == 1 < max(m, n):  # a 1 x 1 mesh cannot carry a sign: push it into the larger factor
+        flip = (u if m == 1 else vt)[:, 0, 0] < 0
+        u[flip, :, 0], vt[flip, 0] = -u[flip, :, 0], -vt[flip, 0]
     scale = np.maximum(s[:, 0], 1.0)
     return CorePlan(m, n, givens_decompose(u, name), givens_decompose(vt, name), s / scale[:, None], scale)
 
@@ -607,7 +601,7 @@ def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int
 
 def netlist_to_obj(net: MeshNetlist) -> dict:
     return {"size": net.size, "depth": net.depth, "col": net.col.tolist(), "row": net.row.tolist(),
-            "theta": net.theta.tolist(), "phi": net.phi.tolist()}
+            "theta": floats_to_obj(net.theta), "phi": floats_to_obj(net.phi)}
 
 
 def netlist_from_obj(obj: dict, size: int, count: int) -> MeshNetlist:
@@ -615,21 +609,18 @@ def netlist_from_obj(obj: dict, size: int, count: int) -> MeshNetlist:
     integer(field(obj, "size", "mesh"), "mesh size", size, size)
     depth = integer(field(obj, "depth", "mesh"), "mesh depth", 0)
     col, row = (numbers(field(obj, key, "mesh"), f"mesh {key}", 1, np.intp) for key in ("col", "row"))
-    theta, phi = (numbers(field(obj, key, "mesh"), f"mesh {key}", 2) for key in ("theta", "phi"))
-    if row.shape != col.shape or not theta.shape == phi.shape == (count, len(col)):
-        raise DataError(f"mesh row, theta and phi are {row.shape}, {theta.shape} and {phi.shape}; "
-                        f"{count} meshes of {len(col)} MZIs need ({len(col)},) and ({count}, {len(col)})")
+    theta, phi = (floats_from_obj(field(obj, key, "mesh"), f"mesh {key}", (count, len(col)))
+                  for key in ("theta", "phi"))
     if np.any(np.diff(col) < 0) or np.any(col < 0) or np.any(col >= depth):
         raise DataError(f"mesh col must be non-decreasing and lie in [0, {depth - 1}]")
-    if np.any(row < 0) or np.any(row > size - 2):
-        raise DataError(f"mesh row must lie in [0, {size - 2}]")
+    if row.shape != col.shape or np.any(row < 0) or np.any(row > size - 2):
+        raise DataError(f"mesh row must hold one entry per MZI ({len(col)}) in [0, {size - 2}]")
     return MeshNetlist(size, depth, col, row, theta, phi)
 
 
 def _core_to_obj(core: CorePlan) -> dict:
-    return {"m": core.m, "n": core.n, "mesh_u": netlist_to_obj(core.mesh_u),
-            "mesh_v": netlist_to_obj(core.mesh_v), "diag": core.diag.tolist(),
-            "scale": core.scale.tolist()}
+    return {"m": core.m, "n": core.n, "diag": floats_to_obj(core.diag), "scale": floats_to_obj(core.scale),
+            "mesh_u": netlist_to_obj(core.mesh_u), "mesh_v": netlist_to_obj(core.mesh_v)}
 
 
 def _core_from_obj(obj: dict, m: int, n: int, count: int) -> CorePlan:
@@ -637,11 +628,8 @@ def _core_from_obj(obj: dict, m: int, n: int, count: int) -> CorePlan:
     got = tuple(integer(field(obj, key, "core"), f"core {key}", 1) for key in "mn")
     if got != (m, n):
         raise DataError(f"core is {got[0]}x{got[1]} where the plan's modes give {m}x{n}")
-    diag = numbers(field(obj, "diag", "core"), "core diag", 2)
-    scale = numbers(field(obj, "scale", "core"), "core scale")
-    if diag.shape != (count, min(m, n)) or scale.shape != (count,):
-        raise DataError(f"core diag and scale are {diag.shape} and {scale.shape}; {count} slices "
-                        f"of {m}x{n} need ({count}, {min(m, n)}) and ({count},)")
+    diag = floats_from_obj(field(obj, "diag", "core"), "core diag", (count, min(m, n)))
+    scale = floats_from_obj(field(obj, "scale", "core"), "core scale", (count,))
     if not (np.all((diag >= 0) & (diag <= 1)) and np.all(scale >= 1)):
         raise DataError("core diag amplitudes must lie in [0, 1] and core scales must be >= 1")
     return CorePlan(m, n, netlist_from_obj(field(obj, "mesh_u", "core"), m, count),

@@ -8,7 +8,8 @@ DataError.  A dense tensor serializes as {"shape": [...], "data": [...]}
 (flat, row-major), a TT weight as {"row_modes", "col_modes", "ranks",
 "cores": [tensor, ...]}, a weights file as a flat name -> weight map that
 holds the dense FILE_TRANSPOSED weights (in, out), every other one (out, in)
-as in memory; the weights codec transposes at that boundary.
+as in memory; the weights codec transposes at that boundary.  A bundle's
+float64 array is {"dtype": "<f8", "shape", "data": base64 of its bytes}.
 Every JSON text tomfn writes comes from `dumps`: compact, keys sorted.
 Writes go through a temp file and rename so readers never see partial
 output; the file gets the mode the umask allows, as with a plain open().
@@ -16,6 +17,7 @@ output; the file gets the mode the umask allows, as with a plain open().
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import os
@@ -155,6 +157,26 @@ def numbers(value, what: str, ndim: int = 1, dtype=np.float64) -> np.ndarray:
         raise DataError(f"{want}: {exc}") from exc
     if not np.isfinite(array).all():
         raise DataError(want)
+    return array
+
+
+def floats_to_obj(array) -> dict:
+    data = binascii.b2a_base64(np.ascontiguousarray(array, "<f8"), newline=False).decode("ascii")
+    return {"dtype": "<f8", "shape": list(np.shape(array)), "data": data}
+
+
+def floats_from_obj(obj, what: str, shape: tuple) -> np.ndarray:
+    """The finite float64 array of `shape` that `floats_to_obj` wrote (read-only)."""
+    dtype, got = field(obj, "dtype", what), integers(field(obj, "shape", what), f"{what} shape")
+    if dtype != "<f8" or got != list(shape):
+        raise DataError(f"{what} must be '<f8' of shape {list(shape)}, got {dtype!r:.20} of {got!r:.40}")
+    try:  # base64 as b64decode(validate=True) takes it, then 8 bytes an entry
+        array = np.frombuffer(binascii.a2b_base64(field(obj, "data", what), strict_mode=True), "<f8")
+        array = array.reshape(shape)
+    except (TypeError, ValueError) as exc:  # not a string, not base64, or the wrong length
+        raise DataError(f"{what} data must be base64 of {list(shape)} float64 values: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise DataError(f"{what} must hold finite numbers")
     return array
 
 

@@ -19,6 +19,7 @@ if __name__ == "__main__":  # BLAS on one thread, as the tests run it; before nu
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
+import base64
 import contextlib
 import hashlib
 import json
@@ -46,16 +47,17 @@ TINY = {
 }
 CONFIGS = {
     "tiny_dense": TINY,
+    # Factors of at most 2: every weight is a TT of several cores, with bond ranks up to 4.
     "tiny_tt": {**TINY, "tt": {**TINY["tt"], "visual": True, "audio": True, "text": True,
-                               "fusion": True, "class_heads": True}},
+                               "fusion": True, "class_heads": True, "max_factor": 2}},
 }
 SIMULATIONS = {f"simulate_{kind}_seed{seed}": ["--seed", str(seed)] + flags
                for seed in (0, 2)
                for kind, flags in (("ideal", []),
                                    ("noisy", ["--trials", "2", "--phase-sigma", "0.01", "--bits", "8"]))}
-COMMANDS = ("describe", "train", "eval", *SIMULATIONS)
+COMMANDS = ("describe", "train", "eval", "compile", *SIMULATIONS)
 DOCUMENTS = tuple(f"{config}/{command}" for config in CONFIGS for command in COMMANDS)
-DIGESTS = ("default/simulate_noisy_seed0",)
+DIGESTS = ("default/compile", "default/simulate_noisy_seed0")
 
 
 def _document(path: str) -> str:
@@ -129,7 +131,10 @@ def build_info() -> dict:
 
 
 def _leaves(node, path=""):
-    """(key path, value) of every leaf, in `dumps` order."""
+    """(key path, value) of every leaf, in `dumps` order; a bundle's base64 array
+    objects are read as the lists of numbers they hold."""
+    if isinstance(node, dict) and set(node) == {"dtype", "shape", "data"}:
+        node = np.frombuffer(base64.b64decode(node["data"]), node["dtype"]).reshape(node["shape"]).tolist()
     if isinstance(node, dict):
         for key in sorted(node):
             yield from _leaves(node[key], f"{path}.{key}" if path else key)

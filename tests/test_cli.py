@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import pathlib
@@ -804,12 +805,27 @@ def test_weights_fuzz_exits_4(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def _floats(obj) -> np.ndarray:
+    """The flat float64 values of a bundle array object, as a writable copy."""
+    return np.frombuffer(base64.b64decode(obj["data"], validate=True), "<f8").copy()
+
+
+def _set_floats(obj, values, shape=None):
+    """Store `values` in the array object `obj`, its shape kept unless one is given."""
+    obj["data"] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+    if shape is not None:
+        obj["shape"] = shape
+
+
 @pytest.mark.parametrize("defect", [
     "theta_not_a_number", "row_out_of_range", "diag_too_short", "col_not_a_list",
     "plans_a_list", "diag_not_a_list", "ranks_not_a_list", "plans_empty", "plan_too_small",
     "mode_above_cap", "mesh_u_missing", "core_size_a_float", "theta_huge_integer",
     "col_decreasing", "col_beyond_depth", "theta_rows_wrong", "mesh_size_not_m", "old_layout",
-    "diag_and_scale_below_range", "diag_and_scale_huge",
+    "diag_and_scale_below_range", "diag_and_scale_huge", "format_2",
+    "data_not_base64", "data_one_float_short", "data_one_float_long",
+    "dtype_f4", "dtype_big_endian", "dtype_a_number", "shape_entry_a_float", "shape_entry_true",
+    "phi_minus_inf",
 ])
 def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     weights = make_trained(tmp_path, tiny_config)
@@ -819,12 +835,14 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     plan = doc["plans"]["visual.fc0"]
     core = plan["cores"][0]  # one 4x8 slice, mesh_u a stack of one mesh on 4 waveguides
     mesh = core["mesh_u"]
+    theta = _floats(mesh["theta"])  # the 6 angles of mesh_u, shape [1, 6]
     if defect == "theta_not_a_number":
-        mesh["theta"][0][0] = "abc"
+        theta[0] = np.nan
+        _set_floats(mesh["theta"], theta)
     elif defect == "row_out_of_range":
         mesh["row"][0] = 99
     elif defect == "diag_too_short":
-        core["diag"] = [d[:1] for d in core["diag"]]
+        _set_floats(core["diag"], _floats(core["diag"])[:1], [1, 1])
     elif defect == "col_not_a_list":
         mesh["col"] = 5
     elif defect == "plans_a_list":
@@ -842,21 +860,39 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     elif defect == "core_size_a_float":
         core["m"] = 4.0
     elif defect == "theta_huge_integer":
-        mesh["theta"][0][0] = 10**400  # no float holds it
+        theta[0] = np.inf  # the text layout's 10**400, which no float holds
+        _set_floats(mesh["theta"], theta)
     elif defect == "col_decreasing":
         mesh["col"] = mesh["col"][::-1]
     elif defect == "col_beyond_depth":
         mesh["col"][-1] = mesh["depth"]
-    elif defect == "theta_rows_wrong":
-        mesh["theta"] = mesh["theta"] * 2  # two meshes' angles in a core of one slice
+    elif defect == "theta_rows_wrong":  # two meshes' angles in a core of one slice
+        _set_floats(mesh["theta"], np.concatenate([theta, theta]), [2, len(theta)])
     elif defect == "mesh_size_not_m":
         core["mesh_u"] = core["mesh_v"]  # a valid stack on 8 waveguides where m is 4
     elif defect == "old_layout":
         del doc["format"]
+    elif defect == "format_2":  # the text layout of the angles before format 3
+        doc["format"] = 2
+        mesh["theta"] = theta.reshape(1, -1).tolist()
     elif defect in ("diag_and_scale_below_range", "diag_and_scale_huge"):
         low = defect == "diag_and_scale_below_range"
-        core["diag"] = [[-3.0 if low else 1e308] * len(d) for d in core["diag"]]
-        core["scale"] = [0.5 if low else 1e308] * len(core["scale"])
+        _set_floats(core["diag"], np.full(len(_floats(core["diag"])), -3.0 if low else 1e308))
+        _set_floats(core["scale"], np.full(len(_floats(core["scale"])), 0.5 if low else 1e308))
+    elif defect == "data_not_base64":
+        mesh["theta"]["data"] = "*" + mesh["theta"]["data"][1:]
+    elif defect in ("data_one_float_short", "data_one_float_long"):
+        _set_floats(mesh["theta"], theta[:-1] if defect.endswith("short") else np.append(theta, 0.5))
+    elif defect.startswith("dtype_"):
+        mesh["theta"]["dtype"] = {"dtype_f4": "<f4", "dtype_big_endian": ">f8"}.get(defect, 8)
+    elif defect == "shape_entry_a_float":
+        core["diag"]["shape"] = [1, 4.0]
+    elif defect == "shape_entry_true":
+        mesh["theta"]["shape"] = [True, len(theta)]
+    elif defect == "phi_minus_inf":
+        phi = _floats(mesh["phi"])
+        phi[-1] = -np.inf
+        _set_floats(mesh["phi"], phi)
     else:  # a self-consistent plan of another weight (head.0, 2x4) where 4x8 is needed
         doc["plans"]["visual.fc0"] = doc["plans"]["head.0"]
     dump_json(doc, str(bundle))
@@ -867,7 +903,7 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1
-    if defect == "old_layout":
+    if defect in ("old_layout", "format_2"):
         assert "`tomfn compile`" in err
 
 
@@ -907,17 +943,32 @@ def _wrong_json_types(value):
     return [5, "x", None, [value]]
 
 
-def test_simulate_bundle_fuzz_exits_3(tmp_path, capsys):
+@pytest.fixture
+def fuzz_bundle(tmp_path):
+    """A compiled tiny bundle with TT plans, its text, and samples it can simulate."""
     cfg = json.loads(json.dumps(TINY))
-    cfg["tt"].update(visual=True, fusion=True)  # TT plans too: several cores, bond ranks > 1
+    cfg["tt"].update(visual=True, fusion=True, max_factor=2)  # TT plans too: several cores, bond ranks > 1
     config = tmp_path / "config.json"
     dump_json(cfg, str(config))
     bundle = tmp_path / "bundle.json"
     assert run(["compile", "--config", str(config), "--out", str(bundle)]) == 0
-    text = bundle.read_text()
     ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(cfg))
     data = tmp_path / "samples.jsonl"
     T.save_jsonl(ds, str(data))
+    return bundle, bundle.read_text(), data
+
+
+def _simulate_refuses(doc, bundle, data, capsys, where):
+    dump_json(doc, str(bundle))
+    capsys.readouterr()
+    assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3, where
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1, where
+    assert "Traceback" not in err
+
+
+def test_simulate_bundle_fuzz_exits_3(fuzz_bundle, capsys):
+    bundle, text, data = fuzz_bundle
     by_label = {}
     for label, path in _bundle_fields(json.loads(text)):
         by_label.setdefault(label, []).append(path)
@@ -933,14 +984,40 @@ def test_simulate_bundle_fuzz_exits_3(tmp_path, capsys):
         pool = _wrong_json_types(node[key])
         value = pool[rng.integers(len(pool))]
         node[key] = value
-        dump_json(doc, str(bundle))
-        capsys.readouterr()
-        assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3, (
-            parents, key, value)
-        err = capsys.readouterr().err
-        assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1, (
-            parents, key, value)
-        assert "Traceback" not in err
+        _simulate_refuses(doc, bundle, data, capsys, (parents, key, value))
+
+
+def test_simulate_bundle_array_fuzz_exits_3(fuzz_bundle, capsys):
+    """Valid array objects whose decoded values break the plan: a value that
+    is not finite, out of range (diag, scale), or one too few or too many."""
+    bundle, text, data = fuzz_bundle
+    by_key = {}
+    for _, path in _bundle_fields(json.loads(text)):
+        if path[-1] in ("theta", "phi", "diag", "scale"):
+            by_key.setdefault(path[-1], []).append(path)
+    keys = sorted(by_key)
+    rng = np.random.default_rng(2468)
+    for _ in range(60):
+        doc = json.loads(text)
+        paths = by_key[keys[rng.integers(len(keys))]]
+        *parents, key = paths[rng.integers(len(paths))]
+        node = doc
+        for part in parents:
+            node = node[part]
+        values = _floats(node[key])
+        if not len(values):  # a mesh on one waveguide has no MZI
+            continue
+        i = rng.integers(len(values))
+        edits = ["not_finite", "drop", "add"] + (["out_of_range"] if key in ("diag", "scale") else [])
+        edit = edits[rng.integers(len(edits))]
+        if edit == "not_finite":
+            values[i] = (np.nan, np.inf, -np.inf)[rng.integers(3)]
+        elif edit == "out_of_range":
+            values[i] = 0.5 if key == "scale" else (-0.25, 1.25)[rng.integers(2)]
+        else:
+            values = np.delete(values, i) if edit == "drop" else np.insert(values, i, values[i])
+        _set_floats(node[key], values)
+        _simulate_refuses(doc, bundle, data, capsys, (parents, key, edit, i, values[i:i + 1]))
 
 
 # --- seeds and entry point ----------------------------------------------------------

@@ -584,6 +584,29 @@ def test_bundle_serialization_roundtrip():
     assert np.array_equal(M.forward(P.realize(back), sample), M.forward(P.realize(bundle), sample))
 
 
+def test_default_bundle_arrays_decode_bit_for_bit():
+    """Every decoded angle, amplitude and scale has the compiled bits (-0.0 is not 0.0),
+    and writing the decoded bundle gives the same text."""
+    import json
+
+    from tomfn import model as M
+    from tomfn.serialize import dumps
+
+    bundle = P.compile_model(M.build(M.default_config()))
+    text = dumps(P.bundle_to_obj(bundle))
+    back = P.bundle_from_obj(json.loads(text))
+
+    def arrays(c):
+        return c.diag, c.scale, c.mesh_u.theta, c.mesh_u.phi, c.mesh_v.theta, c.mesh_v.phi
+
+    for name, plan in bundle.plans.items():
+        for k, (core, got) in enumerate(zip(plan.cores, back.plans[name].cores)):
+            for want, have in zip(arrays(core), arrays(got)):
+                assert have.dtype == np.float64 and have.shape == want.shape, (name, k)
+                assert np.array_equal(have.view(np.uint64), want.view(np.uint64)), (name, k)
+    assert dumps(P.bundle_to_obj(back)) == text
+
+
 def test_perturbed_bundle_deterministic():
     from tomfn import model as M
 
