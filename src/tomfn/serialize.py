@@ -170,9 +170,9 @@ def floats_from_obj(obj, what: str, shape: tuple) -> np.ndarray:
     dtype, got = field(obj, "dtype", what), integers(field(obj, "shape", what), f"{what} shape")
     if dtype != "<f8" or got != list(shape):
         raise DataError(f"{what} must be '<f8' of shape {list(shape)}, got {dtype!r:.20} of {got!r:.40}")
-    try:  # base64 as b64decode(validate=True) takes it, then 8 bytes an entry
-        array = np.frombuffer(binascii.a2b_base64(field(obj, "data", what), strict_mode=True), "<f8")
-        array = array.reshape(shape)
+    import base64  # here, not at module level: `import tomfn` does not load it
+    try:
+        array = np.frombuffer(base64.b64decode(field(obj, "data", what), validate=True), "<f8").reshape(shape)
     except (TypeError, ValueError) as exc:  # not a string, not base64, or the wrong length
         raise DataError(f"{what} data must be base64 of {list(shape)} float64 values: {exc}") from exc
     if not np.isfinite(array).all():

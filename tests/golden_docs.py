@@ -35,6 +35,8 @@ from tomfn.serialize import dump_json, dumps
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
+# The CLI tests use these configs too; the goldens pin them, so changing one
+# means regenerating the goldens.
 TINY = {
     "visual_dims": [8, 4],
     "audio_dims": [6, 4],
@@ -101,15 +103,26 @@ def _config_documents(config: dict) -> dict[str, str]:
     return docs
 
 
+@contextlib.contextmanager
+def _working_directory(path):
+    """`contextlib.chdir`, which needs Python 3.11."""
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def run_documents(workdir) -> dict[str, str]:
     """Name -> timestamp-stripped document text, on the tiny configs and the default one."""
     docs = {}
     for config_name, config in CONFIGS.items():
         (pathlib.Path(workdir) / config_name).mkdir()
-        with contextlib.chdir(pathlib.Path(workdir) / config_name):
+        with _working_directory(pathlib.Path(workdir) / config_name):
             docs.update({f"{config_name}/{k}": v for k, v in _config_documents(config).items()})
     (pathlib.Path(workdir) / "default").mkdir()
-    with contextlib.chdir(pathlib.Path(workdir) / "default"):
+    with _working_directory(pathlib.Path(workdir) / "default"):
         docs["default/compile"] = _run(["compile", "--out", "bundle.json"], "bundle.json")
         data = _samples(M.default_config(), "samples.jsonl")
         docs["default/simulate_noisy_seed0"] = _run(

@@ -17,16 +17,7 @@ from tomfn import train as T
 from tomfn import tt as tt_mod
 from tomfn.serialize import dump_json, load_json
 
-TINY = {
-    "visual_dims": [8, 4],
-    "audio_dims": [6, 4],
-    "text": {"d_model": 8, "heads": 2, "d_head": 4, "d_out": 4, "seq_len": 3, "pooling": "mean"},
-    "fusion": {"r": 2, "d_h": 4},
-    "heads": 4,
-    "tt": {"visual": False, "audio": False, "text": False, "fusion": False,
-           "class_heads": False, "max_rank": 16, "tol": 0.0, "max_factor": 8},
-    "seed": 1,
-}
+from golden_docs import CONFIGS, TINY
 
 
 @pytest.fixture
@@ -946,8 +937,7 @@ def _wrong_json_types(value):
 @pytest.fixture
 def fuzz_bundle(tmp_path):
     """A compiled tiny bundle with TT plans, its text, and samples it can simulate."""
-    cfg = json.loads(json.dumps(TINY))
-    cfg["tt"].update(visual=True, fusion=True, max_factor=2)  # TT plans too: several cores, bond ranks > 1
+    cfg = CONFIGS["tiny_tt"]  # TT plans too: several cores, bond ranks > 1
     config = tmp_path / "config.json"
     dump_json(cfg, str(config))
     bundle = tmp_path / "bundle.json"
