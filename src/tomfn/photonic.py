@@ -37,10 +37,12 @@ included).  The batching is model-wide: `compile_model` maps the slices of
 all cores of one shape (m, n), whatever their weight, through one `svd_map`
 (one batched SVD, one `givens_decompose` a side) and splits the stack back;
 `realize` reads every V stack, then every U stack, back in one mesh apply
-per grid (size, row), and `perturb_bundle` perturbs each grid with one
-`perturb`.  Every check (finite entries, orthogonality, the sign
-diagonal, a negative 1 x 1) still holds matrix by matrix, and a refusal
-names the weight, the core and the slice.
+per grid (size, depth, col, row), and `perturb_bundle` perturbs each grid
+with one `perturb`.  The bundle file stores the meshes of each grid as one
+netlist, and a core side as a [grid, first mesh] reference.  Every check
+(finite entries, orthogonality, the sign diagonal, a negative 1 x 1) still
+holds matrix by matrix, and a refusal names the weight, the core and the
+slice.
 
 Accounting (MZIs, stages, WDM channels, the core-size histogram) reads
 only each layer's modes and bond ranks, so `describe` counts from the
@@ -67,10 +69,10 @@ import numpy as np
 from . import tt as tt_mod
 from .model import ModelConfig, TOMFNModel, block_dims
 from .errors import DataError, DecompositionError, MappingError, ShapeError
-from .serialize import field, floats_from_obj, floats_to_obj, integer, json_list, numbers, sizes
+from .serialize import field, floats_from_obj, floats_to_obj, integer, integers, json_list, numbers, sizes
 
 CORE_SIZE_CAP = 8
-BUNDLE_FORMAT = 3  # the on-disk layout `bundle_to_obj` writes and `bundle_from_obj` reads
+BUNDLE_FORMAT = 4  # the on-disk layout `bundle_to_obj` writes and `bundle_from_obj` reads
 
 
 # --- netlists -------------------------------------------------------------------
@@ -95,17 +97,19 @@ class MeshNetlist:
 def _apply_meshes(net: MeshNetlist, x: np.ndarray) -> np.ndarray:
     """Apply mesh k of the stack to the rows of x[k], for an x of shape (K, N, C).
 
-    Step j applies MZI j (physical order) of all K meshes at once.
+    Step j applies MZI j (physical order) of all K meshes at once, to two rows of an
+    (N, C, K) copy, each a contiguous (C, K) block.
     """
-    y = np.array(x, dtype=np.float64)
-    cos_t, sin_t, cos_p = np.cos(net.theta), np.sin(net.theta), np.cos(net.phi)
+    y = np.array(np.moveaxis(x, 0, 2), dtype=np.float64, order="C")
+    cos_t, sin_t = np.cos(net.theta).T.copy(), np.sin(net.theta).T.copy()  # (MZI, K), rows contiguous
+    cos_p = np.cos(net.phi).T.copy()
     for j, r in enumerate(net.row.tolist()):
-        top = cos_p[:, j, None] * y[:, r]
-        bot = y[:, r + 1]
-        c, s = cos_t[:, j, None], sin_t[:, j, None]
-        y[:, r] = c * top - s * bot
-        y[:, r + 1] = s * top + c * bot
-    return y
+        top = cos_p[j] * y[r]
+        bot = y[r + 1]
+        c, s = cos_t[j], sin_t[j]
+        y[r] = c * top - s * bot
+        y[r + 1] = s * top + c * bot
+    return np.ascontiguousarray(np.moveaxis(y, 2, 0))
 
 
 def mesh_matrix(net: MeshNetlist) -> np.ndarray:
@@ -114,12 +118,12 @@ def mesh_matrix(net: MeshNetlist) -> np.ndarray:
 
 
 def _by_grid(nets: list[MeshNetlist]):
-    """For each grid (size, row) among the stacks: the indices of its stacks, their meshes
-    as one stack (on the first one's columns, which neither a mesh apply nor `perturb`
-    reads), and the bounds of each stack's meshes in it."""
+    """For each grid (size, depth, col, row) among the stacks, in order of first use: the
+    indices of its stacks, their meshes as one stack, and the bounds of each stack's meshes
+    in it."""
     grids: dict[tuple, list[int]] = {}
     for i, net in enumerate(nets):
-        grids.setdefault((net.size, net.row.tobytes()), []).append(i)
+        grids.setdefault((net.size, net.depth, net.col.tobytes(), net.row.tobytes()), []).append(i)
     for grid in grids.values():
         joint = replace(nets[grid[0]], theta=np.concatenate([nets[i].theta for i in grid]),
                         phi=np.concatenate([nets[i].phi for i in grid]))
@@ -604,75 +608,87 @@ def netlist_to_obj(net: MeshNetlist) -> dict:
             "theta": floats_to_obj(net.theta), "phi": floats_to_obj(net.phi)}
 
 
-def netlist_from_obj(obj: dict, size: int, count: int) -> MeshNetlist:
-    """A stack of `count` meshes on `size` waveguides, its MZIs in physical order."""
-    integer(field(obj, "size", "mesh"), "mesh size", size, size)
-    depth = integer(field(obj, "depth", "mesh"), "mesh depth", 0)
-    col, row = (numbers(field(obj, key, "mesh"), f"mesh {key}", 1, np.intp) for key in ("col", "row"))
-    theta, phi = (floats_from_obj(field(obj, key, "mesh"), f"mesh {key}", (count, len(col)))
+def netlist_from_obj(obj: dict, what: str) -> MeshNetlist:
+    """A stack of meshes on one grid, as many as its `theta` shape gives, its MZIs in physical
+    order; a refusal names it as `what` and its size."""
+    size = integer(field(obj, "size", what), f"{what} size", 1, CORE_SIZE_CAP)
+    what = f"{what} (size {size})"
+    depth = integer(field(obj, "depth", what), f"{what}: depth", 0)
+    col, row = (numbers(field(obj, key, what), f"{what}: {key}", 1, np.intp) for key in ("col", "row"))
+    theta_shape = field(field(obj, "theta", what), "shape", f"{what}: theta")
+    count = integers(theta_shape, f"{what}: theta shape", 2, 0)[0]
+    theta, phi = (floats_from_obj(field(obj, key, what), f"{what}: {key}", (count, len(col)))
                   for key in ("theta", "phi"))
     if np.any(np.diff(col) < 0) or np.any(col < 0) or np.any(col >= depth):
-        raise DataError(f"mesh col must be non-decreasing and lie in [0, {depth - 1}]")
+        raise DataError(f"{what}: col must be non-decreasing and lie in [0, {depth - 1}]")
     if row.shape != col.shape or np.any(row < 0) or np.any(row > size - 2):
-        raise DataError(f"mesh row must hold one entry per MZI ({len(col)}) in [0, {size - 2}]")
+        raise DataError(f"{what}: row must hold one entry per MZI ({len(col)}) in [0, {size - 2}]")
     return MeshNetlist(size, depth, col, row, theta, phi)
 
 
-def _core_to_obj(core: CorePlan) -> dict:
-    return {"m": core.m, "n": core.n, "diag": floats_to_obj(core.diag), "scale": floats_to_obj(core.scale),
-            "mesh_u": netlist_to_obj(core.mesh_u), "mesh_v": netlist_to_obj(core.mesh_v)}
-
-
-def _core_from_obj(obj: dict, m: int, n: int, count: int) -> CorePlan:
-    """A core of modes (m, n) holding `count` slices of that size, as one stack."""
-    got = tuple(integer(field(obj, key, "core"), f"core {key}", 1) for key in "mn")
+def _core_from_obj(obj: dict, what: str, m: int, n: int, count: int, grids: list, claims: list) -> CorePlan:
+    """A core of modes (m, n) holding `count` slices of that size.  Each mesh stack is a
+    [grid, first] reference, read as a view of that grid's meshes first .. first + count - 1;
+    the claim goes on `claims`, for the check that every grid mesh has exactly one owner."""
+    got = tuple(integer(field(obj, key, what), f"{what}: {key}", 1) for key in "mn")
     if got != (m, n):
-        raise DataError(f"core is {got[0]}x{got[1]} where the plan's modes give {m}x{n}")
-    diag = floats_from_obj(field(obj, "diag", "core"), "core diag", (count, min(m, n)))
-    scale = floats_from_obj(field(obj, "scale", "core"), "core scale", (count,))
-    if not (np.all((diag >= 0) & (diag <= 1)) and np.all(scale >= 1)):
-        raise DataError("core diag amplitudes must lie in [0, 1] and core scales must be >= 1")
-    return CorePlan(m, n, netlist_from_obj(field(obj, "mesh_u", "core"), m, count),
-                    netlist_from_obj(field(obj, "mesh_v", "core"), n, count), diag, scale)
+        raise DataError(f"{what}: modes are {got[0]}x{got[1]} where the plan's give {m}x{n}")
+    diag = floats_from_obj(field(obj, "diag", what), f"{what}: diag", (count, min(m, n)))
+    scale = floats_from_obj(field(obj, "scale", what), f"{what}: scale", (count,))
+    if not (((diag >= 0) & (diag <= 1)).all() and (scale >= 1).all()):
+        raise DataError(f"{what}: diag amplitudes must lie in [0, 1] and scales must be >= 1")
+    sides = []
+    for key, size in (("mesh_u", m), ("mesh_v", n)):
+        g, first = integers(field(obj, key, what), f"{what}: {key} reference", 2, 0)
+        if g >= len(grids):
+            raise DataError(f"{what}: {key} names grid {g}, but the bundle has {len(grids)} grids")
+        net, end = grids[g], first + count
+        if net.size != size or end > len(net.theta):
+            raise DataError(f"{what}: {key} needs meshes {first}..{end - 1} of size {size}, but grid {g} "
+                            f"holds {len(net.theta)} of size {net.size}")
+        claims.append((g, first, end, f"{what}: {key}"))
+        sides.append(MeshNetlist(size, net.depth, net.col, net.row, net.theta[first:end], net.phi[first:end]))
+    return CorePlan(m, n, *sides, diag, scale)
 
 
-def plan_to_obj(plan: LayerPlan) -> dict:
-    """The LayerShape fields, `wdm_channels`, and the cores."""
-    shape = {key: value for key, value in vars(plan).items() if key != "cores"}
-    return {**shape, "wdm_channels": plan.wdm_channels,
-            "cores": [_core_to_obj(c) for c in plan.cores]}
-
-
-def plan_from_obj(obj: dict) -> LayerPlan:
-    """A plan whose cores and mesh stacks chain by its modes and ranks.
-
-    `wdm_channels` is not read: it follows from the ranks.
-    """
-    kind = field(obj, "kind", "plan")
+def _plan_from_obj(obj: dict, what: str, grids: list, claims: list) -> LayerPlan:
+    """A plan whose cores chain by its modes and ranks (`wdm_channels` follows from the ranks)."""
+    kind = field(obj, "kind", what)
     if kind not in ("dense", "tt"):
-        raise DataError(f"plan kind must be 'dense' or 'tt', got {kind!r}")
-    row_modes = sizes(field(obj, "row_modes", "plan"), "row_modes", high=CORE_SIZE_CAP)
+        raise DataError(f"{what}: kind must be 'dense' or 'tt', got {kind!r}")
+    row_modes = sizes(field(obj, "row_modes", what), f"{what}: row_modes", high=CORE_SIZE_CAP)
     d = len(row_modes)
-    col_modes = sizes(field(obj, "col_modes", "plan"), "col_modes", d, CORE_SIZE_CAP)
-    ranks = sizes(field(obj, "ranks", "plan"), "ranks", d + 1)
+    col_modes = sizes(field(obj, "col_modes", what), f"{what}: col_modes", d, CORE_SIZE_CAP)
+    ranks = sizes(field(obj, "ranks", what), f"{what}: ranks", d + 1)
     if ranks[0] != 1 or ranks[-1] != 1 or (kind == "dense" and d != 1):
-        raise DataError(f"a {kind} plan cannot have ranks {ranks}")
-    cores = [_core_from_obj(c, row_modes[k], col_modes[k], ranks[k] * ranks[k + 1])
-             for k, c in enumerate(json_list(field(obj, "cores", "plan"), "plan cores", d))]
-    logical = [integer(field(obj, key, "plan"), key, 1) for key in ("logical_out", "logical_in")]
+        raise DataError(f"{what}: a {kind} plan cannot have ranks {ranks}")
+    cores = [_core_from_obj(c, f"{what} core {k}", row_modes[k], col_modes[k], ranks[k] * ranks[k + 1],
+                            grids, claims)
+             for k, c in enumerate(json_list(field(obj, "cores", what), f"{what}: cores", d))]
+    logical = [integer(field(obj, key, what), f"{what}: {key}", 1) for key in ("logical_out", "logical_in")]
     return LayerPlan(kind, row_modes, col_modes, ranks, *logical, cores=cores)
 
 
 def bundle_to_obj(bundle: ModelBundle) -> dict:
-    return {
-        "format": BUNDLE_FORMAT,
-        "config": bundle.config.to_dict(),
-        "plans": {name: plan_to_obj(p) for name, p in bundle.plans.items()},
-    }
+    """The config, the meshes of each grid as one netlist (`grids`), and each plan: its LayerShape
+    fields, `wdm_channels` and cores, whose mesh stacks are [grid, first mesh] references."""
+    cores = [core for plan in bundle.plans.values() for core in plan.cores]
+    grids, refs = [], [None] * (2 * len(cores))
+    for grid, joint, bounds in _by_grid([getattr(c, side) for c in cores for side in ("mesh_u", "mesh_v")]):
+        for i, first in zip(grid, bounds.tolist()):
+            refs[i] = [len(grids), first]
+        grids.append(netlist_to_obj(joint))
+    refs = iter(refs)
+    plans = {name: {**vars(plan), "wdm_channels": plan.wdm_channels, "cores": [
+        {"m": c.m, "n": c.n, "diag": floats_to_obj(c.diag), "scale": floats_to_obj(c.scale),
+         "mesh_u": next(refs), "mesh_v": next(refs)} for c in plan.cores]}
+        for name, plan in bundle.plans.items()}
+    return {"format": BUNDLE_FORMAT, "config": bundle.config.to_dict(), "grids": grids, "plans": plans}
 
 
 def bundle_from_obj(obj: dict) -> ModelBundle:
-    """A bundle with one plan per weight of its config, each of the weight's logical size."""
+    """A bundle with one plan per weight of its config, each of the weight's logical size, whose
+    mesh stacks are views of the grids, each grid mesh in exactly one stack."""
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if type(fmt) is not int or fmt != BUNDLE_FORMAT:
         raise DataError(f"not a format-{BUNDLE_FORMAT} bundle (format {fmt!r:.40}); "
@@ -684,12 +700,21 @@ def bundle_from_obj(obj: dict) -> ModelBundle:
         names = set(plans_obj) if isinstance(plans_obj, dict) else set()
         raise DataError(f"bundle plans must be an object naming the config's weights: missing "
                         f"{sorted(set(dims) - names)[:4]}, unexpected {sorted(names - set(dims))[:4]}")
-    plans = {}
+    grids = [netlist_from_obj(g, f"grid {i}") for i, g in enumerate(json_list(field(obj, "grids", "bundle"),
+                                                                                "bundle grids"))]
+    plans, claims = {}, []
     for name, want in dims.items():
-        plan = plans[name] = plan_from_obj(plans_obj[name])
+        plan = plans[name] = _plan_from_obj(plans_obj[name], f"plan '{name}'", grids, claims)
         full = (math.prod(plan.row_modes), math.prod(plan.col_modes))
         fits = full == want if plan.kind == "dense" else full[0] >= want[0] and full[1] >= want[1]
         if (plan.logical_out, plan.logical_in) != want or not fits:
             raise DataError(f"plan '{name}' is {full[0]}x{full[1]} (logical {plan.logical_out}x"
                             f"{plan.logical_in}); the config needs {want[0]}x{want[1]}")
+    ends = [0] * len(grids)  # each grid's claims, in order, then a mark at its mesh count must tile it
+    for g, first, end, what in sorted(claims + [(g, len(net.theta), 0, "") for g, net in enumerate(grids)]):
+        if first < ends[g]:
+            raise DataError(f"{what} claims mesh {first} of grid {g}, which another core side claims")
+        if first > ends[g]:
+            raise DataError(f"grid {g} (size {grids[g].size}): mesh {ends[g]} belongs to no core side")
+        ends[g] = end
     return ModelBundle(config=config, plans=plans)

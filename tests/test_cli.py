@@ -808,6 +808,14 @@ def _set_floats(obj, values, shape=None):
         obj["shape"] = shape
 
 
+# Where a refusal must say the defect is: in visual.fc0's U grid, in the plan, or in its core 0.
+_GRID_DEFECTS = ("theta_not_a_number", "row_out_of_range", "col_not_a_list", "theta_huge_integer",
+                 "col_decreasing", "col_beyond_depth", "theta_rows_wrong", "data_not_base64",
+                 "data_one_float_short", "data_one_float_long", "dtype_f4", "dtype_big_endian",
+                 "dtype_a_number", "shape_entry_true", "phi_minus_inf", "mesh_unclaimed")
+_PLAN_DEFECTS = ("ranks_not_a_list", "mode_above_cap", "plan_too_small")
+
+
 @pytest.mark.parametrize("defect", [
     "theta_not_a_number", "row_out_of_range", "diag_too_short", "col_not_a_list",
     "plans_a_list", "diag_not_a_list", "ranks_not_a_list", "plans_empty", "plan_too_small",
@@ -816,7 +824,8 @@ def _set_floats(obj, values, shape=None):
     "diag_and_scale_below_range", "diag_and_scale_huge", "format_2",
     "data_not_base64", "data_one_float_short", "data_one_float_long",
     "dtype_f4", "dtype_big_endian", "dtype_a_number", "shape_entry_a_float", "shape_entry_true",
-    "phi_minus_inf",
+    "phi_minus_inf", "grid_index_out_of_range", "ref_to_grid_of_wrong_size", "ref_past_grid_end",
+    "two_cores_claim_one_mesh", "mesh_unclaimed", "ref_a_float", "ref_true", "grids_missing", "format_3",
 ])
 def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     weights = make_trained(tmp_path, tiny_config)
@@ -824,11 +833,13 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     run(["compile", "--config", tiny_config, "--weights", weights, "--out", str(bundle)])
     doc = load_json(str(bundle))
     plan = doc["plans"]["visual.fc0"]
-    core = plan["cores"][0]  # one 4x8 slice, mesh_u a stack of one mesh on 4 waveguides
-    mesh = core["mesh_u"]
-    theta = _floats(mesh["theta"])  # the 6 angles of mesh_u, shape [1, 6]
+    core = plan["cores"][0]  # one 4x8 slice: mesh_u a reference to one mesh of a grid of size 4
+    g, first = core["mesh_u"]
+    mesh = doc["grids"][g]  # every 4-waveguide mesh of the model
+    theta = _floats(mesh["theta"])  # the grid's angles, 6 a mesh, flat
+    count = len(theta) // 6
     if defect == "theta_not_a_number":
-        theta[0] = np.nan
+        theta[6 * first] = np.nan
         _set_floats(mesh["theta"], theta)
     elif defect == "row_out_of_range":
         mesh["row"][0] = 99
@@ -851,21 +862,21 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     elif defect == "core_size_a_float":
         core["m"] = 4.0
     elif defect == "theta_huge_integer":
-        theta[0] = np.inf  # the text layout's 10**400, which no float holds
+        theta[6 * first] = np.inf  # the text layout's 10**400, which no float holds
         _set_floats(mesh["theta"], theta)
     elif defect == "col_decreasing":
         mesh["col"] = mesh["col"][::-1]
     elif defect == "col_beyond_depth":
         mesh["col"][-1] = mesh["depth"]
-    elif defect == "theta_rows_wrong":  # two meshes' angles in a core of one slice
-        _set_floats(mesh["theta"], np.concatenate([theta, theta]), [2, len(theta)])
+    elif defect == "theta_rows_wrong":  # one mesh's angles more than phi holds
+        _set_floats(mesh["theta"], np.concatenate([theta, theta[:6]]), [count + 1, 6])
     elif defect == "mesh_size_not_m":
-        core["mesh_u"] = core["mesh_v"]  # a valid stack on 8 waveguides where m is 4
+        core["mesh_u"] = core["mesh_v"]  # meshes on 8 waveguides where m is 4
     elif defect == "old_layout":
         del doc["format"]
     elif defect == "format_2":  # the text layout of the angles before format 3
         doc["format"] = 2
-        mesh["theta"] = theta.reshape(1, -1).tolist()
+        mesh["theta"] = theta.reshape(count, 6).tolist()
     elif defect in ("diag_and_scale_below_range", "diag_and_scale_huge"):
         low = defect == "diag_and_scale_below_range"
         _set_floats(core["diag"], np.full(len(_floats(core["diag"])), -3.0 if low else 1e308))
@@ -879,11 +890,31 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     elif defect == "shape_entry_a_float":
         core["diag"]["shape"] = [1, 4.0]
     elif defect == "shape_entry_true":
-        mesh["theta"]["shape"] = [True, len(theta)]
+        mesh["theta"]["shape"] = [True, 6]
     elif defect == "phi_minus_inf":
         phi = _floats(mesh["phi"])
         phi[-1] = -np.inf
         _set_floats(mesh["phi"], phi)
+    elif defect == "grid_index_out_of_range":
+        core["mesh_u"] = [len(doc["grids"]), 0]
+    elif defect == "ref_to_grid_of_wrong_size":
+        core["mesh_v"] = [g, first]  # a grid of size 4 where n is 8
+    elif defect == "ref_past_grid_end":
+        core["mesh_u"] = [g, count]
+    elif defect == "two_cores_claim_one_mesh":  # audio.fc0 is 4x6: its U mesh is on the grid too
+        audio = doc["plans"]["audio.fc0"]["cores"][0]
+        low, high = sorted([core, audio], key=lambda c: c["mesh_u"])
+        high["mesh_u"] = low["mesh_u"]  # the later claim overlaps before its own mesh goes unclaimed
+    elif defect == "mesh_unclaimed":
+        for angle in ("theta", "phi"):
+            _set_floats(mesh[angle], np.append(_floats(mesh[angle]), np.zeros(6)), [count + 1, 6])
+    elif defect in ("ref_a_float", "ref_true"):
+        core["mesh_u"] = [0.0 if defect == "ref_a_float" else True, first]
+    elif defect == "grids_missing":
+        del doc["grids"]
+    elif defect == "format_3":  # the layout before grids: a core side held its own netlist
+        doc["format"] = 3
+        core["mesh_u"] = mesh
     else:  # a self-consistent plan of another weight (head.0, 2x4) where 4x8 is needed
         doc["plans"]["visual.fc0"] = doc["plans"]["head.0"]
     dump_json(doc, str(bundle))
@@ -893,9 +924,17 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     capsys.readouterr()
     assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1
-    if defect in ("old_layout", "format_2"):
+    assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1, err
+    if defect in ("old_layout", "format_2", "format_3"):
         assert "`tomfn compile`" in err
+    elif defect in _GRID_DEFECTS:
+        assert f"bundle: grid {g} (size 4)" in err, err
+    elif defect in _PLAN_DEFECTS:
+        assert "bundle: plan 'visual.fc0'" in err, err
+    elif defect == "two_cores_claim_one_mesh":
+        assert "core 0: mesh_u claims mesh" in err and "another core side" in err, err
+    elif defect not in ("plans_a_list", "plans_empty", "grids_missing"):
+        assert "bundle: plan 'visual.fc0' core 0" in err, err
 
 
 def _bundle_fields(node, path=(), label=""):
@@ -985,6 +1024,7 @@ def test_simulate_bundle_array_fuzz_exits_3(fuzz_bundle, capsys):
     for _, path in _bundle_fields(json.loads(text)):
         if path[-1] in ("theta", "phi", "diag", "scale"):
             by_key.setdefault(path[-1], []).append(path)
+    assert all(path[0] == "grids" for key in ("theta", "phi") for path in by_key[key])  # one block a grid
     keys = sorted(by_key)
     rng = np.random.default_rng(2468)
     for _ in range(60):
@@ -1033,3 +1073,17 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "Efficiency" in proc.stdout
     assert load_json(str(out))["mac_per_j"] == pytest.approx(3.72e13, rel=0.01)
+
+
+def test_import_stays_light():
+    """Importing the package and its CLI loads neither numpy.random (perturb imports it on
+    first use) nor base64 (the bundle reader does): each costs every command's start-up."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tomfn, tomfn.cli; "
+         "print(sorted({'numpy.random', 'base64'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 from tomfn import photonic as P
 from tomfn import tt as tt_mod
 from tomfn.errors import DecompositionError, MappingError, ShapeError
+from tomfn.serialize import floats_to_obj
 
 import oracles
 
@@ -434,20 +435,33 @@ def test_padded_plan_respects_logical_dims():
 
 
 def test_plan_serialization_roundtrip():
-    rng = np.random.default_rng(17)
-    w = rng.normal(size=(8, 6))
-    t = tt_mod.tt_from_dense(w, [2, 4], [2, 3], max_rank=4, tol=0.0)
-    plan = P.map_tt_layer(t)
-    back = P.plan_from_obj(P.plan_to_obj(plan))
-    for got, want in zip(P.realize_plan(back).cores, P.realize_plan(plan).cores):
-        assert np.array_equal(got, want)
+    """Plans travel in a bundle: every plan, TT ones with several cores and bond ranks > 1,
+    reads back to the same operator bit for bit, and a core side [g, first] of K slices
+    reads meshes first .. first + K - 1 of grid g."""
+    from tomfn import model as M
+
+    bundle = P.compile_model(M.build(tiny_config(visual=True, fusion=True, max_factor=2)))
+    obj = P.bundle_to_obj(bundle)
+    back = P.bundle_from_obj(obj)
+    assert len(obj["grids"]) < sum(2 * len(plan.cores) for plan in bundle.plans.values())
+    for name, plan in bundle.plans.items():
+        got, want = P.realize_plan(back.plans[name]), P.realize_plan(plan)
+        for a, b in zip(getattr(got, "cores", [got]), getattr(want, "cores", [want]), strict=True):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+        for core, core_obj in zip(back.plans[name].cores, obj["plans"][name]["cores"], strict=True):
+            for key in ("mesh_u", "mesh_v"):
+                g, first = core_obj[key]
+                grid = P.netlist_from_obj(obj["grids"][g], f"grid {g}")
+                meshes = replace(grid, theta=grid.theta[first:first + len(core.scale)],
+                                 phi=grid.phi[first:first + len(core.scale)])
+                assert P.netlist_to_obj(getattr(core, key)) == P.netlist_to_obj(meshes), (name, key)
 
 
 def test_netlist_serialization_roundtrip():
     rng = np.random.default_rng(18)
     u = random_orthogonal(rng, 4)
     net = P.givens_decompose(u[None])
-    back = P.netlist_from_obj(P.netlist_to_obj(net), net.size, 1)
+    back = P.netlist_from_obj(P.netlist_to_obj(net), "mesh")
     assert np.allclose(P.mesh_matrix(back)[0], P.mesh_matrix(net)[0], atol=0)
 
 
@@ -696,6 +710,13 @@ def per_core_plans(model):
     return plans
 
 
+def plan_obj(plan):
+    """Every field of a plan, its arrays and mesh stacks as the objects that keep their bits."""
+    return {**vars(plan), "cores": [{**vars(c), "diag": floats_to_obj(c.diag), "scale": floats_to_obj(c.scale),
+                                     "mesh_u": P.netlist_to_obj(c.mesh_u), "mesh_v": P.netlist_to_obj(c.mesh_v)}
+                                    for c in plan.cores]}
+
+
 @pytest.mark.parametrize("case", ["default", "tiny", "padded_tt", "tt_beside_dense"])
 def test_grouped_compile_equals_per_core_mapping(case):
     """Mapping every core shape once, model-wide, gives each plan the bits of mapping its
@@ -712,7 +733,7 @@ def test_grouped_compile_equals_per_core_mapping(case):
     want = per_core_plans(model)
     assert list(bundle.plans) == list(want)
     for name, plan in bundle.plans.items():
-        assert P.plan_to_obj(plan) == P.plan_to_obj(want[name]), name
+        assert plan_obj(plan) == plan_obj(want[name]), name
 
 
 def varied_grid_bundle():
