@@ -8,10 +8,10 @@ features) never computes that operand's gradient.
 An op node needs a gradient exactly when one of its parents does; a node
 that needs none keeps no parents or callback, so a graph built only from
 constants records no tape and frees each intermediate once it is used.
-`backward` walks the tape in reverse topological order and accumulates
-into `.grad`.  Only the handful of operations the network needs exist
-here; every one of them is checked against central finite differences
-in the test suite.
+`backward` sweeps the tape in reverse topological order (consumers first)
+into `.grad`, dropping each node's `.grad`, callback and parents once its
+callback has run; leaves keep `.grad`, and a second `backward` on the
+graph raises `ShapeError`.  Every operation is finite-difference tested.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ def _toposort(root: Var) -> list[Var]:
     return order
 
 
+def _consumed(g):
+    raise ShapeError("this graph was consumed by an earlier backward")
+
+
 def backward(root: Var, seed=None):
     """Accumulate d(root)/d(leaf) into every reachable leaf's `.grad`."""
     if seed is None:
@@ -70,7 +74,9 @@ def backward(root: Var, seed=None):
             raise ShapeError("backward without a seed requires a scalar root")
         seed = np.array(1.0)
     root.grad = np.asarray(seed, dtype=np.float64)
-    for node in reversed(_toposort(root)):
+    order = _toposort(root)
+    while order:
+        node = order.pop()  # the sweep drops its own reference to a done node
         if node.vjp is None or node.grad is None:
             continue
         for parent, contribution in zip(node.parents, node.vjp(node.grad)):
@@ -82,6 +88,7 @@ def backward(root: Var, seed=None):
                 parent.grad = contribution
             else:
                 parent.grad = parent.grad + contribution
+        node.grad, node.vjp, node.parents = None, _consumed, ()
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -172,24 +179,13 @@ def gather_last(a: Var, idx: np.ndarray) -> Var:
 
 
 def take(a: Var, index: int, axis: int) -> Var:
-    """Select one slice along `axis` (e.g. the last token for 'last' pooling)."""
-    out = np.take(a.value, index, axis=axis)
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        sl = [slice(None)] * a.value.ndim
-        sl[axis] = index
-        full[tuple(sl)] = g
-        return (full,)
-
-    return Var(out, (a,), vjp)
+    """Slice `index` >= 0 along `axis` >= 0, that axis dropped (the last token for 'last' pooling)."""
+    return reshape(slice_axis(a, axis, index, index + 1), a.shape[:axis] + a.shape[axis + 1:])
 
 
 def slice_axis(a: Var, axis: int, start: int, stop: int) -> Var:
     """Contiguous slice along one axis; the VJP zero-pads back."""
-    sl = [slice(None)] * a.value.ndim
-    sl[axis] = slice(start, stop)
-    sl = tuple(sl)
+    sl = (slice(None),) * (axis % a.value.ndim) + (slice(start, stop),)
 
     def vjp(g):
         full = np.zeros_like(a.value)

@@ -527,7 +527,8 @@ def totals(config: ModelConfig, shapes: dict) -> dict:
 
 @dataclass
 class ModelBundle:
-    """Every weight of a model mapped to a LayerPlan, in dataflow order."""
+    """Every weight of a model mapped to a LayerPlan, in `model.weights` order: dataflow
+    order from `build`, the weights file's sorted-name order after `--weights`."""
 
     config: ModelConfig
     plans: dict[str, LayerPlan]

@@ -5,6 +5,8 @@ attention is a loop over query and key tokens, fusion builds the explicit
 4-way fusion tensor and contracts it, and `forward` chains them.  The
 runners at the end call the graph's own stages on hand-made weights, and
 `batch_loss` gives the graph's loss alone for the finite-difference checks.
+`backward` is the reverse sweep that keeps its tape, as it was before
+`autodiff.backward` freed each node once done.
 `perturb_bundle` seeds a noisy trial object by object, one generator per mesh.
 The oracles apply weights to token rows, as x @ W, so they take the
 transpose of the model's (out, in) text and head weights.  Dense weights only.
@@ -16,6 +18,7 @@ import numpy as np
 
 from tomfn import autodiff as ad
 from tomfn import model as M
+from tomfn.errors import ShapeError
 
 MODALITIES = ("v", "a", "t")
 
@@ -125,6 +128,28 @@ def batch_loss(model, visual, audio, text, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     _, loss = M._Graph(model, requires_grad=False).outputs(visual, audio, text, labels)
     return float(loss.value)
+
+
+def backward(root, seed=None):
+    """`autodiff.backward` before it freed the tape: every node keeps its
+    gradient, callback and parents, so the sweep can be compared bit for bit."""
+    if seed is None:
+        if root.value.ndim != 0:
+            raise ShapeError("backward without a seed requires a scalar root")
+        seed = np.array(1.0)
+    root.grad = np.asarray(seed, dtype=np.float64)
+    for node in reversed(ad._toposort(root)):
+        if node.vjp is None or node.grad is None:
+            continue
+        for parent, contribution in zip(node.parents, node.vjp(node.grad)):
+            if not parent.requires_grad or contribution is None:
+                continue
+            # Assign the first contribution; later ones add out of place, so a
+            # contribution shared with another node is never written to.
+            if parent.grad is None:
+                parent.grad = contribution
+            else:
+                parent.grad = parent.grad + contribution
 
 
 # --- the noise stream --------------------------------------------------------------

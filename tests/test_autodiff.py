@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from tomfn import autodiff as ad
+from tomfn.errors import ShapeError
+
+import oracles
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -127,14 +130,51 @@ def test_mean_all():
     check(lambda a: ad.mean_all(a), (4, 2))
 
 
-def test_chained_network_fragment():
+def chained_fragment(x, w1, w2):
     # A little two-layer net exercising several ops together.
-    def net(x, w1, w2):
-        h = ad.relu(ad.matmul(x, w1))
-        p = ad.softmax_last(ad.matmul(h, w2))
-        return ad.mul(p, p)
+    h = ad.relu(ad.matmul(x, w1))
+    p = ad.softmax_last(ad.matmul(h, w2))
+    return ad.mul(p, p)
 
-    check(net, (5, 4), (4, 3), (3, 2), seed=11)
+
+def test_chained_network_fragment():
+    check(chained_fragment, (5, 4), (4, 3), (3, 2), seed=11)
+
+
+def test_backward_frees_the_tape_bit_identically():
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(size=s) for s in ((5, 4), (4, 3), (3, 2))]
+    kept = [ad.leaf(a.copy()) for a in arrays]
+    kept_root = ad.sum_all(chained_fragment(*kept))
+    oracles.backward(kept_root)
+    freed = [ad.leaf(a.copy()) for a in arrays]
+    root = ad.sum_all(chained_fragment(*freed))
+    interior = [node for node in ad._toposort(root) if node.vjp is not None]
+    ad.backward(root)
+    for k, f in zip(kept, freed):
+        assert np.array_equal(k.grad.view(np.uint64), f.grad.view(np.uint64))
+    assert all(node.grad is None and node.parents == () for node in interior)
+    assert root.value == kept_root.value  # the root keeps its value
+
+
+def test_consumed_graph_refuses_a_second_backward():
+    x = ad.leaf(np.array([1.0, 2.0]))
+    y = ad.mul(x, x)
+    root = ad.sum_all(y)
+    ad.backward(root)
+    with pytest.raises(ShapeError, match="consumed by an earlier backward"):
+        ad.backward(root)
+    # A new graph over a consumed node cannot reach the leaves either.
+    with pytest.raises(ShapeError, match="consumed by an earlier backward"):
+        ad.backward(ad.sum_all(ad.scale(y, 2.0)))
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_on_a_leaf_repeats():
+    x = ad.leaf(np.array(3.0))
+    for _ in range(2):
+        ad.backward(x)
+        assert x.grad == 1.0
 
 
 def test_grad_accumulates_over_reuse():
