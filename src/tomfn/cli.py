@@ -6,12 +6,14 @@ document embeds a run manifest (command, paths, seed, timestamp, version)
 so results can be traced back to their configuration.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 compile/weights error,
-5 simulate error.
+5 simulate error.  Each command turns a library error into its code with
+`_exits`, and `main` prints every refusal as one line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -40,6 +42,14 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+@contextlib.contextmanager
+def _exits(code: int, errors, prefix: str = ""):
+    try:
+        yield
+    except errors as exc:
+        raise CliError(code, f"{prefix}{exc}") from exc
 
 
 def _manifest(args, command: str, seed) -> dict:
@@ -74,17 +84,13 @@ def _resolve_seed(args, config) -> int:
 def _load_config(path: str | None) -> model_mod.ModelConfig:
     if path is None:
         return model_mod.default_config()
-    try:
+    with _exits(EXIT_CONFIG, (ConfigError, DataError), "config: "):
         return model_mod.ModelConfig.from_dict(serialize.load_json(path))
-    except (ConfigError, DataError) as exc:
-        raise CliError(EXIT_CONFIG, f"config: {exc}") from exc
 
 
 def _load_weights_into(config, path: str) -> model_mod.TOMFNModel:
-    try:
+    with _exits(EXIT_COMPILE, (DataError, ShapeError), "weights: "):
         weights = serialize.weights_from_obj(serialize.load_json(path))
-    except (DataError, ShapeError) as exc:
-        raise CliError(EXIT_COMPILE, f"weights: {exc}") from exc
     expected = model_mod.block_dims(config)
     if set(weights) != set(expected):
         missing = sorted(set(expected) - set(weights))
@@ -127,7 +133,7 @@ def _parse_synthetic(spec_string: str, config, fallback_seed: int) -> train_mod.
     unknown = set(fields) - known
     if unknown:
         raise CliError(EXIT_DATA, f"--synthetic has unknown keys {sorted(unknown)}")
-    try:
+    with _exits(EXIT_DATA, (ValueError, DataError), "--synthetic: "):
         return train_mod.SynthSpec(
             n_samples=int(fields.get("n", 200)),
             seq_len=int(fields.get("L", config.text.seq_len)),
@@ -136,8 +142,6 @@ def _parse_synthetic(spec_string: str, config, fallback_seed: int) -> train_mod.
             seed=int(fields.get("seed", fallback_seed)),
             template_scale=float(fields.get("scale", 1.0)),
         )
-    except (ValueError, DataError) as exc:
-        raise CliError(EXIT_DATA, f"--synthetic: {exc}") from exc
 
 
 def _load_dataset(args, config, seed) -> train_mod.Dataset:
@@ -145,16 +149,12 @@ def _load_dataset(args, config, seed) -> train_mod.Dataset:
     if args.synthetic is not None:
         ds = train_mod.gen_synthetic(_parse_synthetic(args.synthetic, config, seed), config)
     elif args.data is not None:
-        try:
+        with _exits(EXIT_DATA, DataError):
             ds = train_mod.load_jsonl(args.data)
-        except DataError as exc:
-            raise CliError(EXIT_DATA, str(exc)) from exc
     else:
         raise CliError(EXIT_DATA, "provide --synthetic or --data")
-    try:
+    with _exits(EXIT_DATA, ShapeError, "samples do not fit the config: "):
         model_mod.check_batch(config, ds.visual, ds.audio, ds.text, ds.labels)
-    except ShapeError as exc:
-        raise CliError(EXIT_DATA, f"samples do not fit the config: {exc}") from exc
     return ds
 
 
@@ -175,10 +175,8 @@ def cmd_describe(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     model = model_mod.build(config)
-    try:
+    with _exits(EXIT_CONFIG, MappingError, "cannot map this config onto photonic cores: "):
         totals = photonic.totals(config, photonic.model_shapes(model))
-    except MappingError as exc:
-        raise CliError(EXIT_CONFIG, f"cannot map this config onto photonic cores: {exc}") from exc
     params = model_mod.param_count(model)
     macs = {scope: model_mod.mac_count(model, scope)
             for scope in ("subnet_weights_only", "all_weights", "full_runtime")}
@@ -197,14 +195,12 @@ def cmd_describe(args) -> int:
                        f"{report.mac_per_j:g} MAC/J; both must be finite")
     comparison = None
     if args.compare:
-        try:
+        with _exits(EXIT_DATA, (DataError, ShapeError), "--compare: "):
             ref_obj = serialize.load_json(args.compare)
             if isinstance(ref_obj, dict) and "reference" in ref_obj and "candidate" in ref_obj:
                 comparison = cost_mod.compare(ref_obj["reference"], ref_obj["candidate"])
             else:
                 comparison = cost_mod.compare(ref_obj, {"params": report.params, "mzis": report.mzis})
-        except (DataError, ShapeError) as exc:
-            raise CliError(EXIT_DATA, f"--compare: {exc}") from exc
     doc = report.to_obj()
     doc["manifest"] = _manifest(args, "describe", seed)
     if comparison is not None:
@@ -271,10 +267,8 @@ def cmd_compile(args) -> int:
         model = _load_weights_into(config, args.weights)
     else:
         model = model_mod.build(config)
-    try:
+    with _exits(EXIT_COMPILE, (MappingError, DecompositionError)):
         bundle = photonic.compile_model(model)
-    except (MappingError, DecompositionError) as exc:
-        raise CliError(EXIT_COMPILE, str(exc)) from exc
     doc = photonic.bundle_to_obj(bundle)
     doc["manifest"] = _manifest(args, "compile", seed)
     summary = doc["summary"] = photonic.totals(config, bundle.plans)
@@ -286,17 +280,13 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
+    with _exits(EXIT_SIMULATE, ShapeError):
         photonic.check_noise(args.phase_sigma, args.bits)
-    except ShapeError as exc:
-        raise CliError(EXIT_SIMULATE, str(exc)) from exc
     if args.trials < 0:
         raise CliError(EXIT_SIMULATE, f"trials must be >= 0, got {args.trials}")
     if args.bundle:
-        try:
+        with _exits(EXIT_DATA, (DataError, ConfigError), "bundle: "):
             bundle = photonic.bundle_from_obj(serialize.load_json(args.bundle))
-        except (DataError, ConfigError) as exc:
-            raise CliError(EXIT_DATA, f"bundle: {exc}") from exc
         config = bundle.config
         seed = _resolve_seed(args, config)
     else:
@@ -305,29 +295,21 @@ def cmd_simulate(args) -> int:
         if not args.weights:
             raise CliError(EXIT_COMPILE, "simulate requires --bundle, or --config with --weights")
         model = _load_weights_into(config, args.weights)
-        try:
+        with _exits(EXIT_COMPILE, (MappingError, DecompositionError)):
             bundle = photonic.compile_model(model)
-        except (MappingError, DecompositionError) as exc:
-            raise CliError(EXIT_COMPILE, str(exc)) from exc
     if not args.data:
         raise CliError(EXIT_DATA, "simulate requires --data with input samples")
-    try:
+    with _exits(EXIT_DATA, DataError):
         dataset = train_mod.load_jsonl(args.data)
-    except DataError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from exc
 
     # Each trial draws one static set of phase errors, realizes the
     # perturbed plans as weights, and runs the digital forward on them.
-    try:
+    with _exits(EXIT_SIMULATE, ShapeError, "samples do not fit the compiled model: "):
         ideal = train_mod.probabilities(photonic.realize(bundle), dataset)
-    except ShapeError as exc:
-        raise CliError(EXIT_SIMULATE, f"samples do not fit the compiled model: {exc}") from exc
     errors = []
     for trial in range(args.trials):
-        try:
+        with _exits(EXIT_SIMULATE, ShapeError):
             plans = photonic.perturb_bundle(bundle, args.phase_sigma, args.bits, seed + trial)
-        except ShapeError as exc:
-            raise CliError(EXIT_SIMULATE, str(exc)) from exc
         errors.append(np.abs(train_mod.probabilities(photonic.realize(bundle, plans), dataset) - ideal))
     errors = np.asarray(errors)
     doc = {
@@ -390,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("simulate", help="run the optical forward pass, optionally noisy")
-    common(p, weights=True, data=True)
+    common(p, weights=True)
+    p.add_argument("--data", help="JSONL dataset path")
     p.add_argument("--bundle", help="netlist bundle from `tomfn compile`")
     p.add_argument("--phase-sigma", type=float, default=0.0, help="phase jitter std (rad)")
     p.add_argument("--bits", type=int, default=0, help="phase quantization bits (0: none)")
@@ -402,16 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _exits(EXIT_DATA, DataError, "data: "), _exits(EXIT_CONFIG, ConfigError, "config: "):
+            return args.func(args)
     except CliError as exc:
         print(f"tomfn {args.command}: {exc}", file=sys.stderr)
         return exc.code
-    except ConfigError as exc:
-        print(f"tomfn {args.command}: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"tomfn {args.command}: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -672,6 +672,20 @@ def test_simulate_bad_noise_exits_5(tmp_path, tiny_config, capsys, flags):
     assert err.startswith("tomfn simulate: ") and err.count("\n") == 1
 
 
+def test_simulate_offers_no_synthetic_flag(capsys):
+    """simulate reads its samples from --data only, so argparse refuses --synthetic."""
+    with pytest.raises(SystemExit) as info:
+        run(["simulate", "--bundle", "b.json", "--synthetic", "n=4,L=2"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tomfn ") and "unrecognized arguments: --synthetic" in err
+    with pytest.raises(SystemExit) as info:
+        run(["simulate", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--data" in out and "--synthetic" not in out
+
+
 @pytest.mark.parametrize("sigma, code", [("1e308", 5), ("1e307", 0), ("1e300", 0), ("10", 0)])
 def test_simulate_phase_sigma_whose_draws_overflow_exits_5(tmp_path, tiny_config, capsys, sigma,
                                                           code):
