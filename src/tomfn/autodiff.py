@@ -1,15 +1,20 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A `Var` records its value and, for non-leaf nodes, a vector-Jacobian
-callback that maps the upstream gradient to gradients for its parents.
-A callback may return `None` for a parent that needs no gradient, and
-`matmul`'s does, so a product with a constant operand (the input
-features) never computes that operand's gradient.
+A `Var` is a forward value plus its `node`, which is all that `backward`
+reads: the nodes of its parents, a vector-Jacobian callback that maps the
+upstream gradient to gradients for those parents, `grad` and
+`requires_grad`.  A callback closes over only the arrays, shapes and flags
+it reads, never over a `Var`, so an intermediate value lives only while the
+forward or some callback holds it.  A callback may return `None` for a
+parent that needs no gradient, and `matmul`'s does: it keeps `b`'s
+transpose only when `a` needs a gradient and `a`'s only when `b` does, so a
+product with a constant operand (the input features) never computes that
+operand's gradient.
 An op node needs a gradient exactly when one of its parents does; a node
 that needs none keeps no parents or callback, so a graph built only from
 constants records no tape and frees each intermediate once it is used.
-`backward` sweeps the tape in reverse topological order (consumers first)
-into `.grad`, dropping each node's `.grad`, callback and parents once its
+`backward` sweeps the nodes in reverse topological order (consumers first)
+into `grad`, dropping each node's `grad`, callback and parents once its
 callback has run; leaves keep `.grad`, and a second `backward` on the
 graph raises `ShapeError`.  Every operation is finite-difference tested.
 """
@@ -21,21 +26,30 @@ import numpy as np
 from .errors import ShapeError
 
 
+class _Node:
+    __slots__ = ("parents", "vjp", "grad", "requires_grad")
+
+    def __init__(self, parents, vjp, requires_grad):
+        self.parents, self.vjp, self.grad, self.requires_grad = parents, vjp, None, requires_grad
+
+
 class Var:
-    __slots__ = ("value", "grad", "parents", "vjp", "requires_grad")
+    __slots__ = ("value", "node")
 
     def __init__(self, value, parents=(), vjp=None, requires_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
         if parents:
-            requires_grad = any(p.requires_grad for p in parents)
-        self.requires_grad = requires_grad
-        self.parents = parents if requires_grad else ()
-        self.vjp = vjp if requires_grad else None
+            requires_grad = any(p.node.requires_grad for p in parents)
+        self.node = (_Node(tuple(p.node for p in parents), vjp, True) if requires_grad
+                     else _Node((), None, False))
 
     @property
     def shape(self):
         return self.value.shape
+
+    @property
+    def grad(self):
+        return self.node.grad
 
 
 def leaf(value, requires_grad=True) -> Var:
@@ -46,7 +60,7 @@ def constant(value) -> Var:
     return Var(value, requires_grad=False)
 
 
-def _toposort(root: Var) -> list[Var]:
+def _toposort(root: _Node) -> list[_Node]:
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -73,10 +87,8 @@ def backward(root: Var, seed=None):
         if root.value.ndim != 0:
             raise ShapeError("backward without a seed requires a scalar root")
         seed = np.array(1.0)
-    root.grad = np.asarray(seed, dtype=np.float64)
-    order = _toposort(root)
-    while order:
-        node = order.pop()  # the sweep drops its own reference to a done node
+    root.node.grad = np.asarray(seed, dtype=np.float64)
+    for node in reversed(_toposort(root.node)):
         if node.vjp is None or node.grad is None:
             continue
         for parent, contribution in zip(node.parents, node.vjp(node.grad)):
@@ -97,11 +109,10 @@ def matmul(a: Var, b: Var) -> Var:
     if (av.ndim, bv.ndim) not in {(2, 2), (3, 3)}:
         raise ShapeError(f"unsupported matmul arity {(av.ndim, bv.ndim)}")
 
-    def vjp(g):
-        return (g @ bv.swapaxes(-1, -2) if a.requires_grad else None,
-                av.swapaxes(-1, -2) @ g if b.requires_grad else None)
-
-    return Var(av @ bv, (a, b), vjp)
+    bt = bv.swapaxes(-1, -2) if a.node.requires_grad else None
+    at = av.swapaxes(-1, -2) if b.node.requires_grad else None
+    return Var(av @ bv, (a, b), lambda g: (None if bt is None else g @ bt,
+                                           None if at is None else at @ g))
 
 
 def add(a: Var, b: Var) -> Var:
@@ -113,7 +124,8 @@ def add(a: Var, b: Var) -> Var:
 def mul(a: Var, b: Var) -> Var:
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    return Var(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
+    av, bv = a.value, b.value
+    return Var(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scale(a: Var, c: float) -> Var:
@@ -122,7 +134,8 @@ def scale(a: Var, c: float) -> Var:
 
 def relu(a: Var) -> Var:
     # NaN stays NaN, so an overflow upstream still reaches the output checks.
-    return Var(np.where(a.value <= 0, 0.0, a.value), (a,), lambda g: (g * (a.value > 0),))
+    mask = a.value > 0 if a.node.requires_grad else None
+    return Var(np.where(a.value <= 0, 0.0, a.value), (a,), lambda g: (g * mask,))
 
 
 def reshape(a: Var, shape) -> Var:
@@ -169,9 +182,10 @@ def gather_last(a: Var, idx: np.ndarray) -> Var:
     if idx.shape != a.value.shape[:-1]:
         raise ShapeError(f"index shape {idx.shape} must equal {a.value.shape[:-1]}")
     out = np.take_along_axis(a.value, idx[..., None], axis=-1)[..., 0]
+    shape = a.shape
 
     def vjp(g):
-        full = np.zeros_like(a.value)
+        full = np.zeros(shape)
         np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
         return (full,)
 
@@ -186,9 +200,10 @@ def take(a: Var, index: int, axis: int) -> Var:
 def slice_axis(a: Var, axis: int, start: int, stop: int) -> Var:
     """Contiguous slice along one axis; the VJP zero-pads back."""
     sl = (slice(None),) * (axis % a.value.ndim) + (slice(start, stop),)
+    shape = a.shape
 
     def vjp(g):
-        full = np.zeros_like(a.value)
+        full = np.zeros(shape)
         full[sl] = g
         return (full,)
 
@@ -202,7 +217,8 @@ def mean_axis(a: Var, axis: int) -> Var:
 
 
 def sum_all(a: Var) -> Var:
-    return Var(a.value.sum(), (a,), lambda g: (np.broadcast_to(g, a.value.shape).copy(),))
+    shape = a.shape
+    return Var(a.value.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def mean_all(a: Var) -> Var:

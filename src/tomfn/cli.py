@@ -285,6 +285,9 @@ def cmd_simulate(args) -> int:
     if args.trials < 0:
         raise CliError(EXIT_SIMULATE, f"trials must be >= 0, got {args.trials}")
     if args.bundle:
+        if args.config or args.weights:
+            raise CliError(EXIT_CONFIG, "--bundle carries its own config and weights; "
+                                        "drop --config and --weights")
         with _exits(EXIT_DATA, (DataError, ConfigError), "bundle: "):
             bundle = photonic.bundle_from_obj(serialize.load_json(args.bundle))
         config = bundle.config

@@ -120,9 +120,9 @@ def gen_synthetic(spec: SynthSpec, config: model_mod.ModelConfig | None = None) 
     text = np.repeat(token[:, None, :], length, axis=1)
 
     if spec.noise_std > 0:
-        visual = visual + rng.normal(scale=spec.noise_std, size=visual.shape)
-        audio = audio + rng.normal(scale=spec.noise_std, size=audio.shape)
-        text = text + rng.normal(scale=spec.noise_std, size=text.shape)
+        visual += rng.normal(scale=spec.noise_std, size=visual.shape)
+        audio += rng.normal(scale=spec.noise_std, size=audio.shape)
+        text += rng.normal(scale=spec.noise_std, size=text.shape)
     return Dataset(visual, audio, text, labels)
 
 

@@ -137,8 +137,8 @@ def backward(root, seed=None):
         if root.value.ndim != 0:
             raise ShapeError("backward without a seed requires a scalar root")
         seed = np.array(1.0)
-    root.grad = np.asarray(seed, dtype=np.float64)
-    for node in reversed(ad._toposort(root)):
+    root.node.grad = np.asarray(seed, dtype=np.float64)
+    for node in reversed(ad._toposort(root.node)):
         if node.vjp is None or node.grad is None:
             continue
         for parent, contribution in zip(node.parents, node.vjp(node.grad)):

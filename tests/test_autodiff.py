@@ -1,5 +1,7 @@
 """Finite-difference checks for every autodiff operation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ def test_matmul_skips_the_constant_operand(constant_index):
     operands = [ad.leaf(a.copy()) for a in arrays]
     operands[constant_index] = ad.constant(arrays[constant_index])
     out = ad.matmul(*operands)
-    assert out.vjp(np.ones(out.shape))[constant_index] is None
+    assert out.node.vjp(np.ones(out.shape))[constant_index] is None
     ad.backward(ad.sum_all(out))
     assert operands[constant_index].grad is None
 
@@ -149,12 +151,27 @@ def test_backward_frees_the_tape_bit_identically():
     oracles.backward(kept_root)
     freed = [ad.leaf(a.copy()) for a in arrays]
     root = ad.sum_all(chained_fragment(*freed))
-    interior = [node for node in ad._toposort(root) if node.vjp is not None]
+    interior = [node for node in ad._toposort(root.node) if node.vjp is not None]
     ad.backward(root)
     for k, f in zip(kept, freed):
         assert np.array_equal(k.grad.view(np.uint64), f.grad.view(np.uint64))
     assert all(node.grad is None and node.parents == () for node in interior)
     assert root.value == kept_root.value  # the root keeps its value
+
+
+def test_forward_frees_a_value_that_no_callback_reads():
+    # relu's callback keeps a bool mask and sum_all's a shape, so once the
+    # forward drops the product's Var, nothing holds the product itself.
+    rng = np.random.default_rng(13)
+    x, w = ad.leaf(rng.normal(size=(5, 4))), ad.leaf(rng.normal(size=(4, 3)))
+    h = ad.matmul(x, w)
+    product, mask = weakref.ref(h.value), h.value > 0
+    root = ad.sum_all(ad.relu(h))
+    del h
+    assert product() is None
+    ad.backward(root)
+    assert np.allclose(w.grad, x.value.T @ mask, atol=1e-12)
+    assert np.allclose(x.grad, mask @ w.value.T, atol=1e-12)
 
 
 def test_consumed_graph_refuses_a_second_backward():
@@ -191,8 +208,8 @@ def test_constants_get_no_grad():
     assert c.grad is None
     # An op on constants only needs no gradient and keeps no tape.
     y = ad.relu(ad.mul(c, ad.constant(np.full(3, 2.0))))
-    assert not y.requires_grad
-    assert y.parents == () and y.vjp is None
+    assert not y.node.requires_grad
+    assert y.node.parents == () and y.node.vjp is None
     assert np.allclose(x.grad, np.ones(3), atol=0)
 
 

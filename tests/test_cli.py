@@ -686,6 +686,25 @@ def test_simulate_offers_no_synthetic_flag(capsys):
     assert "--data" in out and "--synthetic" not in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--config", "missing.json"], ["--weights", "missing.json"],
+    ["--config", "missing.json", "--weights", "also-missing.json"],
+], ids=["config", "weights", "both"])
+def test_simulate_bundle_refuses_config_and_weights(tmp_path, tiny_config, capsys, flags):
+    """A bundle carries its own config and weights, so simulate refuses others beside it."""
+    bundle, data, out = tmp_path / "b.json", tmp_path / "s.jsonl", tmp_path / "out.json"
+    assert run(["compile", "--config", tiny_config, "--out", str(bundle)]) == 0
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
+    T.save_jsonl(ds, str(data))
+    capsys.readouterr()
+    assert run(["simulate", "--bundle", str(bundle), "--data", str(data), *flags,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("tomfn simulate: --bundle carries its own config and weights; "
+                   "drop --config and --weights\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma, code", [("1e308", 5), ("1e307", 0), ("1e300", 0), ("10", 0)])
 def test_simulate_phase_sigma_whose_draws_overflow_exits_5(tmp_path, tiny_config, capsys, sigma,
                                                           code):
