@@ -9,7 +9,8 @@ forward or some callback holds it.  A callback may return `None` for a
 parent that needs no gradient, and `matmul`'s does: it keeps `b`'s
 transpose only when `a` needs a gradient and `a`'s only when `b` does, so a
 product with a constant operand (the input features) never computes that
-operand's gradient.
+operand's gradient.  A callback runs once, so `matmul`'s drops each saved
+operand as soon as it has used it.
 An op node needs a gradient exactly when one of its parents does; a node
 that needs none keeps no parents or callback, so a graph built only from
 constants records no tape and frees each intermediate once it is used.
@@ -111,8 +112,14 @@ def matmul(a: Var, b: Var) -> Var:
 
     bt = bv.swapaxes(-1, -2) if a.node.requires_grad else None
     at = av.swapaxes(-1, -2) if b.node.requires_grad else None
-    return Var(av @ bv, (a, b), lambda g: (None if bt is None else g @ bt,
-                                           None if at is None else at @ g))
+
+    def vjp(g):
+        nonlocal at, bt  # b's gradient first, so a's operand is freed before a's gradient is made
+        gb, at = (None if at is None else at @ g), None
+        ga, bt = (None if bt is None else g @ bt), None
+        return ga, gb
+
+    return Var(av @ bv, (a, b), vjp)
 
 
 def add(a: Var, b: Var) -> Var:

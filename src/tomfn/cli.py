@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -174,7 +175,7 @@ def cmd_describe(args) -> int:
             raise CliError(EXIT_CONFIG, f"{option} must be finite and > 0, got {value}")
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
-    model = model_mod.build(config)
+    model = model_mod.build(dataclasses.replace(config, seed=seed))
     with _exits(EXIT_CONFIG, MappingError, "cannot map this config onto photonic cores: "):
         totals = photonic.totals(config, photonic.model_shapes(model))
     params = model_mod.param_count(model)
@@ -226,7 +227,7 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     dataset = _load_dataset(args, config, seed)
-    model = model_mod.build(config)
+    model = model_mod.build(dataclasses.replace(config, seed=seed))
     opts = train_mod.TrainOpts(
         epochs=args.epochs, lr=args.lr, batch_size=args.batch, seed=seed,
         target_accuracy=args.target_acc,
@@ -266,7 +267,7 @@ def cmd_compile(args) -> int:
     if args.weights:
         model = _load_weights_into(config, args.weights)
     else:
-        model = model_mod.build(config)
+        model = model_mod.build(dataclasses.replace(config, seed=seed))
     with _exits(EXIT_COMPILE, (MappingError, DecompositionError)):
         bundle = photonic.compile_model(model)
     doc = photonic.bundle_to_obj(bundle)

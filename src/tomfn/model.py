@@ -267,14 +267,16 @@ class _Graph:
         cfg = self.model.config.text
         b, length, _ = x3.value.shape
         flat = ad.reshape(x3, (b * length, cfg.d_model))
-        outs = []
-        for h in range(cfg.heads):
+
+        def head(h):
             q = ad.reshape(self._apply(f"text.head{h}.q", flat, cfg.d_head), (b, length, cfg.d_head))
             k = ad.reshape(self._apply(f"text.head{h}.k", flat, cfg.d_head), (b, length, cfg.d_head))
             v = ad.reshape(self._apply(f"text.head{h}.v", flat, cfg.d_head), (b, length, cfg.d_head))
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(cfg.d_head))
-            outs.append(ad.matmul(ad.softmax_last(scores), v))
-        concat = ad.concat(outs, axis=2)
+            return ad.matmul(ad.softmax_last(scores), v)
+
+        # Unnamed, the head outputs die once concat copies them; kept, they set the forward peak.
+        concat = ad.concat([head(h) for h in range(cfg.heads)], axis=2)
         feats = ad.relu(
             ad.reshape(
                 self._apply("text.ff", ad.reshape(concat, (b * length, cfg.d_model)), cfg.d_out),

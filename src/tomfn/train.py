@@ -249,10 +249,11 @@ def train_model(model: TOMFNModel, ds: Dataset, opts: TrainOpts | None = None):
     rng = np.random.default_rng(opts.seed)
     history = []
     for epoch in range(opts.epochs):
-        order = rng.permutation(len(ds)) if opts.shuffle else np.arange(len(ds))
+        order = rng.permutation(len(ds)) if opts.shuffle else None
         losses = []
         for batch, start in enumerate(range(0, len(ds), opts.batch_size)):
-            idx = order[start : start + opts.batch_size]
+            stop = start + opts.batch_size  # unshuffled, a batch is a view of the dataset
+            idx = order[start:stop] if opts.shuffle else slice(start, stop)
             with np.errstate(all="ignore"):  # divergence is reported once, below, not warned about
                 loss, grads = model_mod.loss_and_grad(
                     model, ds.visual[idx], ds.audio[idx], ds.text[idx], ds.labels[idx]

@@ -62,10 +62,16 @@ def test_matmul_3d_3d():
 def test_matmul_skips_the_constant_operand(constant_index):
     rng = np.random.default_rng(4)
     arrays = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
-    operands = [ad.leaf(a.copy()) for a in arrays]
-    operands[constant_index] = ad.constant(arrays[constant_index])
-    out = ad.matmul(*operands)
+
+    def graph():
+        operands = [ad.leaf(a.copy()) for a in arrays]
+        operands[constant_index] = ad.constant(arrays[constant_index])
+        return operands, ad.matmul(*operands)
+
+    # A callback runs once (it drops its operands), so each call gets its own graph.
+    _, out = graph()
     assert out.node.vjp(np.ones(out.shape))[constant_index] is None
+    operands, out = graph()
     ad.backward(ad.sum_all(out))
     assert operands[constant_index].grad is None
 
@@ -78,6 +84,38 @@ def test_matmul_skips_the_constant_operand(constant_index):
 
     expect = numeric_grad(f, arrays[learned].copy())
     assert np.allclose(operands[learned].grad, expect, atol=1e-7)
+
+
+def test_matmul_callback_drops_each_operand_once_used():
+    rng = np.random.default_rng(6)
+    arrays = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]
+    g = rng.normal(size=(3, 2))
+    a, b = ad.leaf(arrays[0].copy()), ad.leaf(arrays[1].copy())
+    # Interior values: once the Vars go, only the product's callback holds them.
+    x, y = ad.scale(a, 2.0), ad.scale(b, 3.0)
+    alive = [weakref.ref(x.value), weakref.ref(y.value)]
+    out = ad.matmul(x, y)
+    del x, y
+    seen = []
+
+    class Probe(np.ndarray):
+        """An upstream gradient that records which operands live at each product."""
+
+        def __matmul__(self, other):  # g @ b^T, a's gradient
+            seen.append(("a", [r() is not None for r in alive]))
+            return np.asarray(self) @ other
+
+        def __rmatmul__(self, other):  # a^T @ g, b's gradient
+            seen.append(("b", [r() is not None for r in alive]))
+            return other @ np.asarray(self)
+
+    ga, gb = out.node.vjp(g.view(Probe))
+    # b's gradient is computed first; a's operand is gone before a's gradient is.
+    assert seen == [("b", [True, True]), ("a", [False, True])]
+    assert [r() for r in alive] == [None, None]
+    assert np.array_equal(ga, g @ (3.0 * arrays[1]).T)
+    assert np.array_equal(gb, (2.0 * arrays[0]).T @ g)
+    check(lambda a, b: ad.matmul(ad.scale(a, 2.0), ad.scale(b, 3.0)), (3, 4), (4, 2), seed=6)
 
 
 def test_add_mul_scale():

@@ -462,6 +462,27 @@ def test_compile_out_follows_umask(tmp_path, tiny_config):
         assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
+def test_seed_draws_the_weights_a_command_builds(tmp_path, tiny_config):
+    # --seed names the seed that drew the weights, as a config's seed does.
+    seeded = tmp_path / "config_seed5.json"
+    dump_json({**TINY, "seed": 5}, str(seeded))
+    docs = {}
+    for name, seed, argv in (("seed0", 0, ["--config", tiny_config, "--seed", "0"]),
+                             ("seed5", 5, ["--config", tiny_config, "--seed", "5"]),
+                             ("config5", 5, ["--config", str(seeded)])):
+        bundle, weights = tmp_path / f"{name}.bundle.json", tmp_path / f"{name}.weights.json"
+        assert run(["compile", *argv, "--out", str(bundle)]) == 0
+        assert run(["train", *argv, "--synthetic", "n=8,L=3", "--epochs", "1",
+                    "--out", str(weights)]) == 0
+        doc = load_json(str(bundle))
+        assert doc.pop("manifest")["seed"] == seed
+        assert doc["config"]["seed"] == seed
+        docs[name] = (doc, weights.read_bytes())
+    assert docs["seed0"][0]["grids"] != docs["seed5"][0]["grids"]
+    assert serialize.dumps(docs["seed5"][0]) == serialize.dumps(docs["config5"][0])
+    assert docs["seed5"][1] == docs["config5"][1]
+
+
 def test_compile_oversized_dense_exits_4(tmp_path, capsys):
     cfg = dict(TINY)
     cfg["visual_dims"] = [16, 4]  # dense 4x16 exceeds the 8-cap

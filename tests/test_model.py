@@ -207,7 +207,8 @@ def test_tt_train_step_allocation_peak(monkeypatch):
     # 10.2 MB while every Var kept its value on the tape.  And backward frees
     # the tape as it goes: against the tape at its start, a sweep that kept
     # every interior gradient until it returned peaks at 3.17x on this step,
-    # and this one at 1.08x.
+    # and this one at 1.06x (1.08x while a product's callback kept both
+    # operands until it returned).
     cfg = M.default_config()
     m = M.build(cfg)
     v, a, t, y = random_batch(np.random.default_rng(11), cfg, 8)
@@ -227,6 +228,25 @@ def test_tt_train_step_allocation_peak(monkeypatch):
     assert peak < 100e6, f"tracemalloc peak {peak / 1e6:.0f} MB"
     assert tape[0] <= 6e6, f"the forward tape holds {tape[0] / 1e6:.1f} MB"
     assert peak <= 1.1 * tape[0], f"peak {peak / 1e6:.1f} MB over a {tape[0] / 1e6:.1f} MB tape"
+
+
+def test_tt_train_step_b64_allocation_peak():
+    # At B=64 the text branch sets the peak: 3 MB per array of (B, L, d_model).
+    # The forward peaked while a list still held the head outputs after concat
+    # copied them, and backward while text.ff's callback held its input as it
+    # allocated that input's gradient.  With neither fixed, or only the
+    # second, the peak is 20.4 MB; with only the first, 19.6 MB; with both,
+    # 18.4 MB.
+    cfg = M.default_config()
+    m = M.build(cfg)
+    batch = random_batch(np.random.default_rng(11), cfg, 64)
+    tracemalloc.start()
+    try:
+        M.loss_and_grad(m, *batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.0e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("name", ["tiny_tt", "tiny_dense"])

@@ -107,6 +107,36 @@ def test_zero_lr_is_identity():
         assert np.array_equal(before[k], w)
 
 
+def test_unshuffled_batches_are_views_of_the_dataset(monkeypatch):
+    # In order, batch k is a slice, so a step reads views of the dataset and
+    # holds no copy of it; shuffled batches are gathered copies.  Both train
+    # to the bits that gathered copies give.
+    ds = small_synth(n=10)
+    real = M.loss_and_grad
+    for shuffle in (False, True):
+        shared = []
+
+        def viewing(model, *arrays):
+            shared.append([np.shares_memory(x, d)
+                           for x, d in zip(arrays, (ds.visual, ds.audio, ds.text, ds.labels))])
+            return real(model, *arrays)
+
+        def copying(model, *arrays):
+            return real(model, *(np.array(x, copy=True) for x in arrays))
+
+        runs = []
+        for step in (viewing, copying):
+            monkeypatch.setattr(M, "loss_and_grad", step)
+            m = M.build(small_config(seed=3))
+            _, history = T.train_model(m, ds, T.TrainOpts(epochs=2, batch_size=4, shuffle=shuffle))
+            runs.append((np.array(history), dict(m.leaves())))
+        assert shared == [[not shuffle] * 4] * 6, shuffle  # 3 batches in each of 2 epochs
+        (history, weights), (copied_history, copied) = runs
+        assert np.array_equal(history.view(np.uint64), copied_history.view(np.uint64))
+        for key, w in weights.items():
+            assert np.array_equal(w.view(np.uint64), copied[key].view(np.uint64)), key
+
+
 def adam_oracle(w, m, v, g, t, lr):
     """The textbook Adam step, out of place: returns the new (w, m, v)."""
     m = m + (1 - T.BETA1) * (g - m)
