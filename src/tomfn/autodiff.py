@@ -10,7 +10,11 @@ parent that needs no gradient, and `matmul`'s does: it keeps `b`'s
 transpose only when `a` needs a gradient and `a`'s only when `b` does, so a
 product with a constant operand (the input features) never computes that
 operand's gradient.  A callback runs once, so `matmul`'s drops each saved
-operand as soon as it has used it.
+operand as soon as it has used it.  A callback may also redo work from its
+parents' values instead of keeping the products it needs, as
+`tt.contract_cores` does; those values must then not change between the
+forward and `backward` (`model.loss_and_grad` runs `backward` before Adam
+updates a weight in place).
 An op node needs a gradient exactly when one of its parents does; a node
 that needs none keeps no parents or callback, so a graph built only from
 constants records no tape and frees each intermediate once it is used.
@@ -38,11 +42,12 @@ class Var:
     __slots__ = ("value", "node")
 
     def __init__(self, value, parents=(), vjp=None, requires_grad=True):
+        """`parents` are the Vars `value` was computed from, or their nodes."""
         self.value = np.asarray(value, dtype=np.float64)
+        parents = tuple([p if type(p) is _Node else p.node for p in parents])
         if parents:
-            requires_grad = any(p.node.requires_grad for p in parents)
-        self.node = (_Node(tuple(p.node for p in parents), vjp, True) if requires_grad
-                     else _Node((), None, False))
+            requires_grad = any([p.requires_grad for p in parents])
+        self.node = _Node(parents, vjp, True) if requires_grad else _Node((), None, False)
 
     @property
     def shape(self):
@@ -104,8 +109,8 @@ def backward(root: Var, seed=None):
         node.grad, node.vjp, node.parents = None, _consumed, ()
 
 
-def matmul(a: Var, b: Var) -> Var:
-    """np.matmul of two matrices, or of two equal-length stacks of matrices."""
+def matmul(a: Var, b: Var, out=None) -> Var:
+    """np.matmul of two matrices, or of two equal-length stacks of matrices, into `out` if given."""
     av, bv = a.value, b.value
     if (av.ndim, bv.ndim) not in {(2, 2), (3, 3)}:
         raise ShapeError(f"unsupported matmul arity {(av.ndim, bv.ndim)}")
@@ -119,7 +124,7 @@ def matmul(a: Var, b: Var) -> Var:
         ga, bt = (None if bt is None else g @ bt), None
         return ga, gb
 
-    return Var(av @ bv, (a, b), vjp)
+    return Var(np.matmul(av, bv, out=out), (a, b), vjp)
 
 
 def add(a: Var, b: Var) -> Var:
@@ -156,11 +161,22 @@ def transpose(a: Var, perm) -> Var:
     return Var(a.value.transpose(perm), (a,), lambda g: (g.transpose(inv),))
 
 
-def concat(parts: list[Var], axis: int) -> Var:
-    sizes = [p.value.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-    out = np.concatenate([p.value for p in parts], axis=axis)
-    return Var(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
+def concat(parts, axis: int, out=None) -> Var:
+    """np.concatenate of the Vars `parts` along `axis`.  Given `out`, parts[i]
+    instead makes part i, called with its slice of `out` (the parts split it
+    evenly): one made there is not copied, and each part is dropped before
+    the next is made, so no two are alive at once."""
+    if out is None:
+        splits = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
+        return Var(np.concatenate([p.value for p in parts], axis=axis), parts,
+                   lambda g: tuple(np.split(g, splits, axis=axis)))
+    nodes = []
+    for make, chunk in zip(parts, np.split(out, len(parts), axis=axis)):
+        part = make(chunk)
+        chunk[...] = part.value  # numpy skips the copy of a part made in its slice
+        nodes.append(part.node)
+        del part
+    return Var(out, nodes, lambda g: tuple(np.split(g, len(nodes), axis=axis)))
 
 
 def softmax_last(a: Var) -> Var:

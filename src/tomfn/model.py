@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -268,15 +269,16 @@ class _Graph:
         b, length, _ = x3.value.shape
         flat = ad.reshape(x3, (b * length, cfg.d_model))
 
-        def head(h):
+        def head(h, out):
             q = ad.reshape(self._apply(f"text.head{h}.q", flat, cfg.d_head), (b, length, cfg.d_head))
             k = ad.reshape(self._apply(f"text.head{h}.k", flat, cfg.d_head), (b, length, cfg.d_head))
             v = ad.reshape(self._apply(f"text.head{h}.v", flat, cfg.d_head), (b, length, cfg.d_head))
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(cfg.d_head))
-            return ad.matmul(ad.softmax_last(scores), v)
+            return ad.matmul(ad.softmax_last(scores), v, out=out)
 
-        # Unnamed, the head outputs die once concat copies them; kept, they set the forward peak.
-        concat = ad.concat([head(h) for h in range(cfg.heads)], axis=2)
+        # Each head is made in turn and writes its output straight into its slice.
+        concat = ad.concat([partial(head, h) for h in range(cfg.heads)], axis=2,
+                           out=np.empty((b, length, cfg.d_model)))
         feats = ad.relu(
             ad.reshape(
                 self._apply("text.ff", ad.reshape(concat, (b * length, cfg.d_model)), cfg.d_out),

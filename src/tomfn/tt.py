@@ -175,17 +175,33 @@ def contract_cores(cores: list, tt: TTMatrix) -> ad.Var:
     """The M x N matrix of `tt` rebuilt from its cores, given as `ad.Var`s.
 
     Contracts the bonds left to right into the paired-mode tensor, then
-    moves the row modes ahead of the column modes; gradients reach the
-    cores through the VJPs of these steps.
+    moves the row modes ahead of the column modes.  It is one autodiff op
+    whose callback keeps only the core values: it redoes the left products
+    with the same numpy calls, then sweeps back core by core, dropping each
+    product once it has formed that core's gradient.
     """
-    g = ad.reshape(cores[0], (-1, tt.ranks[1]))  # r_0 = 1
-    for k in range(1, len(cores)):
-        g = ad.matmul(g, ad.reshape(cores[k], (tt.ranks[k], -1)))
-        g = ad.reshape(g, (-1, tt.ranks[k + 1]))
-    d = len(tt.row_modes)
+    values, ranks, d = [c.value for c in cores], tt.ranks, len(cores)
     paired = [mode for k in range(d) for mode in (tt.row_modes[k], tt.col_modes[k])]
     perm = [2 * k for k in range(d)] + [2 * k + 1 for k in range(d)]
-    return ad.reshape(ad.transpose(ad.reshape(g, paired), perm), (tt.nrows, tt.ncols))
+
+    def products(stop):  # the left products of cores 0..k as (rows, r_{k+1}), k < stop
+        out = [values[0].reshape(-1, ranks[1])]  # r_0 = 1
+        for k in range(1, stop):
+            out.append((out[-1] @ values[k].reshape(ranks[k], -1)).reshape(-1, ranks[k + 1]))
+        return out
+
+    def vjp(g):
+        g = g.reshape([paired[i] for i in perm]).transpose(np.argsort(perm)).reshape(-1, 1)
+        lefts, grads = products(d - 1), [None] * d
+        for k in range(d - 1, 0, -1):  # as `ad.matmul`'s callback: the core's gradient first
+            g = g.reshape(lefts[-1].shape[0], -1)
+            grads[k] = (lefts.pop().swapaxes(-1, -2) @ g).reshape(values[k].shape)
+            g = g @ values[k].reshape(ranks[k], -1).swapaxes(-1, -2)
+        grads[0] = g.reshape(values[0].shape)
+        return grads
+
+    return ad.Var(products(d)[-1].reshape(paired).transpose(perm).reshape(tt.nrows, tt.ncols),
+                  cores, vjp)
 
 
 def tt_to_dense(tt: TTMatrix) -> np.ndarray:

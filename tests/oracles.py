@@ -6,7 +6,8 @@ attention is a loop over query and key tokens, fusion builds the explicit
 runners at the end call the graph's own stages on hand-made weights, and
 `batch_loss` gives the graph's loss alone for the finite-difference checks.
 `backward` is the reverse sweep that keeps its tape, as it was before
-`autodiff.backward` freed each node once done.
+`autodiff.backward` freed each node once done, and `contract_cores` the
+TT rebuild composed of `autodiff` steps, as it was before it became one op.
 `perturb_bundle` seeds a noisy trial object by object, one generator per mesh.
 The oracles apply weights to token rows, as x @ W, so they take the
 transpose of the model's (out, in) text and head weights.  Dense weights only.
@@ -150,6 +151,19 @@ def backward(root, seed=None):
                 parent.grad = contribution
             else:
                 parent.grad = parent.grad + contribution
+
+
+def contract_cores(cores, tt):
+    """`tt.contract_cores` built from `autodiff` reshapes and matmuls, one node a
+    step, whose callbacks keep every left product until `backward` reaches them."""
+    g = ad.reshape(cores[0], (-1, tt.ranks[1]))  # r_0 = 1
+    for k in range(1, len(cores)):
+        g = ad.matmul(g, ad.reshape(cores[k], (tt.ranks[k], -1)))
+        g = ad.reshape(g, (-1, tt.ranks[k + 1]))
+    d = len(tt.row_modes)
+    paired = [mode for k in range(d) for mode in (tt.row_modes[k], tt.col_modes[k])]
+    perm = [2 * k for k in range(d)] + [2 * k + 1 for k in range(d)]
+    return ad.reshape(ad.transpose(ad.reshape(g, paired), perm), (tt.nrows, tt.ncols))
 
 
 # --- the noise stream --------------------------------------------------------------

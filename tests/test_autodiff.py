@@ -141,6 +141,35 @@ def test_concat():
     check(lambda a, b: ad.concat([a, b], axis=1), (2, 3), (2, 2))
 
 
+def test_concat_of_made_parts():
+    check(lambda a, b: ad.concat([lambda out: ad.relu(a), lambda out: ad.scale(b, 2.0)], axis=2,
+                                 out=np.empty((2, 3, 4))), (2, 3, 2), (2, 3, 2))
+
+
+def test_concat_frees_each_made_part_before_the_next():
+    rng = np.random.default_rng(15)
+    xs = [ad.leaf(rng.normal(size=(2, 3, 4))) for _ in range(3)]
+    made = []
+
+    def maker(x):
+        def make(out):  # ignores its slice, so concat has to copy the part
+            assert all(r() is None for r in made), "an earlier part outlived its copy"
+            part = ad.scale(x, 2.0)
+            made.append(weakref.ref(part.value))
+            return part
+        return make
+
+    out = np.empty((2, 3, 12))
+    joined = ad.concat([maker(x) for x in xs], axis=2, out=out)
+    assert joined.value is out and len(made) == 3
+    want = np.concatenate([2.0 * x.value for x in xs], axis=2)
+    assert np.array_equal(joined.value.view(np.uint64), want.view(np.uint64))
+    seed = rng.normal(size=out.shape)
+    ad.backward(joined, seed)
+    for x, g in zip(xs, np.split(seed, 3, axis=2)):
+        assert np.array_equal(x.grad, 2.0 * g)
+
+
 def test_softmax_last():
     check(lambda a: ad.softmax_last(a), (3, 4))
 

@@ -1,6 +1,11 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
+from tomfn import autodiff as ad
+from tomfn import model as M
 from tomfn import serialize, tt
 from tomfn.errors import FactorizationError, ShapeError
 from tomfn.tt import (
@@ -13,6 +18,8 @@ from tomfn.tt import (
     tt_param_count,
     tt_to_dense,
 )
+
+import oracles
 
 
 def random_tt(rng, row_modes, col_modes, max_rank=3):
@@ -258,3 +265,57 @@ def test_invalid_tt_rejected():
         TTMatrix([2], [2], [1, 2], [rng.normal(size=(1, 2, 2, 2))])  # boundary rank != 1
     with pytest.raises(ShapeError):
         TTMatrix([2, 2], [2, 2], [1, 2, 1], [rng.normal(size=(1, 2, 2, 2))])
+
+
+# --- contract_cores ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("modes", [([3], [5]), ([2, 3], [4, 2]), ([3, 4, 5, 5], [2, 3, 5, 5])],
+                         ids=["one-core", "two-core", "text-weight"])
+def test_rebuild_matches_the_composed_oracle_bit_for_bit(modes):
+    rng = np.random.default_rng(21)
+    w = random_tt(rng, *modes, max_rank=5)
+    seed = rng.normal(size=(w.nrows, w.ncols))
+    results = []
+    for rebuild in (tt.contract_cores, oracles.contract_cores):
+        cores = [ad.leaf(c) for c in w.cores]
+        out = rebuild(cores, w)
+        ad.backward(out, seed)
+        results.append([out.value] + [c.grad for c in cores])
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_rebuild_keeps_no_product_past_the_forward():
+    # Trace every frame that the forward runs, and hold a weak reference to
+    # each array that a frame still has when it returns.  Once the forward has
+    # returned, only the cores and the output may be alive: the callback redoes
+    # the left products in backward instead of keeping them (a (9000, 5)
+    # product of a text weight, 0.36 MB, stayed on the composed tape).
+    w = M.build(M.default_config()).weights["text.head0.q"]
+    cores = [ad.leaf(c) for c in w.cores]
+    made = []
+
+    def owner(a):
+        return a if a.base is None else a.base
+
+    def trace(frame, event, arg):
+        if event == "return":
+            for value in frame.f_locals.values():
+                for a in value if isinstance(value, (list, tuple)) else [value]:
+                    a = getattr(a, "value", a)
+                    if isinstance(a, np.ndarray):
+                        made.append(weakref.ref(owner(a)))
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        op = tt.contract_cores(cores, w)
+    finally:
+        sys.settrace(previous)
+    assert op.node.vjp is not None and len(made) > len(cores)
+    allowed = {id(owner(a)) for a in [*w.cores, op.value]}
+    alive = [r() for r in made if r() is not None and id(r()) not in allowed]
+    assert not alive, f"the tape keeps arrays shaped {sorted({a.shape for a in alive})}"
