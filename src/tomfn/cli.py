@@ -119,6 +119,11 @@ def _load_weights_into(config, path: str) -> model_mod.TOMFNModel:
     return model_mod.TOMFNModel(config, weights)
 
 
+def _build(config, seed: int) -> model_mod.TOMFNModel:
+    with _exits(EXIT_CONFIG, MemoryError, "config: cannot draw the weights: "):
+        return model_mod.build(dataclasses.replace(config, seed=seed))
+
+
 def _parse_synthetic(spec_string: str, config, fallback_seed: int) -> train_mod.SynthSpec:
     """Parse 'n=200,L=4,sigma=0.05,gamma=1,seed=0[,scale=1]'."""
     fields = {}
@@ -148,7 +153,8 @@ def _parse_synthetic(spec_string: str, config, fallback_seed: int) -> train_mod.
 def _load_dataset(args, config, seed) -> train_mod.Dataset:
     """The --synthetic or --data samples, with every shape checked against `config`."""
     if args.synthetic is not None:
-        ds = train_mod.gen_synthetic(_parse_synthetic(args.synthetic, config, seed), config)
+        with _exits(EXIT_DATA, MemoryError, "--synthetic: "):
+            ds = train_mod.gen_synthetic(_parse_synthetic(args.synthetic, config, seed), config)
     elif args.data is not None:
         with _exits(EXIT_DATA, DataError):
             ds = train_mod.load_jsonl(args.data)
@@ -175,7 +181,7 @@ def cmd_describe(args) -> int:
             raise CliError(EXIT_CONFIG, f"{option} must be finite and > 0, got {value}")
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
-    model = model_mod.build(dataclasses.replace(config, seed=seed))
+    model = _build(config, seed)
     with _exits(EXIT_CONFIG, MappingError, "cannot map this config onto photonic cores: "):
         totals = photonic.totals(config, photonic.model_shapes(model))
     params = model_mod.param_count(model)
@@ -227,7 +233,7 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     dataset = _load_dataset(args, config, seed)
-    model = model_mod.build(dataclasses.replace(config, seed=seed))
+    model = _build(config, seed)
     opts = train_mod.TrainOpts(
         epochs=args.epochs, lr=args.lr, batch_size=args.batch, seed=seed,
         target_accuracy=args.target_acc,
@@ -267,7 +273,7 @@ def cmd_compile(args) -> int:
     if args.weights:
         model = _load_weights_into(config, args.weights)
     else:
-        model = model_mod.build(dataclasses.replace(config, seed=seed))
+        model = _build(config, seed)
     with _exits(EXIT_COMPILE, (MappingError, DecompositionError)):
         bundle = photonic.compile_model(model)
     doc = photonic.bundle_to_obj(bundle)
@@ -306,15 +312,15 @@ def cmd_simulate(args) -> int:
     with _exits(EXIT_DATA, DataError):
         dataset = train_mod.load_jsonl(args.data)
 
-    # Each trial draws one static set of phase errors, realizes the
-    # perturbed plans as weights, and runs the digital forward on them.
+    # Each trial draws one static set of phase errors, perturbing each grid
+    # as `realize` applies it, and runs the digital forward on the weights.
     with _exits(EXIT_SIMULATE, ShapeError, "samples do not fit the compiled model: "):
         ideal = train_mod.probabilities(photonic.realize(bundle), dataset)
     errors = []
     for trial in range(args.trials):
         with _exits(EXIT_SIMULATE, ShapeError):
-            plans = photonic.perturb_bundle(bundle, args.phase_sigma, args.bits, seed + trial)
-        errors.append(np.abs(train_mod.probabilities(photonic.realize(bundle, plans), dataset) - ideal))
+            noisy = photonic.realize(bundle, args.phase_sigma, args.bits, seed + trial)
+        errors.append(np.abs(train_mod.probabilities(noisy, dataset) - ideal))
     errors = np.asarray(errors)
     doc = {
         "manifest": _manifest(args, "simulate", seed),

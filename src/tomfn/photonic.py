@@ -37,12 +37,12 @@ included).  The batching is model-wide: `compile_model` maps the slices of
 all cores of one shape (m, n), whatever their weight, through one `svd_map`
 (one batched SVD, one `givens_decompose` a side) and splits the stack back;
 `realize` reads every V stack, then every U stack, back in one mesh apply
-per grid (size, depth, col, row), and `perturb_bundle` perturbs each grid
-with one `perturb`.  The bundle file stores the meshes of each grid as one
-netlist, and a core side as a [grid, first mesh] reference.  Every check
-(finite entries, orthogonality, the sign diagonal, a negative 1 x 1) still
-holds matrix by matrix, and a refusal names the weight, the core and the
-slice.
+per grid (size, depth, col, row), and a noisy trial perturbs each grid with
+one `perturb` as `realize` applies it.  The bundle file stores the meshes of
+each grid as one netlist, and a core side as a [grid, first mesh]
+reference.  Every check (finite entries, orthogonality, the sign diagonal,
+a negative 1 x 1) still holds matrix by matrix, and a refusal names the
+weight, the core and the slice.
 
 Accounting (MZIs, stages, WDM channels, the core-size histogram) reads
 only each layer's modes and bond ranks, so `describe` counts from the
@@ -53,7 +53,7 @@ compiled plan is a linear map, so `realize` reads every (possibly
 perturbed) plan back into the TT cores or dense weight it computes, and
 builds from those a model that the one batched forward pass
 (`model.forward_batch`) runs.  Phase errors from `perturb` are static per
-trial: one draw per noisy copy of the bundle.  Per-shot detector noise, if
+trial: one draw per seeded `realize`.  Per-shot detector noise, if
 ever added, varies from one input to the next and must be injected at the
 detection points inside the forward pass, not folded into the realized weights.
 """
@@ -103,12 +103,12 @@ def _apply_meshes(net: MeshNetlist, x: np.ndarray) -> np.ndarray:
     y = np.array(np.moveaxis(x, 0, 2), dtype=np.float64, order="C")
     cos_t, sin_t = np.cos(net.theta).T.copy(), np.sin(net.theta).T.copy()  # (MZI, K), rows contiguous
     cos_p = np.cos(net.phi).T.copy()
+    top, tmp = np.empty(y.shape[1:]), np.empty(y.shape[1:])
     for j, r in enumerate(net.row.tolist()):
-        top = cos_p[j] * y[r]
-        bot = y[r + 1]
         c, s = cos_t[j], sin_t[j]
-        y[r] = c * top - s * bot
-        y[r + 1] = s * top + c * bot
+        np.multiply(cos_p[j], y[r], out=top)
+        np.subtract(np.multiply(c, top, out=y[r]), np.multiply(s, y[r + 1], out=tmp), out=y[r])
+        np.add(np.multiply(s, top, out=tmp), np.multiply(c, y[r + 1], out=y[r + 1]), out=y[r + 1])
     return np.ascontiguousarray(np.moveaxis(y, 2, 0))
 
 
@@ -261,12 +261,12 @@ def _seed_words(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
 
 @functools.cache
 def _state_type() -> type:
-    """numpy's ISeedSequence handing a bit generator one SeedSequence's state words, computed
-    ahead; made on first use, so that importing tomfn does not import numpy.random."""
+    """numpy's ISeedSequence handing a bit generator the SeedSequence state words set on it,
+    computed ahead; a bit generator reads them as it is made, so one State serves each mesh in
+    turn.  Made on first use, so that importing tomfn does not import numpy.random."""
 
     class State(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words):
-            self.words = words
+        words = None
 
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
@@ -289,10 +289,11 @@ def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seeds) -> MeshNetli
     if phase_sigma > 0:
         s = np.asarray(seeds, dtype=np.uint64)
         words = _seed_words(np.stack([s & 0xFFFFFFFF, s >> 32, 0 * s, 0 * s], axis=1), 4, np.uint64)
-        seq = _state_type()
-        draws = [np.random.Generator(np.random.PCG64(seq(w))).normal(0.0, phase_sigma, angles.shape[1:])
-                 for w in words]
-        angles = angles + np.array(draws)
+        seq, z = _state_type()(), np.empty(angles.shape)
+        for seq.words, row in zip(words, z):  # numpy's normal(0.0, phase_sigma) is 0.0 + phase_sigma * z
+            np.random.Generator(np.random.PCG64(seq)).standard_normal(out=row)
+        with np.errstate(over="ignore"):  # a sigma * z past the float range is refused below
+            angles += 0.0 + phase_sigma * z
         if not np.isfinite(angles).all():
             raise ShapeError(f"phase_sigma {phase_sigma:g} draws phases beyond the float range")
     return replace(net, theta=angles[..., 0], phi=angles[..., 1])
@@ -344,19 +345,26 @@ def svd_map(w: np.ndarray, name="matrix {}".format) -> CorePlan:
     return CorePlan(m, n, givens_decompose(u, name), givens_decompose(vt, name), s / scale[:, None], scale)
 
 
-def _core_stacks(cores: list[CorePlan]) -> list[np.ndarray]:
-    """The (K, m, n) matrices of every core's slices, V sides then U sides, one pass per grid.
-    Zero-padding a grid's inputs changes no bit kept: every MZI acts on each column alone."""
-    xs = [np.broadcast_to(np.eye(c.n), (len(c.scale), c.n, c.n)) for c in cores]
-    for side in ("mesh_v", "mesh_u"):
+def _core_stacks(cores: list[CorePlan], phase_sigma=0.0, bits=0, seeds=None) -> list[np.ndarray]:
+    """The (K, m, n) matrices of every core's slices, V sides then U sides, one pass per grid;
+    with `seeds` (each core's (K, 2) U/V block), each grid is perturbed just before its pass.
+    Every V mesh of a grid has its size N, so the V pass starts from one identity; zero-padding
+    a U grid's inputs changes no bit kept: every MZI acts on each column alone."""
+    xs = [None] * len(cores)
+    for s, side in ((1, "mesh_v"), (0, "mesh_u")):
         for grid, joint, bounds in _by_grid([getattr(c, side) for c in cores]):
-            x = np.zeros((bounds[-1], joint.size, max(xs[i].shape[2] for i in grid)))
-            for i, lo, hi in zip(grid, bounds, bounds[1:]):
-                x[lo:hi, :xs[i].shape[1], :xs[i].shape[2]] = xs[i]
+            if seeds is not None:
+                joint = perturb(joint, phase_sigma, bits, np.concatenate([seeds[i][:, s] for i in grid]))
+            if s:
+                x = np.broadcast_to(np.eye(joint.size), (bounds[-1], joint.size, joint.size))
+            else:
+                x = np.zeros((bounds[-1], joint.size, max(xs[i].shape[2] for i in grid)))
+                for i, lo, hi in zip(grid, bounds, bounds[1:]):
+                    x[lo:hi, :xs[i].shape[1], :xs[i].shape[2]] = xs[i]
             y = _apply_meshes(joint, x)
             for i, lo, hi in zip(grid, bounds, bounds[1:]):
-                xs[i] = y[lo:hi, :, :xs[i].shape[2]]
-        if side == "mesh_v":
+                xs[i] = y[lo:hi, :, :cores[i].n]
+        if s:
             xs = [c.diag[:, :, None] * v[:, :min(c.m, c.n)] for c, v in zip(cores, xs)]
     return [c.scale[:, None, None] * u for c, u in zip(cores, xs)]
 
@@ -545,11 +553,25 @@ def compile_model(model) -> ModelBundle:
     return ModelBundle(config=model.config, plans=_map_layers(model.weights, model_shapes(model)))
 
 
-def _realize_plans(plans: dict) -> dict:
-    """What each (possibly perturbed) plan computes: a dense plan's (m, n) matrix, or a
-    TTMatrix whose core k holds, at bond pair (a, b), the matrix of slice a * r_k + b
-    (the digital sum over bond channels after detection is exactly the TT sweep)."""
-    stacks = iter(_core_stacks([c for plan in plans.values() for c in plan.cores]))
+def _mesh_seeds(plans: dict, seed: int) -> list[np.ndarray]:
+    """Each core's (K, 2) U/V mesh seeds, in `plans` order, from one `_seed_words` call.  Layer i
+    in sorted name order takes s_i, the state of child i of SeedSequence(seed); core by core, slice
+    k (row-major over the bond pair) seeds its U mesh with the state of child 2k of
+    SeedSequence(s_i), that is of SeedSequence(s_i, spawn_key=(2k,)), and its V mesh with 2k + 1's."""
+    children = dict(zip(sorted(plans), np.random.SeedSequence(seed).spawn(len(plans))))
+    counts = [2 * sum(len(c.scale) for c in plan.cores) for plan in plans.values()]
+    j = np.concatenate([np.arange(n) for n in counts])  # child j of its layer
+    layers = np.repeat([children[name].generate_state(1)[0] for name in plans], counts)
+    pairs = _seed_words(np.stack([layers, 0 * j, 0 * j, 0 * j, j], axis=1), 1).reshape(-1, 2)  # (U, V) seeds
+    return np.split(pairs, np.cumsum([len(c.scale) for plan in plans.values() for c in plan.cores])[:-1])
+
+
+def _realize_plans(plans: dict, phase_sigma=0.0, bits=0, seed=None) -> dict:
+    """What each plan computes, perturbed as `realize` says when a seed is given: a dense
+    plan's (m, n) matrix, or a TTMatrix whose core k holds, at bond pair (a, b), the matrix of
+    slice a * r_k + b (the digital sum over bond channels after detection is exactly the TT sweep)."""
+    seeds = None if seed is None else _mesh_seeds(plans, seed)
+    stacks = iter(_core_stacks([c for plan in plans.values() for c in plan.cores], phase_sigma, bits, seeds))
     ops = {}
     for name, plan in plans.items():
         cores = [next(stacks).reshape(r_in, r_out, c.m, c.n).transpose(0, 2, 3, 1)
@@ -560,45 +582,17 @@ def _realize_plans(plans: dict) -> dict:
 
 
 def realize_plan(plan: LayerPlan):
-    """The operator a (possibly perturbed) plan computes, read back from its meshes."""
+    """The operator a plan computes, read back from its meshes."""
     return _realize_plans({"": plan})[""]
 
 
-def realize(bundle: ModelBundle, plans: dict | None = None) -> TOMFNModel:
+def realize(bundle: ModelBundle, phase_sigma=0.0, bits=0, seed=None) -> TOMFNModel:
     """A model whose weights are the operators the bundle's plans realize.
 
-    `plans` (default: the bundle's own) may be perturbed copies from
-    `perturb_bundle`.
+    Given a seed, a noisy trial: each grid's meshes are perturbed (`perturb`, attenuators
+    kept) as that grid is applied, mesh by mesh from the seeds `_mesh_seeds` gives.
     """
-    return TOMFNModel(bundle.config, _realize_plans(bundle.plans if plans is None else plans))
-
-
-def perturb_bundle(bundle: ModelBundle, phase_sigma: float, bits: int, seed: int) -> dict:
-    """Perturbed copies of every plan (attenuators shared, meshes new), seeded for determinism.
-
-    Layer i in sorted name order takes seed s_i, the state of child i of SeedSequence(seed).
-    Core by core, slice k (row-major over the bond pair) seeds its U mesh with the state of
-    child 2k of SeedSequence(s_i), that is of SeedSequence(s_i, spawn_key=(2k,)), and its V
-    mesh with child 2k + 1's.  One `_seed_words` call gives the trial's seeds, and one
-    `perturb` call perturbs the meshes of a grid.
-    """
-    names = sorted(bundle.plans)
-    layers = [child.generate_state(1)[0] for child in np.random.SeedSequence(seed).spawn(len(names))]
-    counts = [2 * sum(len(c.scale) for c in bundle.plans[name].cores) for name in names]
-    j = np.concatenate([np.arange(n) for n in counts])  # child j of its layer
-    rows = np.stack([np.repeat(layers, counts), 0 * j, 0 * j, 0 * j, j], axis=1)  # [s_i, 0, 0, 0, j]
-    pairs = _seed_words(rows, 1).reshape(-1, 2)  # each slice's (U, V) seeds, in order
-    cores = [core for name in names for core in bundle.plans[name].cores]
-    blocks = np.split(pairs, np.cumsum([len(core.scale) for core in cores])[:-1])  # per core
-    seeds = [side for block in blocks for side in block.T]  # each core's U seeds, then V seeds
-    nets = [getattr(core, side) for core in cores for side in ("mesh_u", "mesh_v")]
-    for grid, joint, bounds in _by_grid(nets):
-        noisy = perturb(joint, phase_sigma, bits, np.concatenate([seeds[i] for i in grid]))
-        for i, lo, hi in zip(grid, bounds, bounds[1:]):
-            nets[i] = replace(nets[i], theta=noisy.theta[lo:hi], phi=noisy.phi[lo:hi])
-    sides = iter(nets)  # each core's perturbed U, then V, in order
-    return {name: replace(bundle.plans[name], cores=[replace(core, mesh_u=next(sides), mesh_v=next(sides))
-                                                     for core in bundle.plans[name].cores]) for name in names}
+    return TOMFNModel(bundle.config, _realize_plans(bundle.plans, phase_sigma, bits, seed))
 
 
 # --- serialization -----------------------------------------------------------------

@@ -163,10 +163,10 @@ def tt_from_dense(w: np.ndarray, row_modes, col_modes, max_rank: int, tol: float
                 keep = r + 1
                 break
         keep = max(1, min(keep, max_rank))
-        cores.append(u[:, :keep].reshape(ranks[k], row_modes[k], col_modes[k], keep))
+        cores.append(u[:, :keep].reshape(ranks[k], row_modes[k], col_modes[k], keep).copy())
         ranks.append(keep)
         c = (s[:keep, None] * vt[:keep]).reshape(keep * group[k + 1], -1)
-    cores.append(c.reshape(ranks[-1], row_modes[-1], col_modes[-1], 1))
+    cores.append(c.reshape(ranks[-1], row_modes[-1], col_modes[-1], 1).copy())
     ranks.append(1)
     return TTMatrix(row_modes, col_modes, ranks, cores)
 

@@ -1,4 +1,4 @@
-"""Compile, the bundle codec, realize and perturb_bundle on random valid all-TT configs.
+"""Compile, the bundle codec and realize, ideal and noiseless, on random valid all-TT configs.
 
 Each seeded config is checked across the whole compile boundary: the
 `describe` totals (from layer shapes) equal the compile summary (from the
@@ -64,6 +64,6 @@ def test_random_tt_configs_compile_round_trip_and_realize():
         optical = M.forward_batch(P.realize(bundle), *inputs)
         assert np.max(np.abs(optical - digital)) <= 1e-9, where
 
-        noiseless = P.perturb_bundle(bundle, 0.0, 0, seed=i)
-        assert np.array_equal(M.forward_batch(P.realize(bundle, noiseless), *inputs), optical), where
+        noiseless = P.realize(bundle, 0.0, 0, seed=i)
+        assert np.array_equal(M.forward_batch(noiseless, *inputs), optical), where
     assert refused <= CONFIGS // 4, f"{refused} of {CONFIGS} configs refused"

@@ -391,6 +391,29 @@ def test_eval_overflow_inside_a_layer_exits_3(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command, change, synthetic, code", [
+    ("describe", {"visual_dims": [10**15, 4]}, None, 2),
+    ("compile", {"visual_dims": [10**15, 4]}, None, 2),
+    ("train", {"visual_dims": [8, 10**15, 4]}, "n=8,L=3", 2),
+    ("train", {}, f"n={10**15},L=3", 3),
+    ("train", {"text": {**TINY["text"], "seq_len": 10**12}}, "n=125", 3),
+], ids=["describe_weights", "compile_weights", "train_weights", "train_samples", "train_seq_len"])
+def test_oversized_input_exits_with_one_line(tmp_path, capsys, command, change, synthetic, code):
+    """Weights a config cannot draw exit 2, samples that cannot be made exit 3.  Every size
+    is 10**15 elements with every tt flag off, beyond any address space, so numpy refuses
+    each allocation at once."""
+    config, out = tmp_path / "c.json", tmp_path / "out.json"
+    dump_json({**TINY, **change}, str(config))
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if synthetic is not None:
+        argv += ["--synthetic", synthetic, "--epochs", "1"]
+    capsys.readouterr()
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1 and "Unable to allocate" in err
+    assert not out.exists()
+
+
 def test_train_missing_data_exits_3(tiny_config):
     assert run(["train", "--config", tiny_config, "--data", "/missing.jsonl"]) == 3
 

@@ -629,10 +629,8 @@ def test_perturbed_bundle_deterministic():
     m = M.build(cfg)
     bundle = P.compile_model(m)
     sample = random_sample(rng, cfg)
-    p1 = P.perturb_bundle(bundle, 0.01, 8, seed=7)
-    p2 = P.perturb_bundle(bundle, 0.01, 8, seed=7)
-    y1 = M.forward(P.realize(bundle, p1), sample)
-    y2 = M.forward(P.realize(bundle, p2), sample)
+    y1 = M.forward(P.realize(bundle, 0.01, 8, seed=7), sample)
+    y2 = M.forward(P.realize(bundle, 0.01, 8, seed=7), sample)
     assert np.array_equal(y1, y2)
     ideal = M.forward(P.realize(bundle), sample)
     assert not np.array_equal(y1, ideal)
@@ -641,27 +639,35 @@ def test_perturbed_bundle_deterministic():
 def test_perturb_bundle_noise_stream():
     """Which seed perturbs which mesh: layers in sorted name order, each seeded by the
     next child of SeedSequence(seed); within a layer, core by core, slice k of each
-    stack in turn (slices [alpha][beta] row-major), each spawning two seeds, U then V."""
+    stack in turn (slices [alpha][beta] row-major), each spawning two seeds, U then V.
+    `_mesh_seeds` gives each core's (K, 2) U/V block in bundle order, and a noisy
+    `realize` reads each slice back as its two meshes, perturbed alone, give."""
     from tomfn import model as M
 
     bundle = P.compile_model(M.build(tiny_config(visual=True, fusion=True, max_factor=2)))
     assert any(r_in > 1 and r_out > 1 for plan in bundle.plans.values()
                for r_in, r_out in zip(plan.ranks, plan.ranks[1:]))  # slice order matters
+    assert list(bundle.plans) != sorted(bundle.plans)  # bundle order is not the seeding order
     seed, sigma, bits = 5, 0.02, 6
-    got = P.perturb_bundle(bundle, sigma, bits, seed)
-    assert list(got) == sorted(bundle.plans)
-    trial = np.random.SeedSequence(seed)
+    trial, want = np.random.SeedSequence(seed), {}
     for name in sorted(bundle.plans):
         layer = np.random.SeedSequence(trial.spawn(1)[0].generate_state(1)[0])
-        for want, perturbed in zip(bundle.plans[name].cores, got[name].cores, strict=True):
-            for k in range(len(want.scale)):
-                s_u, s_v = (child.generate_state(1)[0] for child in layer.spawn(2))
-                for key, s in (("mesh_u", s_u), ("mesh_v", s_v)):
-                    net = P.perturb(one_mesh(getattr(want, key), k), sigma, bits, [s])
-                    got_mesh = one_mesh(getattr(perturbed, key), k)
-                    assert P.netlist_to_obj(got_mesh) == P.netlist_to_obj(net), (name, key)
-            assert np.array_equal(perturbed.diag, want.diag)
-            assert np.array_equal(perturbed.scale, want.scale)
+        want[name] = [[[child.generate_state(1)[0] for child in layer.spawn(2)] for _ in core.scale]
+                      for core in bundle.plans[name].cores]
+    blocks = iter(P._mesh_seeds(bundle.plans, seed))
+    realized = P.realize(bundle, sigma, bits, seed).weights
+    for name, plan in bundle.plans.items():
+        for k, core in enumerate(plan.cores):
+            block = next(blocks)
+            assert block.shape == (len(core.scale), 2) and np.array_equal(block, want[name][k]), (name, k)
+            for j, (s_u, s_v) in enumerate(want[name][k]):
+                alone = P.CorePlan(core.m, core.n, P.perturb(one_mesh(core.mesh_u, j), sigma, bits, [s_u]),
+                                   P.perturb(one_mesh(core.mesh_v, j), sigma, bits, [s_v]),
+                                   core.diag[j:j + 1], core.scale[j:j + 1])
+                w, r_out = realized[name], plan.ranks[k + 1]
+                got = w if plan.kind == "dense" else w.cores[k][j // r_out, :, :, j % r_out]
+                assert got.tobytes() == P.core_matrices(alone)[0].tobytes(), (name, k, j)
+    assert next(blocks, None) is None
 
 
 @pytest.fixture(scope="module")
@@ -671,18 +677,19 @@ def default_bundle():
     return P.compile_model(M.build(M.default_config()))
 
 
-def assert_same_perturbed_plans(got, want):
-    """Plan by plan, every mesh stack's grid and angles bit for bit, attenuators shared."""
-    assert list(got) == list(want)
-    for name in want:
-        for core, ref in zip(got[name].cores, want[name].cores, strict=True):
-            for key in ("mesh_u", "mesh_v"):
-                net, ref_net = getattr(core, key), getattr(ref, key)
-                assert (net.size, net.depth) == (ref_net.size, ref_net.depth), (name, key)
-                for f in MZI_FIELDS:
-                    a, b = getattr(net, f), getattr(ref_net, f)
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, key, f)
-            assert core.diag is ref.diag and core.scale is ref.scale
+def operator_arrays(w):
+    return w.cores if isinstance(w, tt_mod.TTMatrix) else [w]
+
+
+def assert_realizes_perturbed_plans(bundle, sigma, bits, seed):
+    """A noisy `realize` gives, weight by weight in bundle order, the bits of the oracle's
+    per-mesh perturbed plans read back one by one through `realize_plan`."""
+    got = P.realize(bundle, sigma, bits, seed).weights
+    want = oracles.perturb_bundle(bundle, sigma, bits, seed)
+    assert list(got) == list(bundle.plans) and sorted(got) == list(want)
+    for name, plan in want.items():
+        for a, b in zip(operator_arrays(got[name]), operator_arrays(P.realize_plan(plan)), strict=True):
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
 
 @pytest.mark.parametrize("sigma, bits", [(0.01, 8), (0.3, 0), (0.0, 4)])
@@ -692,8 +699,7 @@ def test_perturb_bundle_equals_per_mesh_seeding_on_default_config(default_bundle
     to 8) bit for bit as a SeedSequence and a default_rng per mesh do."""
     assert len(default_bundle.plans) == 29
     assert max(max(plan.ranks) for plan in default_bundle.plans.values()) == 8
-    assert_same_perturbed_plans(P.perturb_bundle(default_bundle, sigma, bits, seed),
-                                oracles.perturb_bundle(default_bundle, sigma, bits, seed))
+    assert_realizes_perturbed_plans(default_bundle, sigma, bits, seed)
 
 
 # --- model-wide grouping -----------------------------------------------------------
@@ -769,8 +775,9 @@ def test_grouped_realize_equals_mzi_by_mzi_oracle():
     bundle = varied_grid_bundle()
     sizes = [size for size, _ in grids(bundle.plans, "mesh_u")]
     assert any(sizes.count(size) > 1 for size in sizes)
-    for plans in (bundle.plans, P.perturb_bundle(bundle, 0.05, 0, seed=3)):
-        realized = P.realize(bundle, plans).weights
+    for plans, model in ((bundle.plans, P.realize(bundle)),
+                         (oracles.perturb_bundle(bundle, 0.05, 0, seed=3), P.realize(bundle, 0.05, 0, seed=3))):
+        realized = model.weights
         for name, plan in plans.items():
             for k, core in enumerate(plan.cores):
                 r_out = plan.ranks[k + 1]
@@ -794,14 +801,12 @@ def counting(monkeypatch, name):
 def test_perturb_bundle_equals_per_mesh_seeding_on_varied_grids():
     """Meshes perturbed a grid at a time keep their own grids and draws where stacks of
     one size sit on different grids."""
-    bundle = varied_grid_bundle()
-    assert_same_perturbed_plans(P.perturb_bundle(bundle, 0.05, 6, seed=11),
-                                oracles.perturb_bundle(bundle, 0.05, 6, seed=11))
+    assert_realizes_perturbed_plans(varied_grid_bundle(), 0.05, 6, seed=11)
 
 
 def test_one_mesh_pass_per_shape_and_per_grid(monkeypatch):
-    """compile_model maps each core shape once model-wide; realize applies each grid once a
-    side, and perturb_bundle perturbs each grid once."""
+    """compile_model maps each core shape once model-wide; a noisy realize perturbs and
+    applies each grid once a side."""
     from tomfn import model as M
 
     cfg = M.default_config()
@@ -814,7 +819,6 @@ def test_one_mesh_pass_per_shape_and_per_grid(monkeypatch):
     for b in (bundle, varied_grid_bundle()):
         applies.clear()
         perturbs.clear()
-        P.realize(b, P.perturb_bundle(b, 0.01, 0, seed=1))
-        assert len(applies) == len(grids(b.plans, "mesh_u")) + len(grids(b.plans, "mesh_v"))
-        assert len(perturbs) == len(grids(b.plans, "mesh_u") | grids(b.plans, "mesh_v"))
+        P.realize(b, 0.01, 0, seed=1)
+        assert len(applies) == len(perturbs) == len(grids(b.plans, "mesh_u")) + len(grids(b.plans, "mesh_v"))
     assert len(grids(b.plans, "mesh_u")) > len({size for size, _ in grids(b.plans, "mesh_u")})
