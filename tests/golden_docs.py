@@ -4,8 +4,8 @@
 
 runs the commands in a temporary directory and rewrites `tests/golden/`:
 one file per document, the timestamp-stripped `serialize.dumps` text, and
-`digests.json` with the sha256 of the default config's documents, which are
-too large to commit.  `build.json` records the numpy and BLAS build that
+`digests.json` with the sha256 of the default config's compile and simulate
+documents, which are too large to commit.  `build.json` records the numpy and BLAS build that
 wrote them, because the bits may depend on it.  `tests/test_golden.py` runs
 the same commands and compares.
 
@@ -29,6 +29,7 @@ import tempfile
 import numpy as np
 
 from tomfn import cli
+from tomfn import cost as C
 from tomfn import model as M
 from tomfn import train as T
 from tomfn.serialize import dump_json, dumps
@@ -58,7 +59,8 @@ SIMULATIONS = {f"simulate_{kind}_seed{seed}": ["--seed", str(seed)] + flags
                for kind, flags in (("ideal", []),
                                    ("noisy", ["--trials", "2", "--phase-sigma", "0.01", "--bits", "8"]))}
 COMMANDS = ("describe", "train", "eval", "compile", *SIMULATIONS)
-DOCUMENTS = tuple(f"{config}/{command}" for config in CONFIGS for command in COMMANDS)
+DOCUMENTS = (*(f"{config}/{command}" for config in CONFIGS for command in COMMANDS),
+             "default/describe", "default/describe_measured")
 DIGESTS = ("default/compile", "default/simulate_noisy_seed0")
 
 
@@ -123,6 +125,14 @@ def run_documents(workdir) -> dict[str, str]:
             docs.update({f"{config_name}/{k}": v for k, v in _config_documents(config).items()})
     (pathlib.Path(workdir) / "default").mkdir()
     with _working_directory(pathlib.Path(workdir) / "default"):
+        docs["default/describe"] = _run(["describe", "--out", "describe.json"], "describe.json")
+        # The measured system power, and the published rows that give 92.8x and 51.3x.
+        rows = C.REFERENCE_FIGURES["rows"]
+        dump_json({"reference": rows["lmf_full"], "candidate": rows["tomfn_attention"]},
+                  "compare.json")
+        docs["default/describe_measured"] = _run(
+            ["describe", "--power-override", "79.87", "--compare", "compare.json",
+             "--out", "describe_measured.json"], "describe_measured.json")
         docs["default/compile"] = _run(["compile", "--out", "bundle.json"], "bundle.json")
         data = _samples(M.default_config(), "samples.jsonl")
         docs["default/simulate_noisy_seed0"] = _run(
