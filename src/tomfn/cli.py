@@ -183,23 +183,11 @@ def cmd_describe(args) -> int:
     seed = _resolve_seed(args, config)
     model = _build(config, seed)
     with _exits(EXIT_CONFIG, MappingError, "cannot map this config onto photonic cores: "):
-        totals = photonic.totals(config, photonic.model_shapes(model))
-    params = model_mod.param_count(model)
-    macs = {scope: model_mod.mac_count(model, scope)
-            for scope in ("subnet_weights_only", "all_weights", "full_runtime")}
-    pm = cost_mod.PowerModel(total_override=args.power_override)
-    dims = model_mod.block_dims(config)
-    n_inputs = config.visual_dims[0] + config.audio_dims[0] + config.text.d_model
-    n_outputs = config.heads * 2
-    report = cost_mod.build_report(
-        params, macs, totals["mzis"], totals["stages"], totals["core_histogram"],
-        totals["wdm_channels"], pm, n_inputs, n_outputs, args.freq,
-        dense_mzis=photonic.dense_mzi_estimate(dims),
-    )
-    if not (math.isfinite(report.energy_per_inference_j) and math.isfinite(report.mac_per_j)):
-        raise CliError(EXIT_CONFIG, f"--freq {args.freq:g} and a power of {report.power_w:g} W "
-                       f"(--power-override) give {report.energy_per_inference_j:g} J and "
-                       f"{report.mac_per_j:g} MAC/J; both must be finite")
+        report = cost_mod.build_report(model, args.freq, args.power_override)
+    if not (math.isfinite(report["energy_per_inference_j"]) and math.isfinite(report["mac_per_j"])):
+        raise CliError(EXIT_CONFIG, f"--freq {args.freq:g} and a power of {report['power_w']:g} W "
+                       f"(--power-override) give {report['energy_per_inference_j']:g} J and "
+                       f"{report['mac_per_j']:g} MAC/J; both must be finite")
     comparison = None
     if args.compare:
         with _exits(EXIT_DATA, (DataError, ShapeError), "--compare: "):
@@ -207,12 +195,11 @@ def cmd_describe(args) -> int:
             if isinstance(ref_obj, dict) and "reference" in ref_obj and "candidate" in ref_obj:
                 comparison = cost_mod.compare(ref_obj["reference"], ref_obj["candidate"])
             else:
-                comparison = cost_mod.compare(ref_obj, {"params": report.params, "mzis": report.mzis})
-    doc = report.to_obj()
-    doc["manifest"] = _manifest(args, "describe", seed)
+                comparison = cost_mod.compare(ref_obj, report)
+    report["manifest"] = _manifest(args, "describe", seed)
     if comparison is not None:
-        doc["comparison"] = comparison
-    _emit(doc, args.out)
+        report["comparison"] = comparison
+    _emit(report, args.out)
     print(cost_mod.format_table(report, comparison))
     return 0
 
@@ -291,6 +278,8 @@ def cmd_simulate(args) -> int:
         photonic.check_noise(args.phase_sigma, args.bits)
     if args.trials < 0:
         raise CliError(EXIT_SIMULATE, f"trials must be >= 0, got {args.trials}")
+    if not args.data:
+        raise CliError(EXIT_DATA, "simulate requires --data with input samples")
     if args.bundle:
         if args.config or args.weights:
             raise CliError(EXIT_CONFIG, "--bundle carries its own config and weights; "
@@ -307,8 +296,6 @@ def cmd_simulate(args) -> int:
         model = _load_weights_into(config, args.weights)
         with _exits(EXIT_COMPILE, (MappingError, DecompositionError)):
             bundle = photonic.compile_model(model)
-    if not args.data:
-        raise CliError(EXIT_DATA, "simulate requires --data with input samples")
     with _exits(EXIT_DATA, DataError):
         dataset = train_mod.load_jsonl(args.data)
 

@@ -3,15 +3,16 @@
 Inference is pipelined at the modulation clock, so one inference costs
 E = P / f; MAC/J is then macs * f / P.  The component power model is a
 placeholder (only the system total has a published value), which is why
-reports flag it "uncalibrated" unless `total_override` is set.
+reports flag it "uncalibrated" unless `power_override` (the CLI's
+`--power-override`) gives the measured total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
+from . import model as model_mod
+from . import photonic
 from .errors import ShapeError
 from .serialize import field, number
 
@@ -42,39 +43,17 @@ REFERENCE_FIGURES = {
 }
 
 
-@dataclass
-class PowerModel:
-    p_per_mzi_heater: float = 0.010  # W
-    p_per_laser_channel: float = 0.100
-    p_per_modulator: float = 0.025
-    p_per_detector: float = 0.050
-    p_electronic_overhead: float = 0.0
-    total_override: float | None = None
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            if name != "total_override" and value < 0:
-                raise ShapeError(f"power component {name} must be >= 0")
-
-    @property
-    def calibrated(self) -> bool:
-        return self.total_override is not None
+#: Component power model, in W: per MZI heater, per WDM laser channel,
+#: per input modulator and per output detector.
+HEATER_W, LASER_CHANNEL_W, MODULATOR_W, DETECTOR_W = 0.010, 0.100, 0.025, 0.050
 
 
-def estimate_power(mzis: int, pm: PowerModel, n_inputs: int, n_outputs: int,
-                   wdm_channels: int) -> float:
-    """Component sum, unless the model carries a measured total override."""
+def estimate_power(mzis: int, n_inputs: int, n_outputs: int, wdm_channels: int) -> float:
+    """The uncalibrated component sum."""
     if min(mzis, n_inputs, n_outputs, wdm_channels) < 0:
         raise ShapeError("counts must be >= 0")
-    if pm.total_override is not None:
-        return float(pm.total_override)
-    return (
-        mzis * pm.p_per_mzi_heater
-        + wdm_channels * pm.p_per_laser_channel
-        + n_inputs * pm.p_per_modulator
-        + n_outputs * pm.p_per_detector
-        + pm.p_electronic_overhead
-    )
+    return (mzis * HEATER_W + wdm_channels * LASER_CHANNEL_W
+            + n_inputs * MODULATOR_W + n_outputs * DETECTOR_W)
 
 
 def energy_per_inference(power_w: float, f_hz: float) -> float:
@@ -113,72 +92,55 @@ def compare(reference: dict, candidate: dict) -> dict:
     }
 
 
-@dataclass
-class CostReport:
-    params: int
-    dense_equivalent_params: int
-    mzis: int
-    stages: int
-    macs: dict  # per counting scope
-    power_w: float
-    power_calibrated: bool
-    energy_per_inference_j: float
-    mac_per_j: float
-    clock_hz: float
-    core_histogram: dict
-    compression_ratios: dict
-    wdm_channels: int
-
-    def to_obj(self) -> dict:
-        obj = asdict(self)
-        obj["power_model_status"] = "measured_total" if self.power_calibrated else "uncalibrated"
-        obj["references"] = REFERENCE_FIGURES
-        return obj
-
-
-def build_report(param_counts: dict, macs: dict, mzis: int, stages: int,
-                 histogram: dict, wdm_channels: int, pm: PowerModel,
-                 n_inputs: int, n_outputs: int, f_hz: float,
-                 dense_mzis: int | None = None) -> CostReport:
-    """Assemble the full report; MAC/J uses the subnetwork-weight scope."""
-    power = estimate_power(mzis, pm, n_inputs, n_outputs, wdm_channels)
-    energy = energy_per_inference(power, f_hz)
-    eff = mac_per_joule(macs["subnet_weights_only"], power, f_hz)
+def build_report(model, f_hz: float, power_override: float | None = None) -> dict:
+    """The `describe` document at clock `f_hz`, counted from the core shapes without
+    compiling a mesh; a weight above the core-size cap raises MappingError.  MAC/J uses
+    the subnetwork-weight scope; a measured `power_override` (W) replaces the component sum."""
+    config = model.config
+    totals = photonic.totals(config, photonic.model_shapes(model))
+    params = model_mod.param_count(model)
+    macs = {scope: model_mod.mac_count(model, scope)
+            for scope in ("subnet_weights_only", "all_weights", "full_runtime")}
+    if power_override is None:
+        power = estimate_power(totals["mzis"],
+                               config.visual_dims[0] + config.audio_dims[0] + config.text.d_model,
+                               config.heads * 2, totals["wdm_channels"])
+    else:
+        power = float(power_override)
     ratios = {
-        "params": param_counts["dense_equivalent_total"] / max(param_counts["total"], 1),
+        "params": params["dense_equivalent_total"] / max(params["total"], 1),
+        # Every core slice carries min(m, n) >= 1 attenuator MZIs, so mzis > 0.
+        "mzis": photonic.dense_mzi_estimate(model_mod.block_dims(config)) / totals["mzis"],
     }
-    if dense_mzis is not None and mzis > 0:
-        ratios["mzis"] = dense_mzis / mzis
     ratios["text"] = {k: ratio_text(v) for k, v in ratios.items()}
-    return CostReport(
-        params=param_counts["total"],
-        dense_equivalent_params=param_counts["dense_equivalent_total"],
-        mzis=mzis,
-        stages=stages,
-        macs=macs,
-        power_w=power,
-        power_calibrated=pm.calibrated,
-        energy_per_inference_j=energy,
-        mac_per_j=eff,
-        clock_hz=f_hz,
-        core_histogram=histogram,
-        compression_ratios=ratios,
-        wdm_channels=wdm_channels,
-    )
+    return {
+        **totals,  # mzis, stages, wdm_channels, core_histogram
+        "params": params["total"],
+        "dense_equivalent_params": params["dense_equivalent_total"],
+        "macs": macs,
+        "power_w": power,
+        "power_calibrated": power_override is not None,
+        "energy_per_inference_j": energy_per_inference(power, f_hz),
+        "mac_per_j": mac_per_joule(macs["subnet_weights_only"], power, f_hz),
+        "clock_hz": f_hz,
+        "compression_ratios": ratios,
+        "power_model_status": "uncalibrated" if power_override is None else "measured_total",
+        "references": REFERENCE_FIGURES,
+    }
 
 
-def format_table(report: CostReport, compare_result: dict | None = None) -> str:
-    """Fixed-width summary mirroring the published comparison columns."""
+def format_table(report: dict, compare_result: dict | None = None) -> str:
+    """Fixed-width summary of a `build_report` document, as the published columns."""
     rows = [
-        ("# Param", f"{report.params:,}"),
-        ("# Param (dense equivalent)", f"{report.dense_equivalent_params:,}"),
-        ("# MZI", f"{report.mzis:,}"),
-        ("# stage", f"{report.stages:,}"),
-        ("MACs (subnet weights)", f"{report.macs['subnet_weights_only']:,}"),
-        ("Power", f"{report.power_w:.4g} W"
-         + ("" if report.power_calibrated else " (uncalibrated component model)")),
-        ("Energy / inference", f"{report.energy_per_inference_j * 1e9:.4g} nJ"),
-        ("Efficiency", f"{report.mac_per_j:.3e} MAC/J"),
+        ("# Param", f"{report['params']:,}"),
+        ("# Param (dense equivalent)", f"{report['dense_equivalent_params']:,}"),
+        ("# MZI", f"{report['mzis']:,}"),
+        ("# stage", f"{report['stages']:,}"),
+        ("MACs (subnet weights)", f"{report['macs']['subnet_weights_only']:,}"),
+        ("Power", f"{report['power_w']:.4g} W"
+         + ("" if report["power_calibrated"] else " (uncalibrated component model)")),
+        ("Energy / inference", f"{report['energy_per_inference_j'] * 1e9:.4g} nJ"),
+        ("Efficiency", f"{report['mac_per_j']:.3e} MAC/J"),
     ]
     if compare_result is not None:
         rows.append(("Param reduction vs reference", compare_result["param_ratio_text"]))

@@ -238,13 +238,12 @@ def _diverged(epoch: int, batch: int, what: str) -> DataError:
                      f"scale the data down or lower --lr")
 
 
-def train_model(model: TOMFNModel, ds: Dataset, opts: TrainOpts | None = None):
+def train_model(model: TOMFNModel, ds: Dataset, opts: TrainOpts):
     """Train in place; returns (model, per-epoch mean loss history).
 
     A loss or weight that is not finite stops training with a DataError."""
     if len(ds) == 0:
         raise DataError("cannot train on an empty dataset")
-    opts = opts or TrainOpts()
     optimizer = Adam(opts)
     rng = np.random.default_rng(opts.seed)
     history = []
@@ -274,30 +273,29 @@ def train_model(model: TOMFNModel, ds: Dataset, opts: TrainOpts | None = None):
 # --- evaluation ------------------------------------------------------------------
 
 
+EVAL_BATCH = 64  # samples per forward pass in `probabilities`
+
+
 def f1_score(tp: int, fp: int, fn: int) -> float:
     """2PR/(P+R) with the convention that an empty precision+recall gives 0."""
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom > 0 else 0.0
 
 
-def probabilities(model: TOMFNModel, ds: Dataset, batch_size: int = 64) -> np.ndarray:
+def probabilities(model: TOMFNModel, ds: Dataset) -> np.ndarray:
     """Per-head class probabilities for every sample, (n, heads, 2), a batch at a time.
 
     Outputs that are not finite raise a DataError instead of a warning."""
     with np.errstate(all="ignore"):  # an overflow is reported once, below
         probs = np.concatenate([
-            model_mod.forward_batch(model, ds.visual[s : s + batch_size],
-                                    ds.audio[s : s + batch_size], ds.text[s : s + batch_size])
-            for s in range(0, len(ds), batch_size)
+            model_mod.forward_batch(model, ds.visual[s : s + EVAL_BATCH],
+                                    ds.audio[s : s + EVAL_BATCH], ds.text[s : s + EVAL_BATCH])
+            for s in range(0, len(ds), EVAL_BATCH)
         ])
     if not np.isfinite(probs).all():
         raise DataError("the model's outputs are not finite: its weights or inputs are on "
                         "too large a scale")
     return probs
-
-
-def predictions(model: TOMFNModel, ds: Dataset, batch_size: int = 64) -> np.ndarray:
-    return np.argmax(probabilities(model, ds, batch_size), axis=2)
 
 
 def evaluate(model: TOMFNModel, ds: Dataset) -> dict:
@@ -308,7 +306,7 @@ def evaluate(model: TOMFNModel, ds: Dataset) -> dict:
         raise ShapeError(
             f"dataset has {ds.labels.shape[1]} label flags, model has {model.config.heads} heads"
         )
-    pred = predictions(model, ds)
+    pred = np.argmax(probabilities(model, ds), axis=2)
     names = list(EMOTIONS[: model.config.heads])
     if model.config.heads > len(EMOTIONS):
         names += [f"head{j}" for j in range(len(EMOTIONS), model.config.heads)]

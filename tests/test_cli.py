@@ -183,8 +183,9 @@ def test_describe_max_factor_below_2_exits_2(tmp_path, capsys, max_factor):
 @pytest.mark.parametrize("section, key, value", [
     ("tt", "max_factor", "x"), ("fusion", "r", 1.5), ("tt", "max_rank", None),
     (None, "heads", True), (None, "visual_dims", [80.7, 32]), ("tt", "tol", 10**400),
+    (None, "visual_dims", [8]), ("text", "pooling", "max"),
 ], ids=["max_factor_str", "r_float", "max_rank_null", "heads_bool", "visual_dims_floats",
-        "tol_huge_integer"])
+        "tol_huge_integer", "visual_dims_one_entry", "pooling_max"])
 def test_describe_wrong_json_type_exits_2(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(TINY))
     (cfg[section] if section else cfg)[key] = value
@@ -270,10 +271,10 @@ def test_train_zero_epochs_keeps_initialization(tmp_path, tiny_config):
     (["--seed", "-1"], None), ([], "-3"), (["--batch", "0"], None), (["--batch", "-3"], None),
     (["--lr", "nan"], None), (["--lr", "inf"], None), (["--lr", "0"], None),
     (["--lr", "-0.01"], None), (["--epochs", "-1"], None), (["--target-acc", "nan"], None),
-    (["--target-acc", "1.5"], None), (["--target-acc", "-0.1"], None),
+    (["--target-acc", "1.5"], None), (["--target-acc", "-0.1"], None), ([], "abc"),
 ], ids=["seed_negative", "env_seed_negative", "batch_0", "batch_negative", "lr_nan", "lr_inf",
         "lr_0", "lr_negative", "epochs_negative", "target_acc_nan", "target_acc_above_1",
-        "target_acc_negative"])
+        "target_acc_negative", "env_seed_not_an_integer"])
 def test_train_bad_args_exit_2(tmp_path, tiny_config, capsys, monkeypatch, flags, env):
     if env is not None:
         monkeypatch.setenv("TOMFN_SEED", env)
@@ -286,8 +287,14 @@ def test_train_bad_args_exit_2(tmp_path, tiny_config, capsys, monkeypatch, flags
     assert "Traceback" not in err and not metrics.exists()
 
 
+# Specs refused before any value is read, with their messages.
+MALFORMED_SPECS = {"foo": "--synthetic entry 'foo' is not key=value",
+                   "x=1": "--synthetic has unknown keys ['x']"}
+
+
 @pytest.mark.parametrize("spec", [
     "seed=-1", "sigma=nan", "sigma=inf", "gamma=inf", "gamma=nan", "scale=nan", "scale=-inf",
+    *MALFORMED_SPECS,
 ])
 def test_train_bad_synthetic_values_exit_3(tmp_path, tiny_config, capsys, spec):
     metrics = tmp_path / "m.json"
@@ -295,7 +302,8 @@ def test_train_bad_synthetic_values_exit_3(tmp_path, tiny_config, capsys, spec):
     assert run(["train", "--config", tiny_config, "--synthetic", f"n=8,L=3,{spec}",
                 "--epochs", "1", "--metrics-out", str(metrics)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("tomfn train: --synthetic: ") and err.count("\n") == 1
+    want = MALFORMED_SPECS.get(spec, "--synthetic: ")
+    assert err.startswith(f"tomfn train: {want}") and err.count("\n") == 1
     assert not metrics.exists()
 
 
@@ -519,13 +527,20 @@ def test_compile_oversized_dense_exits_4(tmp_path, capsys):
     ("visual.fc0", [8, 4], "dense operator of shape (8, 4) is not 4x8 (out x in)"),
     ("text.head0.q", [4, 8], "dense operator of shape (8, 4) is not 4x8 (out x in)"),
     ("head.1", [2, 4], "dense operator of shape (4, 2) is not 2x4 (out x in)"),
-], ids=["visual", "text", "head"])
+    ("visual.fc0", None, "TT operator 4x8 cannot cover 4x9"),
+], ids=["visual", "text", "head", "tt_short_of_config"])
 def test_dense_weight_of_wrong_shape_exits_4(tmp_path, tiny_config, capsys, name, file_shape,
                                              message):
     # A weights file stores text.* and head.* weights (in, out), so the
     # shapes here are the operators' (out, in) shapes transposed.
     obj = serialize.weights_to_obj(M.build(M.ModelConfig.from_dict(TINY)).weights)
-    obj[name] = {"shape": file_shape, "data": [0.5] * int(np.prod(file_shape))}
+    if file_shape is None:  # a 4x8 TT operator where the config's visual_dims grew to [9, 4]
+        obj[name] = serialize.weight_to_obj(tt_mod.tt_from_dense(
+            np.full((4, 8), 0.5), [2, 2], [2, 4], max_rank=4, tol=0.0))
+        tiny_config = str(tmp_path / "wider.json")
+        dump_json({**TINY, "visual_dims": [9, 4]}, tiny_config)
+    else:
+        obj[name] = {"shape": file_shape, "data": [0.5] * int(np.prod(file_shape))}
     weights = tmp_path / "w.json"
     dump_json(obj, str(weights))
     capsys.readouterr()
@@ -543,7 +558,7 @@ def test_compile_weights_mismatch_exits_4(tmp_path, tiny_config):
 @pytest.mark.parametrize("command", ["eval", "compile"])
 @pytest.mark.parametrize("defect", [
     "tt_ranks_missing", "tt_ranks_a_string", "weight_a_number", "data_a_string",
-    "data_huge_integer", "data_nested",
+    "data_huge_integer", "data_nested", "data_one_value_short",
 ])
 def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect):
     weights = make_trained(tmp_path, tiny_config)
@@ -563,6 +578,8 @@ def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect
         fc0["data"][3] = 10**400  # no float holds it
     elif defect == "data_nested":
         fc0["data"] = np.reshape(fc0["data"], fc0["shape"]).tolist()  # data stays flat
+    elif defect == "data_one_value_short":
+        fc0["data"] = fc0["data"][:-1]
     else:
         fc0["data"] = "abc"
     dump_json(doc, weights)
@@ -730,6 +747,22 @@ def test_simulate_offers_no_synthetic_flag(capsys):
     assert "--data" in out and "--synthetic" not in out
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["train"], 3, "provide --synthetic or --data"),
+    (["eval", "--synthetic", "n=8,L=3"], 4, "eval requires --weights"),
+    (["simulate", "--data", "missing.jsonl"], 4,
+     "simulate requires --bundle, or --config with --weights"),
+    # --data is checked first, before the bundle is read or the weights compiled.
+    (["simulate", "--bundle", "missing.json"], 3, "simulate requires --data with input samples"),
+    (["simulate", "--weights", "missing.json"], 3, "simulate requires --data with input samples"),
+], ids=["train_no_samples", "eval_no_weights", "simulate_no_model", "simulate_bundle_no_data",
+        "simulate_weights_no_data"])
+def test_missing_input_flag_exits_with_its_code(capsys, argv, code, message):
+    capsys.readouterr()
+    assert run(argv) == code
+    assert capsys.readouterr().err == f"tomfn {argv[0]}: {message}\n"
+
+
 @pytest.mark.parametrize("flags", [
     ["--config", "missing.json"], ["--weights", "missing.json"],
     ["--config", "missing.json", "--weights", "also-missing.json"],
@@ -769,9 +802,15 @@ def test_simulate_phase_sigma_whose_draws_overflow_exits_5(tmp_path, tiny_config
         assert err == "" and out.exists()
 
 
+# Defects of a whole --data file, with what its refusal says.
+FILE_DEFECTS = {"empty_file": "empty dataset", "ragged": "inconsistent sample shapes",
+                "label_2": "labels must be binary flags"}
+
+
 @pytest.mark.parametrize("command, defect", [
     ("train", "visual_width"), ("eval", "visual_width"), ("train", "label_count"),
     ("train", "nan_feature"), ("simulate", "nan_feature"),
+    *[("train", defect) for defect in FILE_DEFECTS],
 ])
 def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect):
     ds = T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1), M.ModelConfig.from_dict(TINY))
@@ -779,13 +818,19 @@ def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect
         ds.visual = ds.visual[:, :5]
     elif defect == "label_count":
         ds.labels = ds.labels[:, :3]
-    else:
+    elif defect == "nan_feature":
         ds.visual[1, 2] = np.nan
+    records = [{key: getattr(ds, key)[i].tolist() for key in ("visual", "audio", "text", "labels")}
+               for i in range(len(ds))]
+    if defect == "empty_file":
+        records = []
+    elif defect == "ragged":  # one sample's visual one entry short
+        records[1]["visual"] = records[1]["visual"][:-1]
+    elif defect == "label_2":
+        records[1]["labels"][0] = 2
     data = tmp_path / "bad.jsonl"
     # Written with json.dumps, not save_jsonl: tomfn itself writes no NaN.
-    data.write_text("".join(json.dumps({key: getattr(ds, key)[i].tolist() for key in
-                                        ("visual", "audio", "text", "labels")}) + "\n"
-                            for i in range(len(ds))))
+    data.write_text("".join(json.dumps(record) + "\n" for record in records))
     argv = [command, "--config", tiny_config, "--data", str(data)]
     if command != "train":
         argv += ["--weights", make_trained(tmp_path, tiny_config)]
@@ -793,6 +838,7 @@ def test_malformed_samples_exit_3(tmp_path, tiny_config, capsys, command, defect
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"tomfn {command}: ") and err.count("\n") == 1
+    assert FILE_DEFECTS.get(defect, "") in err
 
 
 @pytest.mark.parametrize("key, index, value", [
@@ -890,7 +936,7 @@ _GRID_DEFECTS = ("theta_not_a_number", "row_out_of_range", "col_not_a_list", "th
                  "col_decreasing", "col_beyond_depth", "theta_rows_wrong", "data_not_base64",
                  "data_one_float_short", "data_one_float_long", "dtype_f4", "dtype_big_endian",
                  "dtype_a_number", "shape_entry_true", "phi_minus_inf", "mesh_unclaimed")
-_PLAN_DEFECTS = ("ranks_not_a_list", "mode_above_cap", "plan_too_small")
+_PLAN_DEFECTS = ("ranks_not_a_list", "mode_above_cap", "plan_too_small", "dense_plan_ranks_1_2")
 
 
 @pytest.mark.parametrize("defect", [
@@ -903,6 +949,7 @@ _PLAN_DEFECTS = ("ranks_not_a_list", "mode_above_cap", "plan_too_small")
     "dtype_f4", "dtype_big_endian", "dtype_a_number", "shape_entry_a_float", "shape_entry_true",
     "phi_minus_inf", "grid_index_out_of_range", "ref_to_grid_of_wrong_size", "ref_past_grid_end",
     "two_cores_claim_one_mesh", "mesh_unclaimed", "ref_a_float", "ref_true", "grids_missing", "format_3",
+    "core_m_not_the_plans", "dense_plan_ranks_1_2",
 ])
 def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     weights = make_trained(tmp_path, tiny_config)
@@ -938,6 +985,10 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
         del core["mesh_u"]
     elif defect == "core_size_a_float":
         core["m"] = 4.0
+    elif defect == "core_m_not_the_plans":
+        core["m"] = 5
+    elif defect == "dense_plan_ranks_1_2":
+        plan["ranks"] = [1, 2]
     elif defect == "theta_huge_integer":
         theta[6 * first] = np.inf  # the text layout's 10**400, which no float holds
         _set_floats(mesh["theta"], theta)

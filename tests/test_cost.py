@@ -1,33 +1,31 @@
-import numpy as np
 import pytest
 
+import golden_docs as G
 from tomfn import cost as C
+from tomfn import model as M
 from tomfn import photonic as P
 from tomfn.errors import ShapeError
 
 
-def test_power_override():
-    pm = C.PowerModel(total_override=79.87)
-    assert C.estimate_power(10_000, pm, 416, 8, 8) == 79.87
-
-
 def test_power_zero_components():
-    pm = C.PowerModel(0, 0, 0, 0, 0)
-    assert C.estimate_power(1000, pm, 10, 10, 4) == 0.0
+    assert C.estimate_power(0, 0, 0, 0) == 0.0
 
 
 def test_power_heaters_only():
-    pm = C.PowerModel(p_per_mzi_heater=0.010, p_per_laser_channel=0,
-                      p_per_modulator=0, p_per_detector=0)
-    assert C.estimate_power(100, pm, 0, 0, 0) == pytest.approx(1.0)
+    assert C.estimate_power(100, 0, 0, 0) == pytest.approx(1.0)
 
 
 def test_power_monotone_in_counts():
-    pm = C.PowerModel()
-    base = C.estimate_power(100, pm, 10, 10, 2)
-    assert C.estimate_power(101, pm, 10, 10, 2) >= base
-    assert C.estimate_power(100, pm, 11, 10, 2) >= base
-    assert C.estimate_power(100, pm, 10, 10, 3) >= base
+    base = C.estimate_power(100, 10, 10, 2)
+    assert C.estimate_power(101, 10, 10, 2) >= base
+    assert C.estimate_power(100, 11, 10, 2) >= base
+    assert C.estimate_power(100, 10, 11, 2) >= base
+    assert C.estimate_power(100, 10, 10, 3) >= base
+
+
+def test_power_rejects_negative_counts():
+    with pytest.raises(ShapeError):
+        C.estimate_power(-1, 0, 0, 0)
 
 
 def test_energy_per_inference():
@@ -77,36 +75,44 @@ def test_compare_rejects_zero_candidate():
         C.compare({"params": 10, "mzis": 10}, {"params": 0, "mzis": 10})
 
 
+def _tiny_model(name="tiny_dense"):
+    return M.build(M.ModelConfig.from_dict(G.CONFIGS[name]))
+
+
+def test_power_override():
+    report = C.build_report(_tiny_model(), 10e9, power_override=79.87)
+    assert report["power_w"] == 79.87
+    assert report["power_calibrated"]
+    assert report["energy_per_inference_j"] == pytest.approx(7.987e-9)
+
+
 def test_report_carries_reference_labels():
-    param_counts = {"total": 1000, "dense_equivalent_total": 5000}
-    report = C.build_report(
-        param_counts,
-        macs={"subnet_weights_only": 297_008},
-        mzis=2000,
-        stages=100,
-        histogram={"4x4": 2},
-        wdm_channels=4,
-        pm=C.PowerModel(total_override=79.87),
-        n_inputs=416,
-        n_outputs=8,
-        f_hz=10e9,
-    )
-    obj = report.to_obj()
-    assert obj["references"]["kind"] == "external_reference"
-    assert obj["references"]["rows"]["tomfn_attention"]["params"] == 1152
-    assert obj["power_model_status"] == "measured_total"
-    assert obj["energy_per_inference_j"] == pytest.approx(7.987e-9)
+    report = C.build_report(_tiny_model(), 10e9, power_override=79.87)
+    assert report["references"]["kind"] == "external_reference"
+    assert report["references"]["rows"]["tomfn_attention"]["params"] == 1152
+    assert report["power_model_status"] == "measured_total"
 
 
 def test_uncalibrated_flag():
-    report = C.build_report(
-        {"total": 10, "dense_equivalent_total": 10},
-        macs={"subnet_weights_only": 100},
-        mzis=10, stages=5, histogram={}, wdm_channels=1,
-        pm=C.PowerModel(), n_inputs=4, n_outputs=2, f_hz=1e9,
-    )
-    assert not report.power_calibrated
+    model = _tiny_model()
+    report = C.build_report(model, 1e9)
+    assert not report["power_calibrated"]
+    assert report["power_model_status"] == "uncalibrated"
+    config = model.config
+    assert report["power_w"] == C.estimate_power(
+        report["mzis"], config.visual_dims[0] + config.audio_dims[0] + config.text.d_model,
+        2 * config.heads, report["wdm_channels"])
     assert "uncalibrated" in C.format_table(report)
+
+
+@pytest.mark.parametrize("name", ["tiny_dense", "tiny_tt"])
+def test_report_counts_match_the_compiled_model(name):
+    model = _tiny_model(name)
+    report = C.build_report(model, 1e9)
+    compiled = P.totals(model.config, P.compile_model(model).plans)
+    assert {key: report[key] for key in compiled} == compiled
+    assert report["compression_ratios"]["mzis"] == (
+        P.dense_mzi_estimate(M.block_dims(model.config)) / report["mzis"])
 
 
 def test_dense_mzi_estimate():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ def test_empty_dataset_rejected():
     m = M.build(small_config())
     ds = small_synth(n=8).subset([])
     with pytest.raises(DataError):
-        T.train_model(m, ds)
+        T.train_model(m, ds, T.TrainOpts())
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -236,3 +238,8 @@ def test_f1_in_unit_interval():
     for v in report["f1"].values():
         assert 0.0 <= v <= 1.0
     assert 0.0 <= report["accuracy"] <= 1.0
+    # Heads past the four emotions are named by index.
+    six = dataclasses.replace(small_config(seed=6), heads=6)
+    report = T.evaluate(M.build(six), T.gen_synthetic(T.SynthSpec(n_samples=12, seq_len=2), six))
+    assert list(report["f1"]) == [*M.EMOTIONS, "head4", "head5"]
+    assert all(0.0 <= v <= 1.0 for v in report["f1"].values())
