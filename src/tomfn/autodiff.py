@@ -215,11 +215,6 @@ def gather_last(a: Var, idx: np.ndarray) -> Var:
     return Var(out, (a,), vjp)
 
 
-def take(a: Var, index: int, axis: int) -> Var:
-    """Slice `index` >= 0 along `axis` >= 0, that axis dropped (the last token for 'last' pooling)."""
-    return reshape(slice_axis(a, axis, index, index + 1), a.shape[:axis] + a.shape[axis + 1:])
-
-
 def slice_axis(a: Var, axis: int, start: int, stop: int) -> Var:
     """Contiguous slice along one axis; the VJP zero-pads back."""
     sl = (slice(None),) * (axis % a.value.ndim) + (slice(start, stop),)

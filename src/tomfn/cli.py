@@ -265,7 +265,7 @@ def cmd_compile(args) -> int:
         bundle = photonic.compile_model(model)
     doc = photonic.bundle_to_obj(bundle)
     doc["manifest"] = _manifest(args, "compile", seed)
-    summary = doc["summary"] = photonic.totals(config, bundle.plans)
+    summary = doc["summary"] = photonic.totals(bundle.plans)
     _emit(doc, args.out)
     if args.out:
         print(f"wrote netlist bundle: {summary['mzis']} MZIs, "

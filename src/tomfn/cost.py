@@ -97,10 +97,9 @@ def build_report(model, f_hz: float, power_override: float | None = None) -> dic
     compiling a mesh; a weight above the core-size cap raises MappingError.  MAC/J uses
     the subnetwork-weight scope; a measured `power_override` (W) replaces the component sum."""
     config = model.config
-    totals = photonic.totals(config, photonic.model_shapes(model))
+    totals = photonic.totals(photonic.model_shapes(model))
     params = model_mod.param_count(model)
-    macs = {scope: model_mod.mac_count(model, scope)
-            for scope in ("subnet_weights_only", "all_weights", "full_runtime")}
+    macs = model_mod.mac_count(model)
     if power_override is None:
         power = estimate_power(totals["mzis"],
                                config.visual_dims[0] + config.audio_dims[0] + config.text.d_model,

@@ -287,7 +287,7 @@ class _Graph:
         )
         if cfg.pooling == "mean":
             return ad.mean_axis(feats, 1)
-        return ad.take(feats, length - 1, axis=1)
+        return ad.reshape(ad.slice_axis(feats, 1, length - 1, length), (b, cfg.d_out))
 
     def _fuse(self, z_v: ad.Var, z_a: ad.Var, z_t: ad.Var) -> ad.Var:
         cfg = self.model.config.fusion
@@ -409,26 +409,20 @@ def param_count(model: TOMFNModel) -> dict:
     return {"per_block": per_block, "total": total, "dense_equivalent_total": dense_total}
 
 
-def mac_count(model: TOMFNModel, scope: str = "subnet_weights_only") -> int:
-    """Dense-equivalent multiply-accumulates for one inference.
+def mac_count(model: TOMFNModel) -> dict[str, int]:
+    """Dense-equivalent multiply-accumulates for one inference, per scope.
 
     subnet_weights_only counts each visual/audio/text matrix once;
     all_weights adds fusion factors and class heads; full_runtime repeats
     text matrices per token and adds the attention-score products.
     """
-    cfg = model.config
-    dims = block_dims(cfg)
-    subnet = sum(m * n for name, (m, n) in dims.items()
-                 if name.split(".")[0] in ("visual", "audio", "text"))
-    if scope == "subnet_weights_only":
-        return subnet
-    extra = sum(m * n for name, (m, n) in dims.items()
-                if name.split(".")[0] in ("fusion", "head"))
-    if scope == "all_weights":
-        return subnet + extra
-    if scope == "full_runtime":
-        text_macs = sum(m * n for name, (m, n) in dims.items() if name.startswith("text."))
-        length = cfg.text.seq_len
-        attn = 2 * length * length * cfg.text.d_head * cfg.text.heads
-        return subnet - text_macs + length * text_macs + extra + attn
-    raise ConfigError(f"unknown mac_count scope '{scope}'")
+    per_stack: dict[str, int] = {}
+    for name, (m, n) in block_dims(model.config).items():
+        stack = name.split(".")[0]
+        per_stack[stack] = per_stack.get(stack, 0) + m * n
+    subnet = per_stack["visual"] + per_stack["audio"] + per_stack["text"]
+    all_weights = subnet + per_stack["fusion"] + per_stack["head"]
+    t = model.config.text
+    attn = 2 * t.seq_len * t.seq_len * t.d_head * t.heads
+    return {"subnet_weights_only": subnet, "all_weights": all_weights,
+            "full_runtime": all_weights + (t.seq_len - 1) * per_stack["text"] + attn}

@@ -45,8 +45,8 @@ a negative 1 x 1) still holds matrix by matrix, and a refusal names the
 weight, the core and the slice.
 
 Accounting (MZIs, stages, WDM channels, the core-size histogram) reads
-only each layer's modes and bond ranks, so `describe` counts from the
-`LayerShape` records of the built model and never decomposes a mesh.
+only each layer's name, modes and bond ranks, so `describe` counts from
+the `LayerShape` records of the built model and never decomposes a mesh.
 
 Simulation does not re-implement the network.  For fixed phases a
 compiled plan is a linear map, so `realize` reads every (possibly
@@ -73,6 +73,7 @@ from .serialize import field, floats_from_obj, floats_to_obj, integer, integers,
 
 CORE_SIZE_CAP = 8
 BUNDLE_FORMAT = 4  # the on-disk layout `bundle_to_obj` writes and `bundle_from_obj` reads
+LOGICAL = ("logical_out", "logical_in")  # a bundle plan's fields for its `block_dims` (out, in)
 
 
 # --- netlists -------------------------------------------------------------------
@@ -382,15 +383,13 @@ class LayerShape:
     """What accounting reads of a layer: its kind, modes and bond ranks.
 
     A dense (m, n) layer is one core with row_modes [m], col_modes [n] and
-    ranks [1, 1]; logical_out/logical_in give its size before TT padding.
+    ranks [1, 1]; a TT layer's size before padding is its `block_dims` entry.
     """
 
     kind: str  # "dense" or "tt"
     row_modes: list[int]
     col_modes: list[int]
     ranks: list[int]
-    logical_out: int
-    logical_in: int
 
     @property
     def wdm_channels(self) -> int:
@@ -409,18 +408,17 @@ def _core_shapes(shape: LayerShape):
         yield m, n, shape.ranks[k] * shape.ranks[k + 1]
 
 
-def layer_shape(w, logical_out: int | None = None, logical_in: int | None = None) -> LayerShape:
+def layer_shape(w) -> LayerShape:
     """The shape of the plan that maps operator `w` (dense (out, in) or TT).
 
     Raises MappingError when a core (a dense operator, or one TT mode pair)
     exceeds the CORE_SIZE_CAP x CORE_SIZE_CAP core size.
     """
     if isinstance(w, tt_mod.TTMatrix):
-        shape = LayerShape("tt", list(w.row_modes), list(w.col_modes), list(w.ranks),
-                           logical_out or w.nrows, logical_in or w.ncols)
+        shape = LayerShape("tt", list(w.row_modes), list(w.col_modes), list(w.ranks))
         hint = "re-factorize the dimension into smaller modes"
     else:
-        shape = LayerShape("dense", [w.shape[0]], [w.shape[1]], [1, 1], *w.shape)
+        shape = LayerShape("dense", [w.shape[0]], [w.shape[1]], [1, 1])
         hint = "tensorize the layer (TT) so every mode fits"
     for k, (m, n, _) in enumerate(_core_shapes(shape)):
         if m > CORE_SIZE_CAP or n > CORE_SIZE_CAP:
@@ -455,14 +453,13 @@ def map_dense_layer(w: np.ndarray) -> LayerPlan:
     return _map_layers({"dense": w}, {"dense": layer_shape(w)})["dense"]
 
 
-def map_tt_layer(tt: tt_mod.TTMatrix, logical_out: int | None = None,
-                 logical_in: int | None = None) -> LayerPlan:
+def map_tt_layer(tt: tt_mod.TTMatrix) -> LayerPlan:
     """Slice every core over its bond-rank pairs into small mesh operators.
 
     Core k contributes r_{k-1} * r_k sub-matrices of shape m_k x n_k; the
     bond index rides a WDM channel, so the plan needs max_k r_k channels.
     """
-    return _map_layers({"tt": tt}, {"tt": layer_shape(tt, logical_out, logical_in)})["tt"]
+    return _map_layers({"tt": tt}, {"tt": layer_shape(tt)})["tt"]
 
 
 def mzi_count(shape: LayerShape) -> int:
@@ -473,7 +470,7 @@ def mzi_count(shape: LayerShape) -> int:
 
 def dense_mzi_estimate(block_dims: dict) -> int:
     """Hypothetical MZI count if every logical (m, n) matrix ran as one big SVD triple."""
-    return sum(mzi_count(LayerShape("dense", [m], [n], [1, 1], m, n)) for m, n in block_dims.values())
+    return sum(mzi_count(LayerShape("dense", [m], [n], [1, 1])) for m, n in block_dims.values())
 
 
 def stage_depth(shape: LayerShape) -> int:
@@ -490,41 +487,32 @@ def core_histogram(shapes) -> dict[str, int]:
     return dict(sorted(hist.items()))
 
 
-def _stage_total(config: ModelConfig, shapes: dict) -> int:
-    """Sequential stages with parallel branches contributing their max.
+def _stage_total(shapes: dict) -> int:
+    """Sequential stages with parallel branches contributing their max, by weight name.
 
-    The three subnetworks run side by side (max of the three chains);
-    all fusion projections are parallel, as are the class heads; the
-    attention score/softmax and the elementwise fusion products are
-    detection-side operations, not MZI stages.
+    The three subnetworks run side by side (max of the three chains): the
+    visual.* and audio.* layers each in sequence, the text.head* projections
+    in parallel before text.ff.  All fusion.* projections are parallel, as
+    are the head.* classifiers; the attention score/softmax and the
+    elementwise fusion products are detection-side operations, not MZI stages.
     """
-    chains = []
-    for stack, dims in (("visual", config.visual_dims), ("audio", config.audio_dims)):
-        chains.append(sum(stage_depth(shapes[f"{stack}.fc{k}"]) for k in range(len(dims) - 1)))
-    qkv = max(
-        stage_depth(shapes[f"text.head{h}.{part}"])
-        for h in range(config.text.heads)
-        for part in ("q", "k", "v")
-    )
-    chains.append(qkv + stage_depth(shapes["text.ff"]))
-    fusion_stage = max(
-        stage_depth(shapes[f"fusion.{m}.{i}"])
-        for m in ("v", "a", "t")
-        for i in range(config.fusion.rank)
-    )
-    head_stage = max(stage_depth(shapes[f"head.{j}"]) for j in range(config.heads))
-    return max(chains) + fusion_stage + head_stage
+    def depths(prefix: str) -> list[int]:
+        return [stage_depth(s) for name, s in shapes.items() if name.startswith(prefix)]
+
+    chains = (sum(depths("visual.")), sum(depths("audio.")),
+              max(depths("text.head")) + stage_depth(shapes["text.ff"]))
+    return max(chains) + max(depths("fusion.")) + max(depths("head."))
 
 
-def totals(config: ModelConfig, shapes: dict) -> dict:
+def totals(shapes: dict) -> dict:
     """MZIs, optical stages, WDM channels and core histogram of a model's layers.
 
-    `shapes` maps every weight name to its LayerShape; compiled LayerPlans
-    serve too, and give the same totals, since only modes and ranks count.
+    `shapes` maps each of a model's `block_dims` names to its LayerShape; compiled
+    LayerPlans serve too, and give the same totals, since only modes and ranks count.
     """
     return {
         "mzis": sum(mzi_count(s) for s in shapes.values()),
-        "stages": _stage_total(config, shapes),
+        "stages": _stage_total(shapes),
         "wdm_channels": max(s.wdm_channels for s in shapes.values()),
         "core_histogram": core_histogram(shapes.values()),
     }
@@ -544,8 +532,7 @@ class ModelBundle:
 
 def model_shapes(model) -> dict[str, LayerShape]:
     """The LayerShape of every weight, cap check included, without compiling a mesh."""
-    dims = block_dims(model.config)
-    return {name: layer_shape(w, *dims[name]) for name, w in model.weights.items()}
+    return {name: layer_shape(w) for name, w in model.weights.items()}
 
 
 def compile_model(model) -> ModelBundle:
@@ -660,24 +647,25 @@ def _plan_from_obj(obj: dict, what: str, grids: list, claims: list) -> LayerPlan
     cores = [_core_from_obj(c, f"{what} core {k}", row_modes[k], col_modes[k], ranks[k] * ranks[k + 1],
                             grids, claims)
              for k, c in enumerate(json_list(field(obj, "cores", what), f"{what}: cores", d))]
-    logical = [integer(field(obj, key, what), f"{what}: {key}", 1) for key in ("logical_out", "logical_in")]
-    return LayerPlan(kind, row_modes, col_modes, ranks, *logical, cores=cores)
+    return LayerPlan(kind, row_modes, col_modes, ranks, cores=cores)
 
 
 def bundle_to_obj(bundle: ModelBundle) -> dict:
     """The config, the meshes of each grid as one netlist (`grids`), and each plan: its LayerShape
-    fields, `wdm_channels` and cores, whose mesh stacks are [grid, first mesh] references."""
+    fields, its `block_dims` size as `logical_out` and `logical_in`, `wdm_channels` and cores,
+    whose mesh stacks are [grid, first mesh] references."""
     cores = [core for plan in bundle.plans.values() for core in plan.cores]
     grids, refs = [], [None] * (2 * len(cores))
     for grid, joint, bounds in _by_grid([getattr(c, side) for c in cores for side in ("mesh_u", "mesh_v")]):
         for i, first in zip(grid, bounds.tolist()):
             refs[i] = [len(grids), first]
         grids.append(netlist_to_obj(joint))
-    refs = iter(refs)
-    plans = {name: {**vars(plan), "wdm_channels": plan.wdm_channels, "cores": [
-        {"m": c.m, "n": c.n, "diag": floats_to_obj(c.diag), "scale": floats_to_obj(c.scale),
-         "mesh_u": next(refs), "mesh_v": next(refs)} for c in plan.cores]}
-        for name, plan in bundle.plans.items()}
+    refs, dims = iter(refs), block_dims(bundle.config)
+    plans = {name: {**vars(plan), **dict(zip(LOGICAL, dims[name])), "wdm_channels": plan.wdm_channels,
+                    "cores": [{"m": c.m, "n": c.n, "diag": floats_to_obj(c.diag),
+                               "scale": floats_to_obj(c.scale), "mesh_u": next(refs), "mesh_v": next(refs)}
+                              for c in plan.cores]}
+             for name, plan in bundle.plans.items()}
     return {"format": BUNDLE_FORMAT, "config": bundle.config.to_dict(), "grids": grids, "plans": plans}
 
 
@@ -699,12 +687,14 @@ def bundle_from_obj(obj: dict) -> ModelBundle:
                                                                                 "bundle grids"))]
     plans, claims = {}, []
     for name, want in dims.items():
-        plan = plans[name] = _plan_from_obj(plans_obj[name], f"plan '{name}'", grids, claims)
+        what = f"plan '{name}'"
+        plan = plans[name] = _plan_from_obj(plans_obj[name], what, grids, claims)
+        logical = tuple(integer(field(plans_obj[name], key, what), f"{what}: {key}", 1) for key in LOGICAL)
         full = (math.prod(plan.row_modes), math.prod(plan.col_modes))
         fits = full == want if plan.kind == "dense" else full[0] >= want[0] and full[1] >= want[1]
-        if (plan.logical_out, plan.logical_in) != want or not fits:
-            raise DataError(f"plan '{name}' is {full[0]}x{full[1]} (logical {plan.logical_out}x"
-                            f"{plan.logical_in}); the config needs {want[0]}x{want[1]}")
+        if logical != want or not fits:
+            raise DataError(f"{what} is {full[0]}x{full[1]} (logical {logical[0]}x"
+                            f"{logical[1]}); the config needs {want[0]}x{want[1]}")
     ends = [0] * len(grids)  # each grid's claims, in order, then a mark at its mesh count must tile it
     for g, first, end, what in sorted(claims + [(g, len(net.theta), 0, "") for g, net in enumerate(grids)]):
         if first < ends[g]:

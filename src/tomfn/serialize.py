@@ -11,8 +11,9 @@ holds the dense FILE_TRANSPOSED weights (in, out), every other one (out, in)
 as in memory; the weights codec transposes at that boundary.  A bundle's
 float64 array is {"dtype": "<f8", "shape", "data": base64 of its bytes}.
 Every JSON text tomfn writes comes from `dumps`: compact, keys sorted.
-Writes go through a temp file and rename so readers never see partial
-output; the file gets the mode the umask allows, as with a plain open().
+Every write, JSON or JSONL, goes through a temp file and rename
+(`write_text`) so readers never see partial output; the file gets the
+mode the umask allows, as with a plain open().
 """
 
 from __future__ import annotations
@@ -46,19 +47,22 @@ def dumps(obj) -> str:
 
 
 def dump_json(obj, path: str):
-    """Write `dumps(obj)` and a newline atomically (temp file + rename).
+    """Write `dumps(obj)` and a newline atomically (`write_text`)."""
+    write_text(dumps(obj) + "\n", path)
+
+
+def write_text(text: str, path: str):
+    """Write `text` atomically (temp file + rename).
 
     A path that cannot be written (a missing directory, a directory, no
     permission) is a DataError, and no temp file is left behind.
     """
-    text = dumps(obj)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
             f.write(text)
-            f.write("\n")
         # mkstemp creates the file 0600; give it the mode open() would have.
         umask = os.umask(0)
         os.umask(umask)

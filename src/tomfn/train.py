@@ -56,35 +56,25 @@ class Dataset:
         return self.visual.shape[0]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.visual[idx], self.audio[idx], self.text[idx], self.labels[idx])
+        return Dataset(**{key: column[idx] for key, column in vars(self).items()})
 
     def sample(self, i) -> dict:
-        return {
-            "visual": self.visual[i],
-            "audio": self.audio[i],
-            "text": self.text[i],
-            "labels": self.labels[i],
-        }
+        return {key: column[i] for key, column in vars(self).items()}
 
 
 def zero_modalities(ds: Dataset, keep: str) -> Dataset:
     """Copy of `ds` with every modality except `keep` zeroed (ablation input)."""
-    if keep not in ("visual", "audio", "text"):
+    if keep == "labels" or keep not in vars(ds):
         raise DataError(f"unknown modality '{keep}'")
-    return Dataset(
-        ds.visual if keep == "visual" else np.zeros_like(ds.visual),
-        ds.audio if keep == "audio" else np.zeros_like(ds.audio),
-        ds.text if keep == "text" else np.zeros_like(ds.text),
-        ds.labels.copy(),
-    )
+    zeroed = {key: np.zeros_like(column) for key, column in vars(ds).items() if key not in (keep, "labels")}
+    return Dataset(**{**vars(ds), **zeroed, "labels": ds.labels.copy()})
 
 
-def gen_synthetic(spec: SynthSpec, config: model_mod.ModelConfig | None = None) -> Dataset:
+def gen_synthetic(spec: SynthSpec, config: model_mod.ModelConfig) -> Dataset:
     """Deterministic synthetic multimodal dataset matching `config` dims."""
-    cfg = config or model_mod.default_config()
     rng = np.random.default_rng(spec.seed)
-    d_v, d_a, d_t = cfg.visual_dims[0], cfg.audio_dims[0], cfg.text.d_model
-    n_classes = cfg.heads
+    d_v, d_a, d_t = config.visual_dims[0], config.audio_dims[0], config.text.d_model
+    n_classes = config.heads
     n_bits = max(1, int(np.ceil(np.log2(n_classes))))
 
     def unit(size):
@@ -130,15 +120,10 @@ def gen_synthetic(spec: SynthSpec, config: model_mod.ModelConfig | None = None) 
 
 
 def save_jsonl(ds: Dataset, path: str):
-    with open(path, "w") as f:
-        for i in range(len(ds)):
-            rec = {
-                "visual": ds.visual[i].tolist(),
-                "audio": ds.audio[i].tolist(),
-                "text": ds.text[i].tolist(),
-                "labels": ds.labels[i].tolist(),
-            }
-            f.write(serialize.dumps(rec) + "\n")
+    """One `dumps` line per sample, written atomically (`serialize.write_text`)."""
+    lines = (serialize.dumps({key: column.tolist() for key, column in ds.sample(i).items()}) + "\n"
+             for i in range(len(ds)))
+    serialize.write_text("".join(lines), path)
 
 
 # Per sample field: how deep its lists nest, and its dtype (labels are 0/1 flags).
@@ -254,9 +239,8 @@ def train_model(model: TOMFNModel, ds: Dataset, opts: TrainOpts):
             stop = start + opts.batch_size  # unshuffled, a batch is a view of the dataset
             idx = order[start:stop] if opts.shuffle else slice(start, stop)
             with np.errstate(all="ignore"):  # divergence is reported once, below, not warned about
-                loss, grads = model_mod.loss_and_grad(
-                    model, ds.visual[idx], ds.audio[idx], ds.text[idx], ds.labels[idx]
-                )
+                # The Dataset fields, in order, are loss_and_grad's batch arguments.
+                loss, grads = model_mod.loss_and_grad(model, *vars(ds.subset(idx)).values())
                 if not math.isfinite(loss):
                     raise _diverged(epoch, batch, f"the loss is {loss}")
                 optimizer.step(list(model.leaves()), grads)

@@ -59,7 +59,6 @@ def factorize_dim(n: int, max_factor: int = 8) -> list[int]:
             f"{n} has prime factor {factors[-1]} > {max_factor}; "
             f"pad the dimension to {next_mappable_dim(n, max_factor)} first"
         )
-    factors.sort()
     while len(factors) >= 2 and factors[0] * factors[1] <= max_factor:
         merged = factors[0] * factors[1]
         factors = sorted(factors[2:] + [merged])

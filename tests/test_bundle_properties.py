@@ -52,7 +52,7 @@ def test_random_tt_configs_compile_round_trip_and_realize():
             refused += 1
             continue
         where = (i, cfg)
-        assert P.totals(cfg, P.model_shapes(model)) == P.totals(cfg, bundle.plans), where
+        assert P.totals(P.model_shapes(model)) == P.totals(bundle.plans), where
 
         text = dumps(P.bundle_to_obj(bundle))
         assert dumps(P.bundle_to_obj(P.bundle_from_obj(json.loads(text)))) == text, where

@@ -109,7 +109,7 @@ def test_uncalibrated_flag():
 def test_report_counts_match_the_compiled_model(name):
     model = _tiny_model(name)
     report = C.build_report(model, 1e9)
-    compiled = P.totals(model.config, P.compile_model(model).plans)
+    compiled = P.totals(P.compile_model(model).plans)
     assert {key: report[key] for key in compiled} == compiled
     assert report["compression_ratios"]["mzis"] == (
         P.dense_mzi_estimate(M.block_dims(model.config)) / report["mzis"])

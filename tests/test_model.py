@@ -383,17 +383,17 @@ def test_param_count_tt_uses_core_sizes():
 
 def test_mac_count_scopes():
     m = M.build(M.default_config())
-    assert M.mac_count(m, "subnet_weights_only") == 297_008
-    assert M.mac_count(m, "all_weights") == 297_008 + 4 * 32 * (33 + 33 + 65) + 4 * 32 * 2
-    assert M.mac_count(m, "all_weights") == 314_032
+    assert M.mac_count(m)["subnet_weights_only"] == 297_008
+    assert M.mac_count(m)["all_weights"] == 297_008 + 4 * 32 * (33 + 33 + 65) + 4 * 32 * 2
+    assert M.mac_count(m)["all_weights"] == 314_032
     cfg1 = M.default_config()
     cfg1.text.seq_len = 1
     m1 = M.build(cfg1)
-    assert M.mac_count(m1, "full_runtime") == 314_032 + 2 * 1 * 150 * 2
+    assert M.mac_count(m1)["full_runtime"] == 314_032 + 2 * 1 * 150 * 2
 
 
 def test_mac_count_invariant_to_tt():
     dense_cfg = M.default_config()
     dense_cfg.tt = M.TTConfig(visual=False, audio=False, text=False)
-    assert (M.mac_count(M.build(dense_cfg), "subnet_weights_only")
-            == M.mac_count(M.build(M.default_config()), "subnet_weights_only"))
+    assert (M.mac_count(M.build(dense_cfg))["subnet_weights_only"]
+            == M.mac_count(M.build(M.default_config()))["subnet_weights_only"])

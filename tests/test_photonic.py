@@ -402,7 +402,7 @@ def test_mzi_count_formulas():
     assert P.mzi_count(plan4) == 6 + 6 + 4 == 16
     plan2 = P.map_dense_layer(rng.normal(size=(2, 2)))
     assert P.mzi_count(plan2) == 1 + 1 + 2 == 4
-    empty = P.LayerShape("tt", [], [], [1], 0, 0)
+    empty = P.LayerShape("tt", [], [], [1])
     assert P.mzi_count(empty) == 0
 
 
@@ -427,9 +427,9 @@ def test_padded_plan_respects_logical_dims():
     rng = np.random.default_rng(16)
     w = rng.normal(size=(5, 3))
     t = tt_mod.tt_from_dense(w, [5, 1], [3, 1], max_rank=16, tol=0.0)
-    plan = P.map_tt_layer(t, logical_out=5, logical_in=3)
+    plan = P.map_tt_layer(t)
     realized = P.realize_plan(plan)
-    assert (realized.nrows, realized.ncols) == (plan.logical_out, plan.logical_in)
+    assert (realized.nrows, realized.ncols) == (5, 3)
     x = rng.normal(size=3)
     assert np.allclose(tt_mod.tt_matvec(realized, x), w @ x, atol=1e-9)
 
@@ -515,25 +515,54 @@ def test_compiled_tiny_model_matches_forward():
             assert np.max(np.abs(optical - digital)) < 1e-8
 
 
-def test_bundle_totals_and_histogram():
+def deep_config():
+    """All dense, with stacks of 3 visual and 2 audio layers of unequal depths, 3 text heads,
+    fusion rank 3 and 2 class heads, so a summed stack and a max-reduced one differ."""
     from tomfn import model as M
 
-    m = M.build(tiny_config())
-    bundle = P.compile_model(m)
-    totals = P.totals(bundle.config, bundle.plans)
+    return M.ModelConfig(
+        visual_dims=[4, 6, 3, 5],
+        audio_dims=[5, 7, 2],
+        text=M.TextConfig(d_model=6, heads=3, d_head=2, d_out=4, seq_len=3),
+        fusion=M.FusionConfig(rank=3, d_h=3),
+        heads=2,
+        tt=M.TTConfig(visual=False, audio=False, text=False, fusion=False, class_heads=False),
+        seed=0,
+    )
+
+
+@pytest.mark.parametrize("case", ["tiny", "deep"])
+def test_bundle_totals_and_histogram(case):
+    from tomfn import model as M
+
+    cfg = tiny_config() if case == "tiny" else deep_config()
+    bundle = P.compile_model(M.build(cfg))
+    totals = P.totals(bundle.plans)
     assert totals["mzis"] == sum(P.mzi_count(p) for p in bundle.plans.values())
     assert totals["wdm_channels"] == 1
     hist = totals["core_histogram"]
     assert sum(hist.values()) == len(bundle.plans)  # all dense: one triple each
     # Sequential chains sum, parallel branches take the max.
-    visual = P.stage_depth(bundle.plans["visual.fc0"])
-    audio = P.stage_depth(bundle.plans["audio.fc0"])
-    text = (P.stage_depth(bundle.plans["text.head0.q"])
-            + P.stage_depth(bundle.plans["text.ff"]))
-    fusion = max(P.stage_depth(bundle.plans[f"fusion.{m_}.{i}"])
-                 for m_ in ("v", "a", "t") for i in range(2))
-    heads = max(P.stage_depth(bundle.plans[f"head.{j}"]) for j in range(4))
+    depth = {name: P.stage_depth(plan) for name, plan in bundle.plans.items()}
+    visual = sum(depth[f"visual.fc{k}"] for k in range(len(cfg.visual_dims) - 1))
+    audio = sum(depth[f"audio.fc{k}"] for k in range(len(cfg.audio_dims) - 1))
+    text = (max(depth[f"text.head{h}.{part}"] for h in range(cfg.text.heads) for part in "qkv")
+            + depth["text.ff"])
+    fusion = max(depth[f"fusion.{m_}.{i}"] for m_ in "vat" for i in range(cfg.fusion.rank))
+    heads = max(depth[f"head.{j}"] for j in range(cfg.heads))
     assert totals["stages"] == max(visual, audio, text) + fusion + heads
+    if case == "deep":  # visual 11 + 10 + 9 outruns text 9 + 11; fusion 10, heads 6
+        assert (visual, audio, text, fusion, heads, totals["stages"]) == (30, 23, 20, 10, 6, 46)
+        # block_dims: visual 6x4, 3x6, 5x3; audio 7x5, 2x7; nine 2x6 text.head projections and a
+        # 4x6 text.ff; fusion v, a, t 3x6, 3x3, 3x5 at each of 3 ranks; two 2x3 heads.
+        assert [m * n for m, n in M.block_dims(cfg).values()] == (
+            [24, 18, 15, 35, 14] + [12] * 9 + [24] + [18] * 3 + [9] * 3 + [15] * 3 + [6] * 2)
+        subnet = (24 + 18 + 15) + (35 + 14) + (9 * 12 + 24)
+        all_weights = subnet + 3 * (18 + 9 + 15) + 2 * 6
+        full = all_weights + (3 - 1) * (9 * 12 + 24) + 2 * 3 * 3 * 2 * 3  # 3 tokens, 3 heads of d_head 2
+        assert M.mac_count(M.build(cfg)) == {
+            "subnet_weights_only": subnet, "all_weights": all_weights, "full_runtime": full}
+        assert (subnet, all_weights, full) == (238, 376, 748)
 
 
 def case_config(case):
@@ -558,7 +587,7 @@ def test_shape_totals_equal_compiled_totals(case):
     model = M.build(cfg)
     shapes = P.model_shapes(model)
     bundle = P.compile_model(model)
-    assert P.totals(cfg, shapes) == P.totals(cfg, bundle.plans)
+    assert P.totals(shapes) == P.totals(bundle.plans)
     # Counted from the compiled meshes themselves, not from modes and ranks.
     cores = [(core, plan.ranks[k], plan.ranks[k + 1])
              for plan in bundle.plans.values() for k, core in enumerate(plan.cores)]
@@ -571,7 +600,7 @@ def test_shape_totals_equal_compiled_totals(case):
     for core, _, _ in cores:
         hist[f"{core.m}x{core.n}"] = hist.get(f"{core.m}x{core.n}", 0) + len(core.mesh_u.theta)
     wdm = max(max(r_in, r_out) for _, r_in, r_out in cores)
-    totals = P.totals(cfg, shapes)
+    totals = P.totals(shapes)
     assert (totals["mzis"], totals["core_histogram"], totals["wdm_channels"]) == (mzis, hist, wdm)
     if case == "default":
         assert (totals["mzis"], totals["stages"], totals["wdm_channels"]) == (40_044, 128, 8)
@@ -813,7 +842,7 @@ def test_one_mesh_pass_per_shape_and_per_grid(monkeypatch):
     model = M.build(cfg)
     svd, givens = counting(monkeypatch, "svd_map"), counting(monkeypatch, "givens_decompose")
     bundle = P.compile_model(model)
-    histogram = P.totals(cfg, P.model_shapes(model))["core_histogram"]
+    histogram = P.totals(P.model_shapes(model))["core_histogram"]
     assert len(svd) == len(histogram) == 17 and len(givens) == 2 * 17
     applies, perturbs = counting(monkeypatch, "_apply_meshes"), counting(monkeypatch, "perturb")
     for b in (bundle, varied_grid_bundle()):

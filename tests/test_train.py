@@ -85,6 +85,20 @@ def test_jsonl_roundtrip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
 
 
+@pytest.mark.parametrize("kind", ["missing_directory", "a_directory"])
+def test_save_jsonl_refuses_an_unwritable_path(tmp_path, kind):
+    target = tmp_path / "out"
+    if kind == "a_directory":
+        target.mkdir()
+    else:
+        target = target / "data.jsonl"
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(DataError, match=f"cannot write {target}: "):
+        T.save_jsonl(small_synth(n=4), str(target))
+    assert sorted(tmp_path.iterdir()) == before  # neither a partial file nor a temp file
+    assert kind == "missing_directory" or list(target.iterdir()) == []
+
+
 def test_jsonl_missing_file():
     with pytest.raises(DataError):
         T.load_jsonl("/nonexistent/data.jsonl")
