@@ -103,19 +103,13 @@ def _load_weights_into(config, path: str) -> model_mod.TOMFNModel:
     for name, w in weights.items():
         # Every weight is an (out, in) operator; a TT one may be zero-padded upward.
         out_dim, in_dim = expected[name]
-        if hasattr(w, "cores"):
-            if w.nrows < out_dim or w.ncols < in_dim:
-                raise CliError(
-                    EXIT_COMPILE,
-                    f"weights/config mismatch on '{name}': TT operator "
-                    f"{w.nrows}x{w.ncols} cannot cover {out_dim}x{in_dim}",
-                )
-        elif w.shape != (out_dim, in_dim):
-            raise CliError(
-                EXIT_COMPILE,
-                f"weights/config mismatch on '{name}': dense operator of shape {w.shape} "
-                f"is not {out_dim}x{in_dim} (out x in)",
-            )
+        if hasattr(w, "cores") and (w.nrows < out_dim or w.ncols < in_dim):
+            problem = f"TT operator {w.nrows}x{w.ncols} cannot cover {out_dim}x{in_dim}"
+        elif not hasattr(w, "cores") and w.shape != (out_dim, in_dim):
+            problem = f"dense operator of shape {w.shape} is not {out_dim}x{in_dim} (out x in)"
+        else:
+            continue
+        raise CliError(EXIT_COMPILE, f"weights/config mismatch on '{name}': {problem}")
     return model_mod.TOMFNModel(config, weights)
 
 

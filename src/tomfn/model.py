@@ -45,7 +45,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tt as tt_mod
 from .errors import ConfigError, DataError, ShapeError
-from .serialize import FILE_TRANSPOSED, flag, integer, integers, number, string
+from .serialize import flag, integer, integers, number, string
 
 EMOTIONS = ("happy", "sad", "angry", "neutral")
 
@@ -205,17 +205,18 @@ def _to_tt_operator(w_op: np.ndarray, tt_cfg: TTConfig) -> tt_mod.TTMatrix:
 
 def build(config: ModelConfig) -> TOMFNModel:
     """Draw every weight of `block_dims`, in its order (Glorot-uniform, seeded), and
-    tensorize the flagged blocks.  A FILE_TRANSPOSED weight is drawn (in, out), as
-    a weights file lays it out, and kept as the (out, in) view of that draw, so
-    every seed gives the weights it always has.  The TT-SVD draws nothing, so a
-    TT and a dense model from the same seed start from identical matrices."""
+    tensorize the flagged blocks.  A `text.*` or `head.*` weight is drawn (in, out)
+    and kept as the (out, in) view of that draw, so every seed gives the weights
+    it always has.  The TT-SVD draws nothing, so a TT and a dense model from the
+    same seed start from identical matrices."""
     rng = np.random.default_rng(config.seed)
     tt_cfg = config.tt
     flags = {"visual": tt_cfg.visual, "audio": tt_cfg.audio, "text": tt_cfg.text,
              "fusion": tt_cfg.fusion, "head": tt_cfg.class_heads}
     w: dict = {}
+    drawn_in_out = ("text.", "head.")  # the draw order these weights always had, so every seed keeps them
     for name, (out_dim, in_dim) in block_dims(config).items():
-        if name.startswith(FILE_TRANSPOSED):
+        if name.startswith(drawn_in_out):
             w[name] = _glorot(rng, out_dim, in_dim, (in_dim, out_dim)).T
         else:
             w[name] = _glorot(rng, out_dim, in_dim, (out_dim, in_dim))

@@ -1,15 +1,13 @@
-"""JSON files: the validators every input goes through, the weights codec, atomic writes.
+"""JSON files: the validators every input goes through, the array codec, atomic writes.
 
 Every file tomfn reads (config, weights, bundle, JSONL dataset, `--compare`
 report) is decoded with the validators here, so one module decides what a
 JSON field, list, number, integer or numeric array is: true/false is no
 number, 1.0 is no integer, and a number is finite; a failure is a one-line
-DataError.  A dense tensor serializes as {"shape": [...], "data": [...]}
-(flat, row-major), a TT weight as {"row_modes", "col_modes", "ranks",
-"cores": [tensor, ...]}, a weights file as a flat name -> weight map that
-holds the dense FILE_TRANSPOSED weights (in, out), every other one (out, in)
-as in memory; the weights codec transposes at that boundary.  A bundle's
-float64 array is {"dtype": "<f8", "shape", "data": base64 of its bytes}.
+DataError.  Every float array tomfn writes (a weight, a TT core, a bundle's
+mesh array) is one block {"dtype": "<f8", "shape", "data": base64 of its
+bytes} in its in-memory layout: a weights file, a flat name -> weight map,
+holds each dense weight and TT core as memory does, and no name is read here.
 Every JSON text tomfn writes comes from `dumps`: compact, keys sorted.
 Every write, JSON or JSONL, goes through a temp file and rename
 (`write_text`) so readers never see partial output; the file gets the
@@ -27,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import tt as tt_mod
-from .errors import DataError
+from .errors import DataError, ShapeError
 
 
 def dumps(obj) -> str:
@@ -186,49 +184,41 @@ def floats_from_obj(obj, what: str, shape: tuple) -> np.ndarray:
 
 # --- weights ---------------------------------------------------------------------
 
-# A weights file stores the dense weights under these name prefixes as (in, out).
-FILE_TRANSPOSED = ("text.", "head.")
-
-
-def _file_layout(name: str, w):
-    """Weight `name` in the other layout: a FILE_TRANSPOSED dense weight is
-    transposed (memory <-> file, both ways), any other weight is kept."""
-    return w.T if name.startswith(FILE_TRANSPOSED) and not isinstance(w, tt_mod.TTMatrix) else w
-
 
 def weight_to_obj(w) -> dict:
     if isinstance(w, tt_mod.TTMatrix):
         return {"row_modes": list(w.row_modes), "col_modes": list(w.col_modes),
-                "ranks": list(w.ranks), "cores": [weight_to_obj(c) for c in w.cores]}
-    return {"shape": list(np.shape(w)), "data": np.ravel(w, order="C").tolist()}
+                "ranks": list(w.ranks), "cores": [floats_to_obj(c) for c in w.cores]}
+    return floats_to_obj(w)
 
 
-def _tensor_from_obj(obj) -> np.ndarray:
-    shape = integers(field(obj, "shape", "tensor"), "tensor 'shape'", low=0)
-    data = numbers(field(obj, "data", "tensor"), "tensor 'data'")
-    try:
-        return data.reshape(shape)
-    except ValueError as exc:
-        raise DataError(f"tensor 'data' does not fit its shape: {exc}") from exc
+def _array_from_obj(obj, what: str) -> np.ndarray:
+    """The block of the `shape` it gives, as a writeable copy: Adam steps weights in place."""
+    if isinstance(field(obj, "data", what), list):
+        raise DataError(f"{what} data is a list, the retired file form: write the file again with `tomfn train`")
+    shape = integers(field(obj, "shape", what), f"{what} shape", low=0)
+    return floats_from_obj(obj, what, tuple(shape)).copy()
 
 
-def weight_from_obj(obj):
-    """A dense (tensor) or TT weight; TT cores that do not chain are a ShapeError."""
-    if not isinstance(obj, dict):
-        raise DataError(f"a weight must be a tensor or TT object, got {obj!r:.40}")
-    if "cores" not in obj:
-        return _tensor_from_obj(obj)
-    modes_ranks = [sizes(field(obj, key, "TT weight"), f"TT '{key}'")
+def weight_from_obj(obj, what: str):
+    """A dense (block) or TT weight; TT cores that do not chain are a ShapeError."""
+    if not isinstance(obj, dict) or "cores" not in obj:
+        return _array_from_obj(obj, what)
+    modes_ranks = [sizes(field(obj, key, what), f"{what} '{key}'")
                    for key in ("row_modes", "col_modes", "ranks")]
-    cores = [_tensor_from_obj(c) for c in json_list(obj["cores"], "TT 'cores'")]
-    return tt_mod.TTMatrix(*modes_ranks, cores)
+    cores = [_array_from_obj(c, f"{what} core {k}")
+             for k, c in enumerate(json_list(obj["cores"], f"{what} 'cores'"))]
+    try:
+        return tt_mod.TTMatrix(*modes_ranks, cores)
+    except ShapeError as exc:
+        raise ShapeError(f"{what}: {exc}") from exc
 
 
 def weights_to_obj(weights: dict) -> dict:
-    return {name: weight_to_obj(_file_layout(name, w)) for name, w in weights.items()}
+    return {name: weight_to_obj(w) for name, w in weights.items()}
 
 
 def weights_from_obj(obj: dict) -> dict:
     if not isinstance(obj, dict):
         raise DataError("weights file must be a JSON object")
-    return {name: _file_layout(name, weight_from_obj(w)) for name, w in obj.items()}
+    return {name: weight_from_obj(w, f"weight {name!r}") for name, w in obj.items()}

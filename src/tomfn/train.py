@@ -36,6 +36,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_samples < 4:
             raise DataError("need at least 4 samples (one per emotion)")
+        if self.seq_len < 1:
+            raise DataError(f"seq_len must be >= 1, got {self.seq_len}")
         if not 0 <= self.noise_std < math.inf:
             raise DataError(f"noise_std must be a finite number >= 0, got {self.noise_std}")
         for name in ("interaction_strength", "template_scale"):

@@ -59,7 +59,8 @@ SIMULATIONS = {f"simulate_{kind}_seed{seed}": ["--seed", str(seed)] + flags
                for kind, flags in (("ideal", []),
                                    ("noisy", ["--trials", "2", "--phase-sigma", "0.01", "--bits", "8"]))}
 COMMANDS = ("describe", "train", "eval", "compile", *SIMULATIONS)
-DOCUMENTS = (*(f"{config}/{command}" for config in CONFIGS for command in COMMANDS),
+# Each tiny config's command documents and the weights file its `train --out` writes, then the default config's.
+DOCUMENTS = (*(f"{config}/{name}" for config in CONFIGS for name in (*COMMANDS, "weights")),
              "default/describe", "default/describe_measured")
 DIGESTS = ("default/compile", "default/simulate_noisy_seed0")
 
@@ -67,7 +68,8 @@ DIGESTS = ("default/compile", "default/simulate_noisy_seed0")
 def _document(path: str) -> str:
     with open(path) as f:
         doc = json.load(f)
-    doc["manifest"].pop("timestamp")
+    if "manifest" in doc:  # a weights file has none
+        doc["manifest"].pop("timestamp")
     return dumps(doc)
 
 
@@ -94,6 +96,7 @@ def _config_documents(config: dict) -> dict[str, str]:
                              "describe.json"),
             "train": _run(["train", *synthetic, "--epochs", "2", "--out", "weights.json",
                            "--metrics-out", "train.json"], "train.json"),
+            "weights": _document("weights.json"),
             "eval": _run(["eval", *synthetic, "--weights", "weights.json", "--out", "eval.json"],
                          "eval.json"),
             "compile": _run(["compile", "--config", "config.json", "--weights", "weights.json",

@@ -294,7 +294,7 @@ MALFORMED_SPECS = {"foo": "--synthetic entry 'foo' is not key=value",
 
 @pytest.mark.parametrize("spec", [
     "seed=-1", "sigma=nan", "sigma=inf", "gamma=inf", "gamma=nan", "scale=nan", "scale=-inf",
-    *MALFORMED_SPECS,
+    "L=-1", "L=0", *MALFORMED_SPECS,
 ])
 def test_train_bad_synthetic_values_exit_3(tmp_path, tiny_config, capsys, spec):
     metrics = tmp_path / "m.json"
@@ -441,11 +441,13 @@ def test_eval_roundtrip(tmp_path, tiny_config):
     assert 0.0 <= doc["accuracy"] <= 1.0
 
 
-def test_eval_weights_mismatch_exits_4(tmp_path, tiny_config):
+def test_eval_weights_mismatch_exits_4(tmp_path, tiny_config, capsys):
     weights = tmp_path / "w.json"
-    dump_json({"visual.fc0": {"shape": [2, 2], "data": [1, 0, 0, 1]}}, str(weights))
+    dump_json(serialize.weights_to_obj({"visual.fc0": np.eye(2)}), str(weights))
+    capsys.readouterr()
     assert run(["eval", "--config", tiny_config, "--weights", str(weights),
                 "--synthetic", "n=8,L=3"]) == 4
+    assert capsys.readouterr().err.startswith("tomfn eval: weights/config mismatch: missing ")
 
 
 # --- compile / simulate -----------------------------------------------------------
@@ -525,14 +527,12 @@ def test_compile_oversized_dense_exits_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, file_shape, message", [
     ("visual.fc0", [8, 4], "dense operator of shape (8, 4) is not 4x8 (out x in)"),
-    ("text.head0.q", [4, 8], "dense operator of shape (8, 4) is not 4x8 (out x in)"),
-    ("head.1", [2, 4], "dense operator of shape (4, 2) is not 2x4 (out x in)"),
+    ("text.head0.q", [8, 4], "dense operator of shape (8, 4) is not 4x8 (out x in)"),
+    ("head.1", [4, 2], "dense operator of shape (4, 2) is not 2x4 (out x in)"),
     ("visual.fc0", None, "TT operator 4x8 cannot cover 4x9"),
 ], ids=["visual", "text", "head", "tt_short_of_config"])
 def test_dense_weight_of_wrong_shape_exits_4(tmp_path, tiny_config, capsys, name, file_shape,
                                              message):
-    # A weights file stores text.* and head.* weights (in, out), so the
-    # shapes here are the operators' (out, in) shapes transposed.
     obj = serialize.weights_to_obj(M.build(M.ModelConfig.from_dict(TINY)).weights)
     if file_shape is None:  # a 4x8 TT operator where the config's visual_dims grew to [9, 4]
         obj[name] = serialize.weight_to_obj(tt_mod.tt_from_dense(
@@ -540,7 +540,7 @@ def test_dense_weight_of_wrong_shape_exits_4(tmp_path, tiny_config, capsys, name
         tiny_config = str(tmp_path / "wider.json")
         dump_json({**TINY, "visual_dims": [9, 4]}, tiny_config)
     else:
-        obj[name] = {"shape": file_shape, "data": [0.5] * int(np.prod(file_shape))}
+        obj[name] = serialize.floats_to_obj(np.full(file_shape, 0.5))
     weights = tmp_path / "w.json"
     dump_json(obj, str(weights))
     capsys.readouterr()
@@ -549,23 +549,43 @@ def test_dense_weight_of_wrong_shape_exits_4(tmp_path, tiny_config, capsys, name
     assert err == f"tomfn compile: weights/config mismatch on '{name}': {message}\n"
 
 
-def test_compile_weights_mismatch_exits_4(tmp_path, tiny_config):
+def test_compile_weights_mismatch_exits_4(tmp_path, tiny_config, capsys):
     weights = tmp_path / "wrong.json"
-    dump_json({"visual.fc0": {"shape": [4, 8], "data": [0.0] * 32}}, str(weights))
+    dump_json(serialize.weights_to_obj({"visual.fc0": np.zeros((4, 8))}), str(weights))
+    capsys.readouterr()
     assert run(["compile", "--config", tiny_config, "--weights", str(weights)]) == 4
+    assert capsys.readouterr().err.startswith("tomfn compile: weights/config mismatch: missing ")
 
 
 @pytest.mark.parametrize("command", ["eval", "compile"])
 @pytest.mark.parametrize("defect", [
-    "tt_ranks_missing", "tt_ranks_a_string", "weight_a_number", "data_a_string",
-    "data_huge_integer", "data_nested", "data_one_value_short",
+    "tt_ranks_missing", "tt_ranks_a_string", "weight_a_number", "data_not_a_string",
+    "data_not_base64", "data_one_value_short", "data_nan", "dtype_f4", "shape_not_filled",
+    "legacy_list_form", "tt_core_dtype_f4", "tt_cores_swapped",
 ])
 def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect):
     weights = make_trained(tmp_path, tiny_config)
     doc = load_json(weights)
-    fc0 = doc["visual.fc0"]  # dense 4x8
-    tt_obj = serialize.weight_to_obj(tt_mod.tt_from_dense(
-        np.reshape(fc0["data"], fc0["shape"]), [2, 2], [2, 4], max_rank=4, tol=0.0))
+    fc0 = doc["visual.fc0"]  # dense 4x8, one block
+    dense = serialize.weight_from_obj(fc0, "weight 'visual.fc0'")
+    tt_obj = serialize.weight_to_obj(tt_mod.tt_from_dense(dense, [2, 2], [2, 4], max_rank=4, tol=0.0))
+    base64_of_4x8 = "weight 'visual.fc0' data must be base64 of [4, 8] float64 values: "
+    expected = {
+        "tt_ranks_missing": "weight 'visual.fc0' must be an object with a 'ranks' field",
+        "tt_ranks_a_string": "weight 'visual.fc0' 'ranks' must be a list, got 'x'",
+        "weight_a_number": "weight 'visual.fc0' must be an object with a 'data' field",
+        "data_not_a_string": base64_of_4x8 + "argument should be a bytes-like object",
+        "data_not_base64": base64_of_4x8 + "Only base64 data is allowed",
+        "data_one_value_short": base64_of_4x8 + "cannot reshape array of size 31",
+        "data_nan": "weight 'visual.fc0' must hold finite numbers",
+        "dtype_f4": "weight 'visual.fc0' must be '<f8' of shape [4, 8], got '<f4'",
+        "shape_not_filled": "weight 'visual.fc0' data must be base64 of [4, 9] float64 values: "
+                            "cannot reshape array of size 32",
+        "legacy_list_form": "weight 'visual.fc0' data is a list, the retired file form: "
+                            "write the file again with `tomfn train`\n",
+        "tt_core_dtype_f4": "weight 'visual.fc0' core 1 must be '<f8' of shape [",
+        "tt_cores_swapped": "weight 'visual.fc0': core 0 has shape (",
+    }
     if defect == "tt_ranks_missing":
         del tt_obj["ranks"]
         doc["visual.fc0"] = tt_obj
@@ -574,14 +594,27 @@ def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect
         doc["visual.fc0"] = tt_obj
     elif defect == "weight_a_number":
         doc["visual.fc0"] = 5
-    elif defect == "data_huge_integer":
-        fc0["data"][3] = 10**400  # no float holds it
-    elif defect == "data_nested":
-        fc0["data"] = np.reshape(fc0["data"], fc0["shape"]).tolist()  # data stays flat
-    elif defect == "data_one_value_short":
-        fc0["data"] = fc0["data"][:-1]
-    else:
-        fc0["data"] = "abc"
+    elif defect == "tt_core_dtype_f4":
+        tt_obj["cores"][1]["dtype"] = "<f4"
+        doc["visual.fc0"] = tt_obj
+    elif defect == "tt_cores_swapped":  # each core well-formed, the chain not
+        tt_obj["cores"].reverse()
+        doc["visual.fc0"] = tt_obj
+    elif defect == "data_not_a_string":
+        fc0["data"] = {"base64": fc0["data"]}
+    elif defect == "data_not_base64":
+        fc0["data"] = "*" + fc0["data"][1:]
+    elif defect == "data_one_value_short":  # 8 bytes, one float64, short of the shape
+        fc0["data"] = serialize.floats_to_obj(dense.ravel()[:-1])["data"]
+    elif defect == "data_nan":
+        dense.flat[3] = np.nan
+        fc0["data"] = serialize.floats_to_obj(dense)["data"]
+    elif defect == "dtype_f4":
+        fc0["dtype"] = "<f4"
+    elif defect == "shape_not_filled":
+        fc0["shape"] = [4, 9]
+    else:  # the list form earlier files used
+        doc["visual.fc0"] = {"shape": [4, 8], "data": dense.ravel().tolist()}
     dump_json(doc, weights)
     argv = [command, "--config", tiny_config, "--weights", weights]
     if command == "eval":
@@ -589,7 +622,7 @@ def test_malformed_weights_exit_4(tmp_path, tiny_config, capsys, command, defect
     capsys.readouterr()
     assert run(argv) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"tomfn {command}: weights: ") and err.count("\n") == 1
+    assert err.startswith(f"tomfn {command}: weights: {expected[defect]}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["compile", "simulate"])

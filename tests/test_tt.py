@@ -251,7 +251,7 @@ def test_monotone_compression():
 def test_json_roundtrip():
     rng = np.random.default_rng(21)
     t = random_tt(rng, [2, 4], [4, 2])
-    back = serialize.weight_from_obj(serialize.weight_to_obj(t))
+    back = serialize.weight_from_obj(serialize.weight_to_obj(t), "weight 't'")
     assert back.row_modes == t.row_modes
     assert back.ranks == t.ranks
     for a, b in zip(back.cores, t.cores):
