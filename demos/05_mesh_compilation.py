@@ -19,8 +19,8 @@ print("=== a 6x6 orthogonal matrix as a mesh ===")
 q, r = np.linalg.qr(rng.normal(size=(6, 6)))
 u = q * np.sign(np.diag(r))
 net = P.givens_decompose(u[None])  # a stack of one mesh
-print(f"MZIs: {net.mzi_count()} (= 6*5/2), depth: {net.depth} columns")
-print("MZIs per column:", np.bincount(net.col, minlength=net.depth).tolist())
+print(f"MZIs: {net.mzi_count()} (= 6*5/2), depth: {net.size} columns")
+print("MZIs per column:", np.bincount(net.col, minlength=net.size).tolist())
 print(f"reconstruction error: {np.linalg.norm(P.mesh_matrix(net)[0] - u):.2e}")
 x = rng.normal(size=6)
 print(f"norm preserved: |y| - |x| = {np.linalg.norm(P.mesh_matrix(net)[0] @ x) - np.linalg.norm(x):.2e}")

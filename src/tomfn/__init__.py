@@ -6,7 +6,7 @@ forward pass - text attention, low-rank fusion and class heads - with
 gradients), `train` (synthetic data + Adam + F1), `photonic` (mesh
 decomposition, layer mapping, realizing compiled plans as weights),
 `cost` (power/energy/efficiency reports), `serialize` (JSON files: the
-validators every input goes through, the weights codec, atomic writes),
+validators every input goes through, the array codec, atomic writes),
 `cli` (the `tomfn` command).
 """
 

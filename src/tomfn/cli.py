@@ -118,8 +118,15 @@ def _build(config, seed: int) -> model_mod.TOMFNModel:
         return model_mod.build(dataclasses.replace(config, seed=seed))
 
 
+# Each --synthetic key: the SynthSpec field it sets and the type its value is read as.
+_SYNTHETIC_KEYS = {"n": ("n_samples", int), "L": ("seq_len", int), "sigma": ("noise_std", float),
+                   "gamma": ("interaction_strength", float), "seed": ("seed", int),
+                   "scale": ("template_scale", float)}
+
+
 def _parse_synthetic(spec_string: str, config, fallback_seed: int) -> train_mod.SynthSpec:
-    """Parse 'n=200,L=4,sigma=0.05,gamma=1,seed=0[,scale=1]'."""
+    """Parse 'n=200,L=4,sigma=0.05,gamma=1,seed=0[,scale=1]'.  A key not given takes SynthSpec's
+    default, but n is 200, L the config's text.seq_len and seed the resolved seed."""
     fields = {}
     for part in spec_string.split(","):
         part = part.strip()
@@ -129,19 +136,13 @@ def _parse_synthetic(spec_string: str, config, fallback_seed: int) -> train_mod.
             raise CliError(EXIT_DATA, f"--synthetic entry '{part}' is not key=value")
         key, value = part.split("=", 1)
         fields[key.strip()] = value.strip()
-    known = {"n", "L", "sigma", "gamma", "seed", "scale"}
-    unknown = set(fields) - known
+    unknown = set(fields) - set(_SYNTHETIC_KEYS)
     if unknown:
         raise CliError(EXIT_DATA, f"--synthetic has unknown keys {sorted(unknown)}")
     with _exits(EXIT_DATA, (ValueError, DataError), "--synthetic: "):
-        return train_mod.SynthSpec(
-            n_samples=int(fields.get("n", 200)),
-            seq_len=int(fields.get("L", config.text.seq_len)),
-            noise_std=float(fields.get("sigma", 0.05)),
-            interaction_strength=float(fields.get("gamma", 1.0)),
-            seed=int(fields.get("seed", fallback_seed)),
-            template_scale=float(fields.get("scale", 1.0)),
-        )
+        given = {name: kind(fields[key]) for key, (name, kind) in _SYNTHETIC_KEYS.items() if key in fields}
+        return train_mod.SynthSpec(**{"n_samples": 200, "seq_len": config.text.seq_len, "seed": fallback_seed,
+                                      **given})
 
 
 def _load_dataset(args, config, seed) -> train_mod.Dataset:
@@ -199,6 +200,8 @@ def cmd_describe(args) -> int:
 
 
 def _check_train_args(args):
+    if args.out and args.metrics_out and os.path.realpath(args.out) == os.path.realpath(args.metrics_out):
+        raise CliError(EXIT_CONFIG, f"--out and --metrics-out name one file ({args.out}); give two paths")
     if args.batch < 1:
         raise CliError(EXIT_CONFIG, f"--batch must be >= 1, got {args.batch}")
     if args.epochs < 0:

@@ -31,13 +31,13 @@ over the bond pair, as a U and a V mesh stack, (K, min(m, n)) amplitudes
 and (K,) scales; a dense weight is a core of one slice.  The elimination
 order, and so the grid packing, depends on N alone, so the K meshes of a
 side share one grid: a mesh stack (`MeshNetlist`) holds the MZIs in
-physical order as `col` (non-decreasing) and `row`, the (K, MZI) angles
-`theta` and `phi`, the `size` and the `depth` (columns, empty ones
-included).  The batching is model-wide: `compile_model` maps the slices of
+physical order as `col` (non-decreasing, below N: an N-mode mesh has N
+columns) and `row`, the (K, MZI) angles `theta` and `phi`, and the `size`
+N.  The batching is model-wide: `compile_model` maps the slices of
 all cores of one shape (m, n), whatever their weight, through one `svd_map`
 (one batched SVD, one `givens_decompose` a side) and splits the stack back;
 `realize` reads every V stack, then every U stack, back in one mesh apply
-per grid (size, depth, col, row), and a noisy trial perturbs each grid with
+per grid (size, col, row), and a noisy trial perturbs each grid with
 one `perturb` as `realize` applies it.  The bundle file stores the meshes of
 each grid as one netlist, and a core side as a [grid, first mesh]
 reference.  Every check (finite entries, orthogonality, the sign diagonal,
@@ -72,8 +72,7 @@ from .errors import DataError, DecompositionError, MappingError, ShapeError
 from .serialize import field, floats_from_obj, floats_to_obj, integer, integers, json_list, numbers, sizes
 
 CORE_SIZE_CAP = 8
-BUNDLE_FORMAT = 4  # the on-disk layout `bundle_to_obj` writes and `bundle_from_obj` reads
-LOGICAL = ("logical_out", "logical_in")  # a bundle plan's fields for its `block_dims` (out, in)
+BUNDLE_FORMAT = 5  # the on-disk layout `bundle_to_obj` writes and `bundle_from_obj` reads
 
 
 # --- netlists -------------------------------------------------------------------
@@ -81,11 +80,10 @@ LOGICAL = ("logical_out", "logical_in")  # a bundle plan's fields for its `block
 
 @dataclass
 class MeshNetlist:
-    """K meshes on one grid: MZI i of every mesh sits in column col[i] on
+    """K meshes on one grid: MZI i of every mesh sits in column col[i] (of `size`) on
     waveguides (row[i], row[i] + 1); mesh k sets it to theta[k, i], phi[k, i]."""
 
     size: int
-    depth: int
     col: np.ndarray
     row: np.ndarray
     theta: np.ndarray
@@ -119,12 +117,12 @@ def mesh_matrix(net: MeshNetlist) -> np.ndarray:
 
 
 def _by_grid(nets: list[MeshNetlist]):
-    """For each grid (size, depth, col, row) among the stacks, in order of first use: the
+    """For each grid (size, col, row) among the stacks, in order of first use: the
     indices of its stacks, their meshes as one stack, and the bounds of each stack's meshes
     in it."""
     grids: dict[tuple, list[int]] = {}
     for i, net in enumerate(nets):
-        grids.setdefault((net.size, net.depth, net.col.tobytes(), net.row.tobytes()), []).append(i)
+        grids.setdefault((net.size, net.col.tobytes(), net.row.tobytes()), []).append(i)
     for grid in grids.values():
         joint = replace(nets[grid[0]], theta=np.concatenate([nets[i].theta for i in grid]),
                         phi=np.concatenate([nets[i].phi for i in grid]))
@@ -152,7 +150,7 @@ def givens_decompose(u: np.ndarray, name="matrix {}".format) -> MeshNetlist:
         if (bad := np.flatnonzero(u[:, 0, 0] < 0)).size:
             raise DecompositionError(f"{name(bad[0])}: a 1x1 mesh has no MZI to carry a negative sign")
         empty = np.zeros(0, dtype=np.intp)
-        return MeshNetlist(1, 0, empty, empty, np.zeros((count, 0)), np.zeros((count, 0)))
+        return MeshNetlist(1, empty, empty, np.zeros((count, 0)), np.zeros((count, 0)))
 
     v = u.copy()
     left: list[tuple[int, np.ndarray]] = []  # G(k, theta) applied as V <- G V
@@ -216,7 +214,7 @@ def givens_decompose(u: np.ndarray, name="matrix {}".format) -> MeshNetlist:
         raise DecompositionError(f"{name(bad[0])}: unabsorbed output sign; the mesh misses a row")
 
     layout = np.lexsort((ks, cols))  # physical order: by column, then row
-    return MeshNetlist(n, n, cols[layout], ks[layout], th[layout].T,
+    return MeshNetlist(n, cols[layout], ks[layout], th[layout].T,
                        np.where(sigma_flip[layout], np.pi, 0.0).T)
 
 
@@ -586,7 +584,7 @@ def realize(bundle: ModelBundle, phase_sigma=0.0, bits=0, seed=None) -> TOMFNMod
 
 
 def netlist_to_obj(net: MeshNetlist) -> dict:
-    return {"size": net.size, "depth": net.depth, "col": net.col.tolist(), "row": net.row.tolist(),
+    return {"size": net.size, "col": net.col.tolist(), "row": net.row.tolist(),
             "theta": floats_to_obj(net.theta), "phi": floats_to_obj(net.phi)}
 
 
@@ -595,26 +593,22 @@ def netlist_from_obj(obj: dict, what: str) -> MeshNetlist:
     order; a refusal names it as `what` and its size."""
     size = integer(field(obj, "size", what), f"{what} size", 1, CORE_SIZE_CAP)
     what = f"{what} (size {size})"
-    depth = integer(field(obj, "depth", what), f"{what}: depth", 0)
     col, row = (numbers(field(obj, key, what), f"{what}: {key}", 1, np.intp) for key in ("col", "row"))
     theta_shape = field(field(obj, "theta", what), "shape", f"{what}: theta")
     count = integers(theta_shape, f"{what}: theta shape", 2, 0)[0]
     theta, phi = (floats_from_obj(field(obj, key, what), f"{what}: {key}", (count, len(col)))
                   for key in ("theta", "phi"))
-    if np.any(np.diff(col) < 0) or np.any(col < 0) or np.any(col >= depth):
-        raise DataError(f"{what}: col must be non-decreasing and lie in [0, {depth - 1}]")
+    if np.any(np.diff(col) < 0) or np.any(col < 0) or np.any(col >= size):
+        raise DataError(f"{what}: col must be non-decreasing and lie in [0, {size - 1}]")
     if row.shape != col.shape or np.any(row < 0) or np.any(row > size - 2):
         raise DataError(f"{what}: row must hold one entry per MZI ({len(col)}) in [0, {size - 2}]")
-    return MeshNetlist(size, depth, col, row, theta, phi)
+    return MeshNetlist(size, col, row, theta, phi)
 
 
 def _core_from_obj(obj: dict, what: str, m: int, n: int, count: int, grids: list, claims: list) -> CorePlan:
-    """A core of modes (m, n) holding `count` slices of that size.  Each mesh stack is a
-    [grid, first] reference, read as a view of that grid's meshes first .. first + count - 1;
+    """A core of the plan's modes (m, n) holding `count` slices of that size.  Each mesh stack
+    is a [grid, first] reference, read as a view of that grid's meshes first .. first + count - 1;
     the claim goes on `claims`, for the check that every grid mesh has exactly one owner."""
-    got = tuple(integer(field(obj, key, what), f"{what}: {key}", 1) for key in "mn")
-    if got != (m, n):
-        raise DataError(f"{what}: modes are {got[0]}x{got[1]} where the plan's give {m}x{n}")
     diag = floats_from_obj(field(obj, "diag", what), f"{what}: diag", (count, min(m, n)))
     scale = floats_from_obj(field(obj, "scale", what), f"{what}: scale", (count,))
     if not (((diag >= 0) & (diag <= 1)).all() and (scale >= 1).all()):
@@ -629,12 +623,12 @@ def _core_from_obj(obj: dict, what: str, m: int, n: int, count: int, grids: list
             raise DataError(f"{what}: {key} needs meshes {first}..{end - 1} of size {size}, but grid {g} "
                             f"holds {len(net.theta)} of size {net.size}")
         claims.append((g, first, end, f"{what}: {key}"))
-        sides.append(MeshNetlist(size, net.depth, net.col, net.row, net.theta[first:end], net.phi[first:end]))
+        sides.append(MeshNetlist(size, net.col, net.row, net.theta[first:end], net.phi[first:end]))
     return CorePlan(m, n, *sides, diag, scale)
 
 
 def _plan_from_obj(obj: dict, what: str, grids: list, claims: list) -> LayerPlan:
-    """A plan whose cores chain by its modes and ranks (`wdm_channels` follows from the ranks)."""
+    """A plan whose cores chain by its modes and ranks."""
     kind = field(obj, "kind", what)
     if kind not in ("dense", "tt"):
         raise DataError(f"{what}: kind must be 'dense' or 'tt', got {kind!r}")
@@ -652,26 +646,24 @@ def _plan_from_obj(obj: dict, what: str, grids: list, claims: list) -> LayerPlan
 
 def bundle_to_obj(bundle: ModelBundle) -> dict:
     """The config, the meshes of each grid as one netlist (`grids`), and each plan: its LayerShape
-    fields, its `block_dims` size as `logical_out` and `logical_in`, `wdm_channels` and cores,
-    whose mesh stacks are [grid, first mesh] references."""
+    fields and its cores, whose mesh stacks are [grid, first mesh] references.  Nothing the reader
+    recomputes is written: a grid's column count (its size), a core's modes, a plan's `block_dims` size."""
     cores = [core for plan in bundle.plans.values() for core in plan.cores]
     grids, refs = [], [None] * (2 * len(cores))
     for grid, joint, bounds in _by_grid([getattr(c, side) for c in cores for side in ("mesh_u", "mesh_v")]):
         for i, first in zip(grid, bounds.tolist()):
             refs[i] = [len(grids), first]
         grids.append(netlist_to_obj(joint))
-    refs, dims = iter(refs), block_dims(bundle.config)
-    plans = {name: {**vars(plan), **dict(zip(LOGICAL, dims[name])), "wdm_channels": plan.wdm_channels,
-                    "cores": [{"m": c.m, "n": c.n, "diag": floats_to_obj(c.diag),
-                               "scale": floats_to_obj(c.scale), "mesh_u": next(refs), "mesh_v": next(refs)}
-                              for c in plan.cores]}
+    refs = iter(refs)
+    plans = {name: {**vars(plan), "cores": [{"diag": floats_to_obj(c.diag), "scale": floats_to_obj(c.scale),
+                                             "mesh_u": next(refs), "mesh_v": next(refs)} for c in plan.cores]}
              for name, plan in bundle.plans.items()}
     return {"format": BUNDLE_FORMAT, "config": bundle.config.to_dict(), "grids": grids, "plans": plans}
 
 
 def bundle_from_obj(obj: dict) -> ModelBundle:
-    """A bundle with one plan per weight of its config, each of the weight's logical size, whose
-    mesh stacks are views of the grids, each grid mesh in exactly one stack."""
+    """A bundle with one plan per weight of its config, each fitting the weight's `block_dims`
+    size, whose mesh stacks are views of the grids, each grid mesh in exactly one stack."""
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if type(fmt) is not int or fmt != BUNDLE_FORMAT:
         raise DataError(f"not a format-{BUNDLE_FORMAT} bundle (format {fmt!r:.40}); "
@@ -689,12 +681,10 @@ def bundle_from_obj(obj: dict) -> ModelBundle:
     for name, want in dims.items():
         what = f"plan '{name}'"
         plan = plans[name] = _plan_from_obj(plans_obj[name], what, grids, claims)
-        logical = tuple(integer(field(plans_obj[name], key, what), f"{what}: {key}", 1) for key in LOGICAL)
         full = (math.prod(plan.row_modes), math.prod(plan.col_modes))
         fits = full == want if plan.kind == "dense" else full[0] >= want[0] and full[1] >= want[1]
-        if logical != want or not fits:
-            raise DataError(f"{what} is {full[0]}x{full[1]} (logical {logical[0]}x"
-                            f"{logical[1]}); the config needs {want[0]}x{want[1]}")
+        if not fits:
+            raise DataError(f"{what} is {full[0]}x{full[1]}; the config needs {want[0]}x{want[1]}")
     ends = [0] * len(grids)  # each grid's claims, in order, then a mark at its mesh count must tile it
     for g, first, end, what in sorted(claims + [(g, len(net.theta), 0, "") for g, net in enumerate(grids)]):
         if first < ends[g]:

@@ -75,7 +75,7 @@ def zero_modalities(ds: Dataset, keep: str) -> Dataset:
 def gen_synthetic(spec: SynthSpec, config: model_mod.ModelConfig) -> Dataset:
     """Deterministic synthetic multimodal dataset matching `config` dims."""
     rng = np.random.default_rng(spec.seed)
-    d_v, d_a, d_t = config.visual_dims[0], config.audio_dims[0], config.text.d_model
+    dims = {"visual": config.visual_dims[0], "audio": config.audio_dims[0], "text": config.text.d_model}
     n_classes = config.heads
     n_bits = max(1, int(np.ceil(np.log2(n_classes))))
 
@@ -83,16 +83,8 @@ def gen_synthetic(spec: SynthSpec, config: model_mod.ModelConfig) -> Dataset:
         v = rng.normal(size=size)
         return v / np.linalg.norm(v)
 
-    templates = {
-        "v": np.stack([unit(d_v) for _ in range(n_classes)]),
-        "a": np.stack([unit(d_a) for _ in range(n_classes)]),
-        "t": np.stack([unit(d_t) for _ in range(n_classes)]),
-    }
-    directions = {
-        "v": np.stack([unit(d_v) for _ in range(n_bits)]),
-        "a": np.stack([unit(d_a) for _ in range(n_bits)]),
-        "t": np.stack([unit(d_t) for _ in range(n_bits)]),
-    }
+    templates = {key: np.stack([unit(d) for _ in range(n_classes)]) for key, d in dims.items()}
+    directions = {key: np.stack([unit(d) for _ in range(n_bits)]) for key, d in dims.items()}
 
     n, length = spec.n_samples, spec.seq_len
     classes = np.arange(n) % n_classes
@@ -100,22 +92,18 @@ def gen_synthetic(spec: SynthSpec, config: model_mod.ModelConfig) -> Dataset:
     labels[np.arange(n), classes] = 1
 
     # Random sign channels; only the three-way product is class-dependent.
-    s_v = rng.choice([-1.0, 1.0], size=(n, n_bits))
-    s_a = rng.choice([-1.0, 1.0], size=(n, n_bits))
+    signs = {key: rng.choice([-1.0, 1.0], size=(n, n_bits)) for key in ("visual", "audio")}
     bits = np.stack([2.0 * ((classes >> b) & 1) - 1.0 for b in range(n_bits)], axis=1)
-    s_t = s_v * s_a * bits
+    signs["text"] = signs["visual"] * signs["audio"] * bits
 
     gamma, scale = spec.interaction_strength, spec.template_scale
-    visual = scale * templates["v"][classes] + gamma * (s_v @ directions["v"])
-    audio = scale * templates["a"][classes] + gamma * (s_a @ directions["a"])
-    token = scale * templates["t"][classes] + gamma * (s_t @ directions["t"])
-    text = np.repeat(token[:, None, :], length, axis=1)
+    features = {key: scale * templates[key][classes] + gamma * (signs[key] @ directions[key]) for key in dims}
+    features["text"] = np.repeat(features["text"][:, None, :], length, axis=1)
 
     if spec.noise_std > 0:
-        visual += rng.normal(scale=spec.noise_std, size=visual.shape)
-        audio += rng.normal(scale=spec.noise_std, size=audio.shape)
-        text += rng.normal(scale=spec.noise_std, size=text.shape)
-    return Dataset(visual, audio, text, labels)
+        for f in features.values():
+            f += rng.normal(scale=spec.noise_std, size=f.shape)
+    return Dataset(**features, labels=labels)
 
 
 # --- JSONL dataset files -----------------------------------------------------

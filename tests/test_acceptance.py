@@ -119,7 +119,7 @@ def test_criterion_6_mesh_suite():
                 u[:, 0] = -u[:, 0]
             net = P.givens_decompose(u[None])
             assert net.mzi_count() == n * (n - 1) // 2
-            assert net.depth == n
+            assert net.size == n
             assert np.linalg.norm(P.mesh_matrix(net)[0] - u) < 1e-10
         for _ in range(100):
             m = int(rng.integers(1, 9))

@@ -15,6 +15,7 @@ from tomfn import photonic
 from tomfn import serialize
 from tomfn import train as T
 from tomfn import tt as tt_mod
+from tomfn.errors import DataError
 from tomfn.serialize import dump_json, load_json
 
 from golden_docs import CONFIGS, TINY
@@ -285,6 +286,18 @@ def test_train_bad_args_exit_2(tmp_path, tiny_config, capsys, monkeypatch, flags
     err = capsys.readouterr().err
     assert err.startswith("tomfn train: ") and err.count("\n") == 1
     assert "Traceback" not in err and not metrics.exists()
+
+
+def test_train_out_and_metrics_out_one_file_exit_2(tmp_path, tiny_config, capsys):
+    """Two outputs that resolve to one file would leave only the metrics there: refused first."""
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "w.json"
+    capsys.readouterr()
+    assert run(["train", "--config", tiny_config, "--synthetic", "n=8,L=3", "--epochs", "1",
+                "--out", str(out), "--metrics-out", str(tmp_path / "sub" / ".." / "w.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tomfn train: --out and --metrics-out ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 # Specs refused before any value is read, with their messages.
@@ -966,7 +979,7 @@ def _set_floats(obj, values, shape=None):
 
 # Where a refusal must say the defect is: in visual.fc0's U grid, in the plan, or in its core 0.
 _GRID_DEFECTS = ("theta_not_a_number", "row_out_of_range", "col_not_a_list", "theta_huge_integer",
-                 "col_decreasing", "col_beyond_depth", "theta_rows_wrong", "data_not_base64",
+                 "col_decreasing", "col_beyond_size", "theta_rows_wrong", "data_not_base64",
                  "data_one_float_short", "data_one_float_long", "dtype_f4", "dtype_big_endian",
                  "dtype_a_number", "shape_entry_true", "phi_minus_inf", "mesh_unclaimed")
 _PLAN_DEFECTS = ("ranks_not_a_list", "mode_above_cap", "plan_too_small", "dense_plan_ranks_1_2")
@@ -975,14 +988,14 @@ _PLAN_DEFECTS = ("ranks_not_a_list", "mode_above_cap", "plan_too_small", "dense_
 @pytest.mark.parametrize("defect", [
     "theta_not_a_number", "row_out_of_range", "diag_too_short", "col_not_a_list",
     "plans_a_list", "diag_not_a_list", "ranks_not_a_list", "plans_empty", "plan_too_small",
-    "mode_above_cap", "mesh_u_missing", "core_size_a_float", "theta_huge_integer",
-    "col_decreasing", "col_beyond_depth", "theta_rows_wrong", "mesh_size_not_m", "old_layout",
+    "mode_above_cap", "mesh_u_missing", "theta_huge_integer",
+    "col_decreasing", "col_beyond_size", "theta_rows_wrong", "mesh_size_not_m", "old_layout",
     "diag_and_scale_below_range", "diag_and_scale_huge", "format_2",
     "data_not_base64", "data_one_float_short", "data_one_float_long",
     "dtype_f4", "dtype_big_endian", "dtype_a_number", "shape_entry_a_float", "shape_entry_true",
     "phi_minus_inf", "grid_index_out_of_range", "ref_to_grid_of_wrong_size", "ref_past_grid_end",
     "two_cores_claim_one_mesh", "mesh_unclaimed", "ref_a_float", "ref_true", "grids_missing", "format_3",
-    "core_m_not_the_plans", "dense_plan_ranks_1_2",
+    "format_4", "dense_plan_ranks_1_2",
 ])
 def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     weights = make_trained(tmp_path, tiny_config)
@@ -1016,10 +1029,6 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
         plan["row_modes"] = [10**9]
     elif defect == "mesh_u_missing":
         del core["mesh_u"]
-    elif defect == "core_size_a_float":
-        core["m"] = 4.0
-    elif defect == "core_m_not_the_plans":
-        core["m"] = 5
     elif defect == "dense_plan_ranks_1_2":
         plan["ranks"] = [1, 2]
     elif defect == "theta_huge_integer":
@@ -1027,8 +1036,8 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
         _set_floats(mesh["theta"], theta)
     elif defect == "col_decreasing":
         mesh["col"] = mesh["col"][::-1]
-    elif defect == "col_beyond_depth":
-        mesh["col"][-1] = mesh["depth"]
+    elif defect == "col_beyond_size":
+        mesh["col"][-1] = mesh["size"]
     elif defect == "theta_rows_wrong":  # one mesh's angles more than phi holds
         _set_floats(mesh["theta"], np.concatenate([theta, theta[:6]]), [count + 1, 6])
     elif defect == "mesh_size_not_m":
@@ -1076,6 +1085,9 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     elif defect == "format_3":  # the layout before grids: a core side held its own netlist
         doc["format"] = 3
         core["mesh_u"] = mesh
+    elif defect == "format_4":  # the layout that restated a grid's column count as its depth
+        doc["format"] = 4
+        mesh["depth"] = mesh["size"]
     else:  # a self-consistent plan of another weight (head.0, 2x4) where 4x8 is needed
         doc["plans"]["visual.fc0"] = doc["plans"]["head.0"]
     dump_json(doc, str(bundle))
@@ -1086,7 +1098,7 @@ def test_malformed_bundle_exits_3(tmp_path, tiny_config, capsys, defect):
     assert run(["simulate", "--bundle", str(bundle), "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("tomfn simulate: bundle: ") and err.count("\n") == 1, err
-    if defect in ("old_layout", "format_2", "format_3"):
+    if defect in ("old_layout", "format_2", "format_3", "format_4"):
         assert "`tomfn compile`" in err
     elif defect in _GRID_DEFECTS:
         assert f"bundle: grid {g} (size 4)" in err, err
@@ -1108,7 +1120,7 @@ def _bundle_fields(node, path=(), label=""):
         yield label, path
     if isinstance(node, dict):
         for key, child in node.items():
-            if key in ("summary", "manifest", "wdm_channels"):
+            if key in ("summary", "manifest"):
                 continue
             part = "*" if label == "plans" else key
             yield from _bundle_fields(child, path + (key,), f"{label}.{part}" if label else part)
@@ -1209,6 +1221,20 @@ def test_simulate_bundle_array_fuzz_exits_3(fuzz_bundle, capsys):
             values = np.delete(values, i) if edit == "drop" else np.insert(values, i, values[i])
         _set_floats(node[key], values)
         _simulate_refuses(doc, bundle, data, capsys, (parents, key, edit, i, values[i:i + 1]))
+
+
+def test_bundle_missing_any_key_is_refused(fuzz_bundle):
+    """Every key of every grid, plan and core is read: a bundle without any one is refused."""
+    _, text, _ = fuzz_bundle
+    doc = json.loads(text)
+    plans = list(doc["plans"].values())
+    for node in doc["grids"] + plans + [core for plan in plans for core in plan["cores"]]:
+        for key in list(node):
+            value = node.pop(key)
+            with pytest.raises(DataError):
+                photonic.bundle_from_obj(doc)
+            node[key] = value
+    photonic.bundle_from_obj(doc)
 
 
 # --- seeds and entry point ----------------------------------------------------------

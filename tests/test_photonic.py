@@ -32,7 +32,7 @@ def rotation(alpha):
 def test_identity_mesh():
     net = P.givens_decompose(np.eye(4)[None])
     assert net.mzi_count() == 6
-    assert net.depth == 4
+    assert net.size == 4
     assert np.all(net.theta == 0.0) and np.all(net.phi == 0.0)
     assert np.allclose(P.mesh_matrix(net)[0], np.eye(4), atol=1e-12)
 
@@ -41,7 +41,7 @@ def test_two_by_two_rotation_single_mzi():
     alpha = 0.7
     net = P.givens_decompose(rotation(alpha)[None])
     assert net.mzi_count() == 1
-    assert net.depth == 2  # rectangular grid keeps N columns (one is empty)
+    assert net.size == 2  # rectangular grid keeps N columns (one is empty)
     assert (net.col.tolist(), net.row.tolist()) == ([0], [0])
     assert abs(net.theta[0, 0] - alpha) < 1e-12
     assert np.allclose(P.mesh_matrix(net)[0], rotation(alpha), atol=1e-12)
@@ -58,7 +58,7 @@ def test_random_6x6():
     u = random_orthogonal(rng, 6)
     net = P.givens_decompose(u[None])
     assert net.mzi_count() == 15
-    assert net.depth == 6
+    assert net.size == 6
     assert np.linalg.norm(P.mesh_matrix(net)[0] - u) < 1e-10
 
 
@@ -71,7 +71,7 @@ def test_roundtrip_many_orthogonal():
             u[:, 0] = -u[:, 0]  # force det -1 half the time
         net = P.givens_decompose(u[None])
         assert net.mzi_count() == n * (n - 1) // 2
-        assert net.depth == n
+        assert net.size == n
         assert np.linalg.norm(P.mesh_matrix(net)[0] - u) < 1e-10
 
 
@@ -79,8 +79,8 @@ def test_column_structure_is_rectangular():
     rng = np.random.default_rng(2)
     u = random_orthogonal(rng, 5)
     net = P.givens_decompose(u[None])
-    assert np.all(np.diff(net.col) >= 0) and np.all(net.col < net.depth)  # physical order
-    for ci in range(net.depth):
+    assert np.all(np.diff(net.col) >= 0) and np.all(net.col < net.size)  # physical order
+    for ci in range(net.size):
         rows = net.row[net.col == ci].tolist()
         assert len(set(rows)) == len(rows)
         for r in rows:
@@ -184,10 +184,10 @@ def grid_variants(net, extra_theta, extra_phi):
     dropped = replace(net, col=np.delete(net.col, drop), row=np.delete(net.row, drop),
                       theta=np.delete(net.theta, drop, axis=1), phi=np.delete(net.phi, drop, axis=1))
     # The columns in reverse order: another order of rows per step.
-    reversed_ = replace(net, col=net.depth - 1 - net.col[::-1], row=net.row[::-1],
+    reversed_ = replace(net, col=net.size - 1 - net.col[::-1], row=net.row[::-1],
                         theta=net.theta[:, ::-1], phi=net.phi[:, ::-1])
-    # An extra column of two overlapping MZIs.
-    extra = replace(net, depth=net.depth + 1, col=np.append(net.col, [net.depth] * 2),
+    # Two overlapping MZIs more, in the last column.
+    extra = replace(net, col=np.append(net.col, [net.size - 1] * 2),
                     row=np.append(net.row, [1, 2]), theta=np.hstack([net.theta, extra_theta]),
                     phi=np.hstack([net.phi, extra_phi]))
     return [net, dropped, reversed_, extra]
@@ -216,7 +216,7 @@ def test_perturb_noop():
     same = P.perturb(net, phase_sigma=0.0, bits=0, seeds=[1])
     for f in MZI_FIELDS:
         assert np.array_equal(getattr(same, f), getattr(net, f))
-    assert (same.size, same.depth) == (net.size, net.depth)
+    assert same.size == net.size
 
 
 def test_perturb_quantization_bound():
