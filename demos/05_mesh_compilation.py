@@ -38,7 +38,7 @@ print("=== a 32x32 TT layer mapped to small cores ===")
 w = rng.normal(size=(32, 32))
 t = tt.tt_from_dense(w, [4, 8], [4, 8], max_rank=4, tol=0.0)
 plan = P.map_tt_layer(t)
-print(f"TT ranks {t.ranks} -> WDM channels: {plan.wdm_channels}")
+print(f"TT ranks {t.ranks} -> WDM channels: {max(plan.ranks)}")
 print(f"core histogram: {P.core_histogram([plan])}")
 print(f"MZIs: {P.mzi_count(plan)}, cascaded stages: {P.stage_depth(plan)}")
 x = rng.normal(size=32)

@@ -53,9 +53,9 @@ def _exits(code: int, errors, prefix: str = ""):
         raise CliError(code, f"{prefix}{exc}") from exc
 
 
-def _manifest(args, command: str, seed) -> dict:
+def _manifest(args, seed) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "config": getattr(args, "config", None),
         "weights": getattr(args, "weights", None),
         "seed": seed,
@@ -66,7 +66,7 @@ def _manifest(args, command: str, seed) -> dict:
 
 def _resolve_seed(args, config) -> int:
     """--seed, else $TOMFN_SEED, else the config's seed; numpy seeds are >= 0."""
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         if args.seed < 0:
             raise CliError(EXIT_CONFIG, f"--seed must be >= 0, got {args.seed}")
         return args.seed
@@ -79,7 +79,7 @@ def _resolve_seed(args, config) -> int:
         if seed is None or seed < 0:
             raise CliError(EXIT_CONFIG, f"TOMFN_SEED must be an integer >= 0, got '{env}'")
         return seed
-    return config.seed if config is not None else 0
+    return config.seed
 
 
 def _load_config(path: str | None) -> model_mod.ModelConfig:
@@ -116,6 +116,11 @@ def _load_weights_into(config, path: str) -> model_mod.TOMFNModel:
 def _build(config, seed: int) -> model_mod.TOMFNModel:
     with _exits(EXIT_CONFIG, MemoryError, "config: cannot draw the weights: "):
         return model_mod.build(dataclasses.replace(config, seed=seed))
+
+
+def _compile(model) -> photonic.ModelBundle:
+    with _exits(EXIT_COMPILE, (MappingError, DecompositionError)):
+        return photonic.compile_model(model)
 
 
 # Each --synthetic key: the SynthSpec field it sets and the type its value is read as.
@@ -160,6 +165,19 @@ def _load_dataset(args, config, seed) -> train_mod.Dataset:
     return ds
 
 
+def _check_files(args):
+    """Refuse, before any work, an output that names an input or another output, or a missing directory."""
+    files = [(f"--{key.replace('_', '-')}", getattr(args, key, None))  # the outputs, then the inputs
+             for key in ("out", "metrics_out", "config", "weights", "data", "bundle", "compare")]
+    for i, (flag, path) in enumerate(files[:2]):
+        for other, p in files[i + 1:] if path else ():
+            if p and (os.path.samefile(path, p) if os.path.exists(path) and os.path.exists(p)
+                      else os.path.realpath(path) == os.path.realpath(p)):
+                raise CliError(EXIT_CONFIG, f"{flag} and {other} name one file ({path}); give two paths")
+        if path and not os.path.exists(os.path.dirname(os.path.abspath(path))):
+            raise DataError(f"cannot write {path}: No such file or directory")
+
+
 def _emit(obj: dict, out_path: str | None):
     if out_path:
         serialize.dump_json(obj, out_path)
@@ -183,25 +201,20 @@ def cmd_describe(args) -> int:
         raise CliError(EXIT_CONFIG, f"--freq {args.freq:g} and a power of {report['power_w']:g} W "
                        f"(--power-override) give {report['energy_per_inference_j']:g} J and "
                        f"{report['mac_per_j']:g} MAC/J; both must be finite")
-    comparison = None
     if args.compare:
         with _exits(EXIT_DATA, (DataError, ShapeError), "--compare: "):
             ref_obj = serialize.load_json(args.compare)
             if isinstance(ref_obj, dict) and "reference" in ref_obj and "candidate" in ref_obj:
-                comparison = cost_mod.compare(ref_obj["reference"], ref_obj["candidate"])
+                report["comparison"] = cost_mod.compare(ref_obj["reference"], ref_obj["candidate"])
             else:
-                comparison = cost_mod.compare(ref_obj, report)
-    report["manifest"] = _manifest(args, "describe", seed)
-    if comparison is not None:
-        report["comparison"] = comparison
+                report["comparison"] = cost_mod.compare(ref_obj, report)
+    report["manifest"] = _manifest(args, seed)
     _emit(report, args.out)
-    print(cost_mod.format_table(report, comparison))
+    print(cost_mod.format_table(report, report.get("comparison")))
     return 0
 
 
 def _check_train_args(args):
-    if args.out and args.metrics_out and os.path.realpath(args.out) == os.path.realpath(args.metrics_out):
-        raise CliError(EXIT_CONFIG, f"--out and --metrics-out name one file ({args.out}); give two paths")
     if args.batch < 1:
         raise CliError(EXIT_CONFIG, f"--batch must be >= 1, got {args.batch}")
     if args.epochs < 0:
@@ -227,14 +240,13 @@ def cmd_train(args) -> int:
     if args.out:
         serialize.dump_json(serialize.weights_to_obj(model.weights), args.out)
     metrics_doc = {
-        "manifest": _manifest(args, "train", seed),
+        "manifest": _manifest(args, seed),
         "f1": metrics["f1"],
         "accuracy": metrics["accuracy"],
         "loss_history": history,
         "epochs_run": len(history),
     }
-    metrics_path = args.metrics_out or (args.out + ".metrics.json" if args.out else None)
-    _emit(metrics_doc, metrics_path)
+    _emit(metrics_doc, args.metrics_out)
     return 0
 
 
@@ -246,7 +258,7 @@ def cmd_eval(args) -> int:
     model = _load_weights_into(config, args.weights)
     dataset = _load_dataset(args, config, seed)
     metrics = train_mod.evaluate(model, dataset)
-    doc = {"manifest": _manifest(args, "eval", seed), **metrics}
+    doc = {"manifest": _manifest(args, seed), **metrics}
     _emit(doc, args.out)
     return 0
 
@@ -258,10 +270,9 @@ def cmd_compile(args) -> int:
         model = _load_weights_into(config, args.weights)
     else:
         model = _build(config, seed)
-    with _exits(EXIT_COMPILE, (MappingError, DecompositionError)):
-        bundle = photonic.compile_model(model)
+    bundle = _compile(model)
     doc = photonic.bundle_to_obj(bundle)
-    doc["manifest"] = _manifest(args, "compile", seed)
+    doc["manifest"] = _manifest(args, seed)
     summary = doc["summary"] = photonic.totals(bundle.plans)
     _emit(doc, args.out)
     if args.out:
@@ -291,8 +302,7 @@ def cmd_simulate(args) -> int:
         if not args.weights:
             raise CliError(EXIT_COMPILE, "simulate requires --bundle, or --config with --weights")
         model = _load_weights_into(config, args.weights)
-        with _exits(EXIT_COMPILE, (MappingError, DecompositionError)):
-            bundle = photonic.compile_model(model)
+        bundle = _compile(model)
     with _exits(EXIT_DATA, DataError):
         dataset = train_mod.load_jsonl(args.data)
 
@@ -307,7 +317,7 @@ def cmd_simulate(args) -> int:
         errors.append(np.abs(train_mod.probabilities(noisy, dataset) - ideal))
     errors = np.asarray(errors)
     doc = {
-        "manifest": _manifest(args, "simulate", seed),
+        "manifest": _manifest(args, seed),
         "n_samples": len(dataset),
         "trials": args.trials,
         "phase_sigma": args.phase_sigma,
@@ -378,8 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "train" and args.out and not args.metrics_out:
+        args.metrics_out = args.out + ".metrics.json"  # --metrics-out's default
     try:
         with _exits(EXIT_DATA, DataError, "data: "), _exits(EXIT_CONFIG, ConfigError, "config: "):
+            _check_files(args)
             return args.func(args)
     except CliError as exc:
         print(f"tomfn {args.command}: {exc}", file=sys.stderr)

@@ -237,30 +237,30 @@ class _Graph:
 
     def __init__(self, model: TOMFNModel, requires_grad: bool = True):
         self.model = model
+        self.dims = block_dims(model.config)
         self.leaves = {key: ad.leaf(arr, requires_grad) for key, arr in model.leaves()}
 
-    def _apply(self, name: str, x: ad.Var, out_dim: int) -> ad.Var:
-        """The layer `name` applied to every row of x: (B, in) -> (B, out_dim).
+    def _apply(self, name: str, x: ad.Var) -> ad.Var:
+        """The layer `name` applied to every row of x: (B, in) -> (B, out).
 
         A TT weight is rebuilt from its core leaves as its dense operator,
-        cut down to the logical (out_dim, in) block, so every weight goes
-        through the same one matmul, x @ W^T.
+        cut down to its logical (out, in) block, `block_dims(config)[name]`,
+        so every weight goes through the same one matmul, x @ W^T.
         """
         w = self.model.weights[name]
         if isinstance(w, tt_mod.TTMatrix):
             cores = [self.leaves[f"{name}/core{k}"] for k in range(len(w.cores))]
             op = tt_mod.contract_cores(cores, w)
-            for axis, dim in enumerate((out_dim, x.shape[1])):
+            for axis, dim in enumerate(self.dims[name]):
                 if op.shape[axis] != dim:
                     op = ad.slice_axis(op, axis, 0, dim)
         else:
             op = self.leaves[name]
         return ad.matmul(x, ad.transpose(op, (1, 0)))
 
-    def _fc_stack(self, stack: str, dims: list[int], x: ad.Var) -> ad.Var:
-        h = x
+    def _fc_stack(self, stack: str, dims: list[int], h: ad.Var) -> ad.Var:
         for k in range(len(dims) - 1):
-            h = self._apply(f"{stack}.fc{k}", h, dims[k + 1])
+            h = self._apply(f"{stack}.fc{k}", h)
             if k < len(dims) - 2:
                 h = ad.relu(h)
         return h
@@ -271,9 +271,8 @@ class _Graph:
         flat = ad.reshape(x3, (b * length, cfg.d_model))
 
         def head(h, out):
-            q = ad.reshape(self._apply(f"text.head{h}.q", flat, cfg.d_head), (b, length, cfg.d_head))
-            k = ad.reshape(self._apply(f"text.head{h}.k", flat, cfg.d_head), (b, length, cfg.d_head))
-            v = ad.reshape(self._apply(f"text.head{h}.v", flat, cfg.d_head), (b, length, cfg.d_head))
+            q, k, v = (ad.reshape(self._apply(f"text.head{h}.{p}", flat), (b, length, cfg.d_head))
+                       for p in "qkv")
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(cfg.d_head))
             return ad.matmul(ad.softmax_last(scores), v, out=out)
 
@@ -282,7 +281,7 @@ class _Graph:
                            out=np.empty((b, length, cfg.d_model)))
         feats = ad.relu(
             ad.reshape(
-                self._apply("text.ff", ad.reshape(concat, (b * length, cfg.d_model)), cfg.d_out),
+                self._apply("text.ff", ad.reshape(concat, (b * length, cfg.d_model))),
                 (b, length, cfg.d_out),
             )
         )
@@ -303,7 +302,7 @@ class _Graph:
         for i in range(cfg.rank):
             term = None
             for m in ("v", "a", "t"):
-                p = self._apply(f"fusion.{m}.{i}", aug[m], cfg.d_h)
+                p = self._apply(f"fusion.{m}.{i}", aug[m])
                 term = p if term is None else ad.mul(term, p)
             h = term if h is None else ad.add(h, term)
         return h
@@ -318,7 +317,7 @@ class _Graph:
         h = self._fuse(z_v, z_a, z_t)
         probs, ces = [], []
         for j in range(cfg.heads):
-            logits = self._apply(f"head.{j}", h, 2)
+            logits = self._apply(f"head.{j}", h)
             probs.append(ad.reshape(ad.softmax_last(logits), (b, 1, 2)))
             if labels is not None:
                 picked = ad.gather_last(logits, labels[:, j])

@@ -305,14 +305,12 @@ def perturb(net: MeshNetlist, phase_sigma: float, bits: int, seeds) -> MeshNetli
 class CorePlan:
     """K same-shape (m, n) operators, slice k = scale[k] * U_k diag(diag[k]) V_k^T.
 
-    U_k is mesh k of the stack `mesh_u` (m waveguides), V_k^T mesh k of
-    `mesh_v` (n waveguides), and diag[k] holds min(m, n) attenuator
-    amplitudes in [0, 1].  A TT core holds its r_{k-1} * r_k bond slices
-    row-major over the bond pair (alpha, beta); a dense weight is one slice.
+    U_k is mesh k of the stack `mesh_u` (m = mesh_u.size waveguides), V_k^T mesh k
+    of `mesh_v` (n = mesh_v.size), and diag[k] holds min(m, n) attenuator amplitudes
+    in [0, 1].  A TT core holds its r_{k-1} * r_k bond slices row-major over the
+    bond pair (alpha, beta); a dense weight is one slice.
     """
 
-    m: int
-    n: int
     mesh_u: MeshNetlist  # a stack of K meshes
     mesh_v: MeshNetlist  # a stack of K meshes
     diag: np.ndarray  # (K, min(m, n))
@@ -341,7 +339,7 @@ def svd_map(w: np.ndarray, name="matrix {}".format) -> CorePlan:
         flip = (u if m == 1 else vt)[:, 0, 0] < 0
         u[flip, :, 0], vt[flip, 0] = -u[flip, :, 0], -vt[flip, 0]
     scale = np.maximum(s[:, 0], 1.0)
-    return CorePlan(m, n, givens_decompose(u, name), givens_decompose(vt, name), s / scale[:, None], scale)
+    return CorePlan(givens_decompose(u, name), givens_decompose(vt, name), s / scale[:, None], scale)
 
 
 def _core_stacks(cores: list[CorePlan], phase_sigma=0.0, bits=0, seeds=None) -> list[np.ndarray]:
@@ -362,9 +360,9 @@ def _core_stacks(cores: list[CorePlan], phase_sigma=0.0, bits=0, seeds=None) -> 
                     x[lo:hi, :xs[i].shape[1], :xs[i].shape[2]] = xs[i]
             y = _apply_meshes(joint, x)
             for i, lo, hi in zip(grid, bounds, bounds[1:]):
-                xs[i] = y[lo:hi, :, :cores[i].n]
+                xs[i] = y[lo:hi, :, :cores[i].mesh_v.size]
         if s:
-            xs = [c.diag[:, :, None] * v[:, :min(c.m, c.n)] for c, v in zip(cores, xs)]
+            xs = [c.diag[:, :, None] * v[:, :c.diag.shape[1]] for c, v in zip(cores, xs)]
     return [c.scale[:, None, None] * u for c, u in zip(cores, xs)]
 
 
@@ -388,11 +386,6 @@ class LayerShape:
     row_modes: list[int]
     col_modes: list[int]
     ranks: list[int]
-
-    @property
-    def wdm_channels(self) -> int:
-        """Bond channels ride WDM wavelengths, so the widest bond sets the count."""
-        return max(self.ranks)
 
 
 @dataclass
@@ -442,7 +435,7 @@ def _map_layers(weights: dict, shapes: dict[str, LayerShape]) -> dict[str, Layer
         bounds = np.cumsum([0] + [len(slices) for *_, slices in group])
         for (name, k, _), lo, hi in zip(group, bounds, bounds[1:]):
             u, v = (replace(t, theta=t.theta[lo:hi], phi=t.phi[lo:hi]) for t in (core.mesh_u, core.mesh_v))
-            plans[name].cores[k] = CorePlan(core.m, core.n, u, v, core.diag[lo:hi], core.scale[lo:hi])
+            plans[name].cores[k] = CorePlan(u, v, core.diag[lo:hi], core.scale[lo:hi])
     return plans
 
 
@@ -511,7 +504,7 @@ def totals(shapes: dict) -> dict:
     return {
         "mzis": sum(mzi_count(s) for s in shapes.values()),
         "stages": _stage_total(shapes),
-        "wdm_channels": max(s.wdm_channels for s in shapes.values()),
+        "wdm_channels": max(max(s.ranks) for s in shapes.values()),  # bond channels ride WDM wavelengths
         "core_histogram": core_histogram(shapes.values()),
     }
 
@@ -559,7 +552,7 @@ def _realize_plans(plans: dict, phase_sigma=0.0, bits=0, seed=None) -> dict:
     stacks = iter(_core_stacks([c for plan in plans.values() for c in plan.cores], phase_sigma, bits, seeds))
     ops = {}
     for name, plan in plans.items():
-        cores = [next(stacks).reshape(r_in, r_out, c.m, c.n).transpose(0, 2, 3, 1)
+        cores = [next(stacks).reshape(r_in, r_out, c.mesh_u.size, c.mesh_v.size).transpose(0, 2, 3, 1)
                  for c, r_in, r_out in zip(plan.cores, plan.ranks, plan.ranks[1:])]
         ops[name] = cores[0][0, :, :, 0] if plan.kind == "dense" else tt_mod.TTMatrix(
             plan.row_modes, plan.col_modes, plan.ranks, cores)
@@ -624,7 +617,7 @@ def _core_from_obj(obj: dict, what: str, m: int, n: int, count: int, grids: list
                             f"holds {len(net.theta)} of size {net.size}")
         claims.append((g, first, end, f"{what}: {key}"))
         sides.append(MeshNetlist(size, net.col, net.row, net.theta[first:end], net.phi[first:end]))
-    return CorePlan(m, n, *sides, diag, scale)
+    return CorePlan(*sides, diag, scale)
 
 
 def _plan_from_obj(obj: dict, what: str, grids: list, claims: list) -> LayerPlan:

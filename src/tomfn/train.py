@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import serialize
-from .errors import DataError, ShapeError
+from .errors import DataError
 from .model import EMOTIONS, TOMFNModel
 from .serialize import field, numbers
 
@@ -276,10 +276,7 @@ def evaluate(model: TOMFNModel, ds: Dataset) -> dict:
     """Per-emotion F1 and mean binary accuracy over heads and samples."""
     if len(ds) == 0:
         raise DataError("cannot evaluate an empty dataset")
-    if ds.labels.shape[1] != model.config.heads:
-        raise ShapeError(
-            f"dataset has {ds.labels.shape[1]} label flags, model has {model.config.heads} heads"
-        )
+    model_mod.check_batch(model.config, ds.visual, ds.audio, ds.text, ds.labels)
     pred = np.argmax(probabilities(model, ds), axis=2)
     names = list(EMOTIONS[: model.config.heads])
     if model.config.heads > len(EMOTIONS):

@@ -703,6 +703,104 @@ def test_unwritable_out_exits_3(tmp_path, tiny_config, capsys, command, kind):
     assert kind == "missing_directory" or os.listdir(target) == []
 
 
+def command_files(tmp_path, tiny_config, command):
+    """An argv for `command` on the tiny config, and the existing file each input option names."""
+    samples = tmp_path / "s.jsonl"
+    T.save_jsonl(T.gen_synthetic(T.SynthSpec(n_samples=4, seq_len=3, seed=1),
+                                 M.ModelConfig.from_dict(TINY)), str(samples))
+    weights = pathlib.Path(make_trained(tmp_path, tiny_config))
+    bundle, report = tmp_path / "b.json", tmp_path / "r.json"
+    assert run(["compile", "--config", tiny_config, "--weights", str(weights), "--out", str(bundle)]) == 0
+    assert run(["describe", "--config", tiny_config, "--out", str(report)]) == 0
+    files = {"--config": pathlib.Path(tiny_config), "--weights": weights, "--data": samples,
+             "--bundle": bundle, "--compare": report}
+    reads = {"describe": ["--config", "--compare"], "train": ["--config", "--data"],
+             "eval": ["--config", "--weights", "--data"], "compile": ["--config", "--weights"],
+             "simulate": ["--bundle", "--data"]}[command]
+    argv = [command, *(["--epochs", "1"] if command == "train" else [])]
+    return argv + [word for flag in reads for word in (flag, str(files[flag]))], files
+
+
+def file_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir() if path.is_file()}
+
+
+# Each (command, output, input) that used to write over the input and exit 0.
+OUTPUT_ONTO_INPUT = [
+    ("eval", "--out", "--weights"), ("eval", "--out", "--data"), ("compile", "--out", "--weights"),
+    ("compile", "--out", "--config"), ("simulate", "--out", "--bundle"), ("simulate", "--out", "--data"),
+    ("train", "--out", "--config"), ("train", "--metrics-out", "--data"), ("describe", "--out", "--config"),
+    ("describe", "--out", "--compare"),
+]
+
+
+@pytest.mark.parametrize("spelling", ["same_path", "symlink", "hard_link"])
+@pytest.mark.parametrize("command, output, source", OUTPUT_ONTO_INPUT)
+def test_output_that_is_an_input_exits_2(tmp_path, tiny_config, capsys, command, output, source, spelling):
+    argv, files = command_files(tmp_path, tiny_config, command)
+    target = files[source]
+    if spelling != "same_path":
+        target = tmp_path / "link.json"
+        (target.symlink_to if spelling == "symlink" else target.hardlink_to)(files[source])
+    before = file_bytes(tmp_path)
+    capsys.readouterr()
+    assert run(argv + [output, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"tomfn {command}: {output} and {source} name one file ({target}); give two paths\n"
+    assert captured.out == "" and file_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("case", ["metrics_out_hard_link_to_out", "derived_metrics_onto_config"])
+def test_train_output_that_is_another_file_it_names_exits_2(tmp_path, tiny_config, capsys, case):
+    """Two outputs that are one file, and `<out>.metrics.json` (--metrics-out's default) onto an input."""
+    argv = ["train", "--synthetic", "n=8,L=3", "--epochs", "1"]
+    out = tmp_path / "w.json"
+    if case == "metrics_out_hard_link_to_out":
+        out.write_text("{}")
+        (tmp_path / "m.json").hardlink_to(out)
+        argv += ["--config", tiny_config, "--out", str(out), "--metrics-out", str(tmp_path / "m.json")]
+        want = f"--out and --metrics-out name one file ({out})"
+    else:
+        config = tmp_path / "w.json.metrics.json"
+        config.write_bytes(pathlib.Path(tiny_config).read_bytes())
+        argv += ["--config", str(config), "--out", str(out)]
+        want = f"--metrics-out and --config name one file ({config})"
+    before = file_bytes(tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"tomfn train: {want}; give two paths\n"
+    assert captured.out == "" and file_bytes(tmp_path) == before
+
+
+# The step each command does its work in, which an output it cannot write must come before.
+WORK = {"describe": ("cost_mod", "build_report"), "train": ("train_mod", "train_model"),
+        "eval": ("train_mod", "evaluate"), "compile": ("photonic", "compile_model"),
+        "simulate": ("photonic", "realize")}
+
+
+@pytest.mark.parametrize("command, output", [*[(command, "--out") for command in WORK],
+                                             ("train", "--metrics-out")])
+def test_output_in_a_missing_directory_exits_3_before_any_work(tmp_path, tiny_config, capsys,
+                                                                monkeypatch, command, output):
+    if command == "train":  # a run that takes long enough to notice
+        argv = ["train", "--config", tiny_config, "--synthetic", "n=200,L=3", "--epochs", "20"]
+    else:
+        argv, _ = command_files(tmp_path, tiny_config, command)
+
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} did its work before refusing its output")
+
+    monkeypatch.setattr(getattr(cli, WORK[command][0]), WORK[command][1], work)
+    before = file_bytes(tmp_path)
+    target = tmp_path / "missing" / "w.json"
+    capsys.readouterr()
+    assert run(argv + [output, str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"tomfn {command}: data: cannot write {target}: No such file or directory\n"
+    assert captured.out == "" and file_bytes(tmp_path) == before
+
+
 def test_simulate_noiseless_bitexact_and_matches_forward(tmp_path, tiny_config):
     weights = make_trained(tmp_path, tiny_config)
     bundle = tmp_path / "bundle.json"

@@ -357,7 +357,7 @@ def test_svd_output_norm_bound():
 def test_map_identity_tt():
     t = tt_mod.tt_from_dense(np.eye(4), [2, 2], [2, 2], max_rank=16, tol=0.0)
     plan = P.map_tt_layer(t)
-    assert plan.wdm_channels == 1
+    assert max(plan.ranks) == 1
     assert [len(c.mesh_u.theta) for c in plan.cores] == [1, 1]
     assert P.core_histogram([plan]) == {"2x2": 2}
     x = np.array([0.5, -1.0, 2.0, 3.0])
@@ -370,7 +370,7 @@ def test_map_32x32_rank2():
     cores = [rng.normal(size=(1, 4, 4, 2)), rng.normal(size=(2, 8, 8, 1))]
     t = tt_mod.TTMatrix([4, 8], [4, 8], ranks, cores)
     plan = P.map_tt_layer(t)
-    assert plan.wdm_channels == 2
+    assert max(plan.ranks) == 2
     counts = [len(c.mesh_u.theta) for c in plan.cores]
     assert counts == [2, 2]
     assert P.core_histogram([plan]) == {"4x4": 2, "8x8": 2}
@@ -598,7 +598,8 @@ def test_shape_totals_equal_compiled_totals(case):
     mzis += sum(core.diag.size for core, _, _ in cores)
     hist = {}
     for core, _, _ in cores:
-        hist[f"{core.m}x{core.n}"] = hist.get(f"{core.m}x{core.n}", 0) + len(core.mesh_u.theta)
+        key = f"{core.mesh_u.size}x{core.mesh_v.size}"
+        hist[key] = hist.get(key, 0) + len(core.mesh_u.theta)
     wdm = max(max(r_in, r_out) for _, r_in, r_out in cores)
     totals = P.totals(shapes)
     assert (totals["mzis"], totals["core_histogram"], totals["wdm_channels"]) == (mzis, hist, wdm)
@@ -690,7 +691,7 @@ def test_perturb_bundle_noise_stream():
             block = next(blocks)
             assert block.shape == (len(core.scale), 2) and np.array_equal(block, want[name][k]), (name, k)
             for j, (s_u, s_v) in enumerate(want[name][k]):
-                alone = P.CorePlan(core.m, core.n, P.perturb(one_mesh(core.mesh_u, j), sigma, bits, [s_u]),
+                alone = P.CorePlan(P.perturb(one_mesh(core.mesh_u, j), sigma, bits, [s_u]),
                                    P.perturb(one_mesh(core.mesh_v, j), sigma, bits, [s_v]),
                                    core.diag[j:j + 1], core.scale[j:j + 1])
                 w, r_out = realized[name], plan.ranks[k + 1]
@@ -811,8 +812,8 @@ def test_grouped_realize_equals_mzi_by_mzi_oracle():
             for k, core in enumerate(plan.cores):
                 r_out = plan.ranks[k + 1]
                 for j in range(len(core.scale)):
-                    z = np.zeros((core.m, core.n))
-                    lead = min(core.m, core.n)
+                    z = np.zeros((core.mesh_u.size, core.mesh_v.size))
+                    lead = min(core.mesh_u.size, core.mesh_v.size)
                     z[:lead] = core.diag[j][:, None] * reference_mesh_matrix(core.mesh_v, j)[:lead]
                     want = core.scale[j] * reference_mesh_matrix(core.mesh_u, j, z)
                     w = realized[name]

@@ -5,7 +5,9 @@ import pytest
 
 from tomfn import model as M
 from tomfn import train as T
-from tomfn.errors import DataError
+from tomfn.errors import DataError, ShapeError
+
+from golden_docs import TINY
 
 
 def small_config(seed=0):
@@ -257,3 +259,10 @@ def test_f1_in_unit_interval():
     report = T.evaluate(M.build(six), T.gen_synthetic(T.SynthSpec(n_samples=12, seq_len=2), six))
     assert list(report["f1"]) == [*M.EMOTIONS, "head4", "head5"]
     assert all(0.0 <= v <= 1.0 for v in report["f1"].values())
+
+
+def test_evaluate_refuses_labels_that_are_not_one_per_head():
+    config = M.ModelConfig.from_dict(TINY)
+    ds = T.gen_synthetic(T.SynthSpec(n_samples=8, seq_len=config.text.seq_len), config)
+    with pytest.raises(ShapeError, match="label"):
+        T.evaluate(M.build(config), dataclasses.replace(ds, labels=ds.labels[:, :1]))
